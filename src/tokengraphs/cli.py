@@ -5,7 +5,8 @@ path engine (paths), reproduce the two-clique counterexample family
 (hfamily), and scan girth-5 graphs for the connectivity conjecture
 (conjecture).  Every run streams one JSON record per (graph, k) unit;
 a human summary follows unless --json is given.  Exit code 1 flags a
-violated record in the theorem or paths modes, 2 a usage or input error.
+violated record in the theorem, paths or hfamily modes, 2 a usage or input
+error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _theorem_unit(arg: tuple[str, int]) -> dict:
         return record
     fk = tg.as_graph()
     delta = fk.min_degree()
-    kappa = vertex_connectivity(fk, distance2_only=True)
+    kappa = vertex_connectivity(fk)
     lam = edge_connectivity(fk)
     record.update(delta=delta, kappa=kappa)
     record["lambda"] = lam
@@ -125,7 +126,7 @@ def _hfamily_unit(m: int) -> dict:
         return record
     fk = tg.as_graph()
     delta = fk.min_degree()
-    kappa = vertex_connectivity(fk, distance2_only=True)
+    kappa = vertex_connectivity(fk)
     lam = edge_connectivity(fk)
     record.update(delta=delta, kappa=kappa)
     record["lambda"] = lam
@@ -146,7 +147,7 @@ def _conjecture_unit(arg: tuple[str, int]) -> dict:
         return record
     fk = tg.as_graph()
     delta = fk.min_degree()
-    kappa = vertex_connectivity(fk, distance2_only=True)
+    kappa = vertex_connectivity(fk)
     record.update(delta=delta, kappa=kappa)
     record["status"] = "confirmed" if kappa == delta else "violated"
     return record
@@ -220,8 +221,8 @@ def cmd_paths(args) -> int:
 def cmd_hfamily(args) -> int:
     units = list(range(args.m_min, args.m_max + 1))
     records = _run_units("hfamily", units, args.jobs)
-    _emit(records, args, f"hfamily m={args.m_min}..{args.m_max}")
-    return 0
+    counts, _ = _emit(records, args, f"hfamily m={args.m_min}..{args.m_max}")
+    return 1 if counts["violated"] else 0
 
 
 def cmd_conjecture(args) -> int:

@@ -1,9 +1,19 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
 Local vertex connectivity uses the standard vertex-splitting reduction to
-unit-capacity max flow.  Global vertex connectivity is the minimum of local
-values over vertex pairs; for connected graphs the minimum over pairs at
-distance exactly 2 already attains it, which keeps the pair count small.
+unit-capacity max flow.  The global values take the minimum of local flows
+over a pair set that is exact for every graph and far smaller than all
+vertex pairs:
+
+- kappa: flows from one minimum-degree vertex v to each non-neighbour, then
+  between each non-adjacent pair of neighbours of v (Esfahanian and Hakimi,
+  "On computing the connectivities of graphs and digraphs", Networks 14,
+  1984);
+- lambda: flows from the first vertex of a dominating set to each other
+  member (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
+
+The proofs sit in the docstrings of `vertex_connectivity` and
+`edge_connectivity`.  The subset-removal oracle checks both independently.
 """
 
 from __future__ import annotations
@@ -148,33 +158,22 @@ def local_vertex_connectivity(
     return value, _extract_vertex_paths(net, g, s, t)
 
 
-def _distance2_pairs(g: Graph):
-    adj = g.adjacency
-    for u in range(g.n):
-        second: set[int] = set()
-        for w in adj[u]:
-            second.update(adj[w])
-        second -= adj[u]
-        second.discard(u)
-        for v in second:
-            if v > u:
-                yield u, v
+def vertex_connectivity(g: Graph) -> int:
+    """Vertex connectivity via unit flows over the Esfahanian-Hakimi pairs.
 
+    Complete graphs return n-1, disconnected graphs 0.  Otherwise let v be the
+    lowest-index vertex of minimum degree delta; the flows run from v to every
+    non-neighbour, then between every non-adjacent pair in N(v), each capped
+    at the best value so far (kappa <= delta).
 
-def _nonadjacent_pairs(g: Graph):
-    adj = g.adjacency
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if v not in adj[u]:
-                yield u, v
-
-
-def vertex_connectivity(g: Graph, *, distance2_only: bool = False) -> int:
-    """Vertex connectivity via minimum local flow over vertex pairs.
-
-    With distance2_only the scan covers only pairs at distance exactly 2,
-    which is exact for connected graphs; the default scans every non-adjacent
-    pair.  Complete graphs return n-1, disconnected graphs 0.
+    Exactness: each flow is a local connectivity, so at least kappa.  Let S be
+    a minimum separator.  If v is not in S, the component of G - S holding v
+    contains all of N(v) - S, so any vertex w of another component is a
+    non-neighbour of v and S separates v from w.  If v is in S, minimality
+    gives v a neighbour in every component of G - S (otherwise S - v would
+    still separate), so two neighbours x, y of v in different components are
+    non-adjacent and separated by S.  Either way some flow in the scan is at
+    most |S| = kappa.
     """
     if g.n <= 1:
         return 0
@@ -182,10 +181,16 @@ def vertex_connectivity(g: Graph, *, distance2_only: bool = False) -> int:
         return 0
     if g.is_complete():
         return g.n - 1
+    best = g.min_degree()
+    if best == 1:
+        return 1
+    adj = g.adjacency
+    v = next(u for u in range(g.n) if len(adj[u]) == best)
+    pairs = [(v, w) for w in range(g.n) if w != v and w not in adj[v]]
+    nbrs = sorted(adj[v])
+    pairs += [(x, y) for x, y in combinations(nbrs, 2) if y not in adj[x]]
     net = _split_net(g)
     base = net.snapshot()
-    best = g.min_degree()
-    pairs = _distance2_pairs(g) if distance2_only else _nonadjacent_pairs(g)
     for s, t in pairs:
         net.restore(base)
         flow = net.max_flow(2 * s + 1, 2 * t, best)
@@ -196,23 +201,55 @@ def vertex_connectivity(g: Graph, *, distance2_only: bool = False) -> int:
     return best
 
 
+def _dominating_set(g: Graph) -> list[int]:
+    """Greedy dominating set: take each vertex not yet dominated, in order."""
+    dominated = [False] * g.n
+    chosen = []
+    for v in range(g.n):
+        if not dominated[v]:
+            chosen.append(v)
+            dominated[v] = True
+            for w in g.adjacency[v]:
+                dominated[w] = True
+    return chosen
+
+
 def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity via unit-capacity flows from a fixed source."""
+    """Edge connectivity via unit flows between dominating-set members.
+
+    Disconnected graphs and graphs with n <= 1 return 0.  Otherwise take a
+    greedy dominating set D in index order and run flows from D[0] to every
+    other member, each capped at the best value so far (lambda <= delta).
+
+    Exactness: each flow is a local edge connectivity, so at least lambda.
+    Suppose lambda < delta and let (A, B) be a minimum edge cut.  A side with
+    a vertices sends at least a * delta - a * (a - 1) = a * (delta - a + 1)
+    edges across, which is at least delta when 1 <= a <= delta, so both sides
+    have more than delta vertices.  If a side missed D, each of its vertices
+    would have a neighbour in D on the other side, giving more than delta
+    crossing edges.  So D meets both sides, and the flow from D[0] to a member
+    of D on the other side is at most lambda.
+    """
     if g.n <= 1:
         return 0
     if not g.is_connected():
         return 0
+    best = g.min_degree()
+    if best == 1:
+        return 1
     net = _UnitFlowNet(g.n)
     for u, v in g.edges:
         net.add_arc(u, v)
         net.add_arc(v, u)
     base = net.snapshot()
-    best = g.min_degree()
-    for t in range(1, g.n):
+    source, *sinks = _dominating_set(g)
+    for t in sinks:
         net.restore(base)
-        flow = net.max_flow(0, t, best)
+        flow = net.max_flow(source, t, best)
         if flow < best:
             best = flow
+            if best == 1:
+                break
     return best
 
 

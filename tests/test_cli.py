@@ -112,6 +112,17 @@ class TestHFamily:
         gaps = [r["delta"] - r["kappa"] for r in records]
         assert gaps == [1, 2, 3]
 
+    def test_violation_sets_exit_code(self, capsys, monkeypatch):
+        def fake(m):
+            return {"graph_id": "G", "m": m, "k": 2, "delta": 2, "kappa": 1,
+                    "lambda": 1, "status": "violated"}
+
+        monkeypatch.setitem(cli._UNIT_RUNNERS, "hfamily", fake)
+        code, records, summary, _ = run(capsys, ["hfamily", "--m-min", "3", "--m-max", "3"])
+        assert code == 1
+        assert records[0]["status"] == "violated"
+        assert any("violated: graph_id=G k=2" in line for line in summary)
+
 
 class TestConjecture:
     def write(self, tmp_path, lines):

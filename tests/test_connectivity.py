@@ -1,6 +1,7 @@
 """Tests for the flow-based and brute-force connectivity oracles."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -22,7 +23,7 @@ from tokengraphs.graphs import (
     path_graph,
     star_graph,
 )
-from tokengraphs.tokens import build_token_graph
+from tokengraphs.tokens import build_token_graph, min_token_degree
 
 PETERSEN = Graph(
     10,
@@ -168,21 +169,125 @@ class TestAgainstBruteForce:
         assert vertex_connectivity(g) <= edge_connectivity(g) <= g.min_degree() or g.n == 1
 
 
-class TestDistance2Strategy:
+def kappa_by_definition(g: Graph) -> int:
+    """Minimum local vertex connectivity over every non-adjacent pair."""
+    if g.is_complete():
+        return max(g.n - 1, 0)
+    return min(
+        local_vertex_connectivity(g, s, t)[0]
+        for s, t in combinations(range(g.n), 2)
+        if not g.has_edge(s, t)
+    )
+
+
+# two K_6 (0..5 and 6..11) hanging off vertex 12 through 0, 1, 6 and 7: the
+# minimum-degree vertex 12 is the only cut vertex, so flows from 12 alone
+# find 2 and only a pair of its neighbours in different cliques finds 1
+HUB = Graph(
+    13,
+    tuple(combinations(range(6), 2))
+    + tuple(combinations(range(6, 12), 2))
+    + ((0, 12), (1, 12), (6, 12), (7, 12)),
+)
+
+
+def prufer_tree(rng: random.Random, n: int) -> Graph:
+    tree = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+    return Graph(n, tuple(tree.edges()))
+
+
+def planted_cut_graph(rng: random.Random) -> tuple[Graph, int]:
+    """Two dense blocks joined through a few separator vertices and edges.
+
+    Returns the graph and the size of the planted vertex separator: the
+    separator vertices plus one endpoint of each direct crossing edge.
+    """
+    a, b = rng.randint(5, 9), rng.randint(5, 9)
+    sep = rng.randint(0, 2)
+    crossing = rng.randint(0 if sep else 1, 2)
+    n = a + b + sep
+    left, right = range(a), range(a, a + b)
+    edges = [e for block in (left, right) for e in combinations(block, 2) if rng.random() < 0.8]
+    for s in range(a + b, n):
+        edges += [(s, rng.choice(left)), (s, rng.choice(right))]
+        edges += [(s, w) for w in range(a + b) if rng.random() < 0.3]
+    edges += [(rng.choice(left), rng.choice(right)) for _ in range(crossing)]
+    return Graph(n, tuple(edges)), sep + crossing
+
+
+class TestAgainstDefinition:
     @given(graphs())
     @settings(max_examples=80, deadline=None)
-    def test_agrees_with_general_scan_when_connected(self, g):
-        # the distance-2 shortcut is only claimed for connected non-complete graphs
-        if not g.is_connected() or g.is_complete():
-            return
-        assert vertex_connectivity(g, distance2_only=True) == vertex_connectivity(g)
+    def test_matches_minimum_over_nonadjacent_pairs(self, g):
+        assert vertex_connectivity(g) == kappa_by_definition(g)
 
     def test_tree_families(self):
         for g in (path_graph(7), star_graph(5), Graph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))):
-            assert vertex_connectivity(g, distance2_only=True) == 1
+            assert vertex_connectivity(g) == 1
 
     def test_complete_graph_shortcut(self):
-        assert vertex_connectivity(complete_graph(6), distance2_only=True) == 5
+        assert vertex_connectivity(complete_graph(6)) == 5
+
+
+class TestPairSetBranches:
+    def test_hub_needs_neighbour_pairs(self):
+        assert HUB.min_degree() == 4
+        assert vertex_connectivity(HUB) == 1
+        assert edge_connectivity(HUB) == 2
+        report = brute_force_connectivity(HUB)
+        assert (report.kappa, report.lambda_, report.delta) == (1, 2, 4)
+        from_hub = min(
+            local_vertex_connectivity(HUB, 12, w)[0]
+            for w in range(12)
+            if not HUB.has_edge(12, w)
+        )
+        assert from_hub == 2
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_two_token_bridged_cliques(self, m):
+        fk = build_token_graph(bridged_cliques(m), 2).as_graph()
+        assert fk.min_degree() == 2 * (m - 2)
+        assert vertex_connectivity(fk) == edge_connectivity(fk) == m - 1
+        h = nx_of(fk)
+        assert nx.node_connectivity(h) == nx.edge_connectivity(h) == m - 1
+
+
+class TestSeededDifferential:
+    def test_token_graphs_of_random_trees(self):
+        # most random trees give delta = 1, which the early exit answers, so
+        # keep drawing until six instances need flows
+        rng = random.Random(20261017)
+        flat = needs_flows = 0
+        while needs_flows < 6:
+            n = rng.randint(10, 11)
+            k = rng.choice((2, 3, n - 3, n - 2))
+            tree = prufer_tree(rng, n)
+            delta = min_token_degree(tree, k)
+            if delta == 1:
+                if flat == 3:
+                    continue
+                flat += 1
+            else:
+                needs_flows += 1
+            fk = build_token_graph(tree, k).as_graph()
+            h = nx_of(fk)
+            assert vertex_connectivity(fk) == nx.node_connectivity(h) == delta
+            assert edge_connectivity(fk) == nx.edge_connectivity(h) == delta
+
+    def test_random_graphs_with_planted_cuts(self):
+        rng = random.Random(87)
+        below_delta = Counter()
+        for _ in range(40):
+            g, planted = planted_cut_graph(rng)
+            h = nx_of(g)
+            kappa, lam = vertex_connectivity(g), edge_connectivity(g)
+            assert kappa == nx.node_connectivity(h)
+            assert lam == nx.edge_connectivity(h)
+            assert kappa <= planted
+            below_delta["kappa"] += kappa < g.min_degree()
+            below_delta["lambda"] += lam < g.min_degree()
+        # the planted cuts must reach the branches where a flow beats delta
+        assert below_delta["kappa"] >= 10 and below_delta["lambda"] >= 10, below_delta
 
 
 class TestGuards:
