@@ -229,7 +229,7 @@ def cmd_conjecture(args) -> int:
     try:
         with open(args.input, encoding="ascii") as fh:
             lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     def skip_record(g6: str, k: int | None, reason: str) -> dict:

@@ -278,10 +278,7 @@ def brute_force_connectivity(g: Graph) -> ConnectivityReport:
         raise ValueError(f"brute force limited to n <= {_BRUTE_LIMIT}, got {g.n}")
     if g.n == 0:
         raise ValueError("empty graph")
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = g.neighbor_masks
     full = (1 << g.n) - 1
     delta = g.min_degree()
     connected = _mask_connected(masks, full)

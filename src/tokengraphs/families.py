@@ -2,20 +2,23 @@
 
 For a tree T and configurations X, Y at distance 2 in the k-token graph, this
 module builds at least min-token-degree many pairwise internally disjoint
-X-Y token paths.  Instances are first normalised (complementing tokens with
-free vertices, swapping endpoint roles, relabelling the two moved-token
-indices) so that one of two fixed construction schemes applies; constructed
-paths are replayed, trace-checked, pulled back through the recorded
-reductions, and re-verified.
+X-Y token paths.  Instances are first normalised on int occupancy masks
+(complementing tokens with free vertices, swapping endpoint roles, relabelling
+the two moved-token indices) so that one of two fixed construction schemes
+applies.  The builders only plan each path: a label, a move list and trace
+conditions in the normalised frame.  `build_family` verifies each guarantee
+once, in the original frame: it maps every move list back through the
+reductions, replays it from X, checks its end and its trace conditions, then
+checks the final family's disjointness and size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import Graph
 from .moves import (
-    TokenMove,
     TokenPath,
     TraceCondition,
     check_trace,
@@ -27,10 +30,11 @@ from .tokens import (
     Case2Pair,
     Config,
     classify_distance2,
-    complement_iso,
+    config_mask,
     make_config,
+    mask_config,
+    mask_degree,
     min_token_degree,
-    token_degree,
 )
 
 __all__ = [
@@ -75,8 +79,9 @@ class Reduction:
             raise ValueError(f"unknown reduction kind {self.kind!r}")
 
 
-def _neighbor_list(g: Graph, vertex: int, inside: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(g.neighbors(vertex) & inside))
+def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], ...]:
+    """Edges from a shared token to a free vertex, as sorted (z, w) pairs."""
+    return tuple((u, t) for u in mask_config(z) for t in mask_config(nbrs[u] & w))
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ class Case1Context:
     def m_y(self) -> int:
         return min(self.b, self.d)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.m_x + self.m_y + self.eta + 1
 
@@ -212,7 +217,7 @@ class Case2Context:
     def eta(self) -> int:
         return len(self.zw_edges)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return (
             min(self.a1, self.c1)
@@ -232,7 +237,7 @@ class Case2Context:
         second = "x2" if q == self.x2 else "y2"
         return first + second
 
-    @property
+    @cached_property
     def case_number(self) -> int:
         return _case_index(
             self.a1 > self.c1, self.a2 > self.c2, self.b1 > self.d1, self.b2 > self.d2
@@ -260,125 +265,97 @@ _TERMINAL_CASES = frozenset({2, 4, 6, 7, 8, 16})
 
 
 def _case1_context(
-    tree: Graph, k: int, x_cfg: Config, y_cfg: Config, x: int, y: int, v: int
+    tree: Graph, x_mask: int, y_mask: int, x: int, y: int, v: int, deg_x: int, deg_y: int
 ) -> Case1Context:
-    n = tree.n
-    xs, ys = set(x_cfg), set(y_cfg)
-    z = frozenset(xs & ys)
-    w = frozenset(range(n)) - xs - ys
-    if x not in xs - ys or y not in ys - xs:
+    nbrs = tree.neighbor_masks
+    z = x_mask & y_mask
+    w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
+    if not (x_mask & ~y_mask) >> x & 1 or not (y_mask & ~x_mask) >> y & 1:
         raise ValueError("x/y must be the moved tokens of X and Y")
-    if v not in w:
+    if not w >> v & 1:
         raise ValueError(f"middle vertex {v} must be free")
-    if not (tree.has_edge(x, v) and tree.has_edge(v, y)):
+    if not (nbrs[v] >> x & 1 and nbrs[v] >> y & 1):
         raise ValueError(f"{v} is not a common neighbour of {x} and {y}")
-    w_minus_v = w - {v}
-    zw_edges = tuple(
-        sorted((u, t) if u in z else (t, u) for u, t in tree.edges
-               if (u in z) != (t in z) and (u in w or t in w))
-    )
+    w_minus_v = w & ~(1 << v)
     ctx = Case1Context(
         tree=tree,
-        k=k,
-        x_cfg=x_cfg,
-        y_cfg=y_cfg,
+        k=x_mask.bit_count(),
+        x_cfg=mask_config(x_mask),
+        y_cfg=mask_config(y_mask),
         x=x,
         y=y,
         v=v,
-        z=z,
-        w=w,
-        w_minus_v=w_minus_v,
-        wx=_neighbor_list(tree, x, w_minus_v),
-        wy=_neighbor_list(tree, y, w_minus_v),
-        zx=_neighbor_list(tree, x, z),
-        zy=_neighbor_list(tree, y, z),
-        zw_edges=zw_edges,
+        z=frozenset(mask_config(z)),
+        w=frozenset(mask_config(w)),
+        w_minus_v=frozenset(mask_config(w_minus_v)),
+        wx=mask_config(nbrs[x] & w_minus_v),
+        wy=mask_config(nbrs[y] & w_minus_v),
+        zx=mask_config(nbrs[x] & z),
+        zy=mask_config(nbrs[y] & z),
+        zw_edges=_zw_edges(nbrs, z, w),
     )
-    if ctx.a + ctx.b + ctx.eta + 1 != token_degree(tree, x_cfg):
+    if ctx.a + ctx.b + ctx.eta + 1 != deg_x:
         raise FamilyConstructionError("case-1 degree bookkeeping failed for X")
-    if ctx.c + ctx.d + ctx.eta + 1 != token_degree(tree, y_cfg):
+    if ctx.c + ctx.d + ctx.eta + 1 != deg_y:
         raise FamilyConstructionError("case-1 degree bookkeeping failed for Y")
     return ctx
 
 
 def _case2_context(
     tree: Graph,
-    k: int,
-    x_cfg: Config,
-    y_cfg: Config,
+    x_mask: int,
+    y_mask: int,
     x1: int,
     y1: int,
     x2: int,
     y2: int,
+    deg_x: int,
+    deg_y: int,
 ) -> Case2Context:
-    n = tree.n
-    xs, ys = set(x_cfg), set(y_cfg)
-    if {x1, x2} != xs - ys or {y1, y2} != ys - xs:
+    nbrs = tree.neighbor_masks
+    if 1 << x1 | 1 << x2 != x_mask & ~y_mask or 1 << y1 | 1 << y2 != y_mask & ~x_mask:
         raise ValueError("x_i/y_i must be the moved tokens of X and Y")
-    if not (tree.has_edge(x1, y1) and tree.has_edge(x2, y2)):
+    if not (nbrs[x1] >> y1 & 1 and nbrs[x2] >> y2 & 1):
         raise ValueError("slide edges x1-y1 and x2-y2 must exist")
-    z = frozenset(xs & ys)
-    w = frozenset(range(n)) - xs - ys
-    crosses = [
-        (p, q)
-        for p in (x1, y1)
-        for q in (x2, y2)
-        if tree.has_edge(p, q)
-    ]
+    z = x_mask & y_mask
+    w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
+    crosses = [(p, q) for p in (x1, y1) for q in (x2, y2) if nbrs[p] >> q & 1]
     if len(crosses) > 1:
         raise ValueError("multiple cross edges form a cycle; base graph is not a tree")
-    zw_edges = tuple(
-        sorted((u, t) if u in z else (t, u) for u, t in tree.edges
-               if (u in z) != (t in z) and (u in w or t in w))
-    )
     ctx = Case2Context(
         tree=tree,
-        k=k,
-        x_cfg=x_cfg,
-        y_cfg=y_cfg,
+        k=x_mask.bit_count(),
+        x_cfg=mask_config(x_mask),
+        y_cfg=mask_config(y_mask),
         x1=x1,
         y1=y1,
         x2=x2,
         y2=y2,
-        z=z,
-        w=w,
-        wx1=_neighbor_list(tree, x1, w),
-        wx2=_neighbor_list(tree, x2, w),
-        wy1=_neighbor_list(tree, y1, w),
-        wy2=_neighbor_list(tree, y2, w),
-        zx1=_neighbor_list(tree, x1, z),
-        zx2=_neighbor_list(tree, x2, z),
-        zy1=_neighbor_list(tree, y1, z),
-        zy2=_neighbor_list(tree, y2, z),
-        zw_edges=zw_edges,
+        z=frozenset(mask_config(z)),
+        w=frozenset(mask_config(w)),
+        wx1=mask_config(nbrs[x1] & w),
+        wx2=mask_config(nbrs[x2] & w),
+        wy1=mask_config(nbrs[y1] & w),
+        wy2=mask_config(nbrs[y2] & w),
+        zx1=mask_config(nbrs[x1] & z),
+        zx2=mask_config(nbrs[x2] & z),
+        zy1=mask_config(nbrs[y1] & z),
+        zy2=mask_config(nbrs[y2] & z),
+        zw_edges=_zw_edges(nbrs, z, w),
         cross=crosses[0] if crosses else None,
     )
     bonus = 1 if ctx.cross_kind in ("x1y2", "y1x2") else 0
-    if ctx.a1 + ctx.a2 + ctx.b1 + ctx.b2 + ctx.eta + 2 + bonus != token_degree(tree, x_cfg):
+    if ctx.a1 + ctx.a2 + ctx.b1 + ctx.b2 + ctx.eta + 2 + bonus != deg_x:
         raise FamilyConstructionError("case-2 degree bookkeeping failed for X")
-    if ctx.c1 + ctx.c2 + ctx.d1 + ctx.d2 + ctx.eta + 2 + bonus != token_degree(tree, y_cfg):
+    if ctx.c1 + ctx.c2 + ctx.d1 + ctx.d2 + ctx.eta + 2 + bonus != deg_y:
         raise FamilyConstructionError("case-2 degree bookkeeping failed for Y")
     return ctx
 
 
 def _swap_indices(ctx: Case2Context) -> Case2Context:
-    return _case2_context(
-        ctx.tree, ctx.k, ctx.x_cfg, ctx.y_cfg, ctx.x2, ctx.y2, ctx.x1, ctx.y1
-    )
-
-
-def _complement_relabel(ctx: Case2Context) -> Case2Context:
-    n = ctx.tree.n
-    return _case2_context(
-        ctx.tree,
-        n - ctx.k,
-        complement_iso(ctx.x_cfg, n),
-        complement_iso(ctx.y_cfg, n),
-        ctx.y1,
-        ctx.x1,
-        ctx.y2,
-        ctx.x2,
-    )
+    x_mask, y_mask = config_mask(ctx.x_cfg), config_mask(ctx.y_cfg)
+    deg_x, deg_y = mask_degree(ctx.tree, x_mask), mask_degree(ctx.tree, y_mask)
+    return _case2_context(ctx.tree, x_mask, y_mask, ctx.x2, ctx.y2, ctx.x1, ctx.y1, deg_x, deg_y)
 
 
 def normalize(
@@ -386,42 +363,43 @@ def normalize(
 ) -> tuple[Case1Context | Case2Context, tuple[Reduction, ...]]:
     """Classify and normalise a distance-2 instance over a tree.
 
+    x_cfg and y_cfg must be configurations (sorted tuples, see make_config).
     Returns the construction-ready context together with the reductions that
     were applied, in application order.  Case-1 instances are complemented
     until the middle vertex is free, then endpoint-swapped so X has the
     smaller token degree.  Case-2 instances are endpoint-swapped the same
     way, then run through the count-comparison dispatch until a terminal
-    case is reached (at most two reductions).
+    case is reached (at most two reductions).  Complementing keeps token
+    degrees, so both are computed once.
     """
     if not tree.is_tree():
         raise ValueError("base graph must be a tree")
-    x_cfg, y_cfg = make_config(x_cfg), make_config(y_cfg)
     pair = classify_distance2(tree, x_cfg, y_cfg)
-    n = tree.n
+    full = (1 << tree.n) - 1
+    x_mask, y_mask = config_mask(x_cfg), config_mask(y_cfg)
+    deg_x, deg_y = mask_degree(tree, x_mask), mask_degree(tree, y_mask)
     reductions: list[Reduction] = []
 
     if isinstance(pair, Case1Pair):
         x, y, v = pair.x, pair.y, pair.v
-        k = len(x_cfg)
-        if v in x_cfg or v in y_cfg:
-            x_cfg, y_cfg = complement_iso(x_cfg, n), complement_iso(y_cfg, n)
-            k = n - k
+        if (x_mask | y_mask) >> v & 1:
+            x_mask, y_mask = x_mask ^ full, y_mask ^ full
             x, y = y, x
             reductions.append(Reduction("complement"))
-        if token_degree(tree, x_cfg) > token_degree(tree, y_cfg):
-            x_cfg, y_cfg = y_cfg, x_cfg
+        if deg_x > deg_y:
+            x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
             x, y = y, x
             reductions.append(Reduction("swap_xy"))
-        return _case1_context(tree, k, x_cfg, y_cfg, x, y, v), tuple(reductions)
+        ctx = _case1_context(tree, x_mask, y_mask, x, y, v, deg_x, deg_y)
+        return ctx, tuple(reductions)
 
     assert isinstance(pair, Case2Pair)
     x1, y1, x2, y2 = pair.x1, pair.y1, pair.x2, pair.y2
-    k = len(x_cfg)
-    if token_degree(tree, x_cfg) > token_degree(tree, y_cfg):
-        x_cfg, y_cfg = y_cfg, x_cfg
+    if deg_x > deg_y:
+        x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
         x1, y1, x2, y2 = y1, x1, y2, x2
         reductions.append(Reduction("swap_xy"))
-    ctx = _case2_context(tree, k, x_cfg, y_cfg, x1, y1, x2, y2)
+    ctx = _case2_context(tree, x_mask, y_mask, x1, y1, x2, y2, deg_x, deg_y)
     for _ in range(2):
         case = ctx.case_number
         if case == 1:
@@ -431,8 +409,13 @@ def normalize(
         kind = _CASE_REDUCTIONS.get(case)
         if kind is None:
             break
-        ctx = _swap_indices(ctx) if kind == "swap_indices_12" else _complement_relabel(ctx)
+        if kind == "swap_indices_12":
+            x1, y1, x2, y2 = x2, y2, x1, y1
+        else:
+            x_mask, y_mask = x_mask ^ full, y_mask ^ full
+            x1, y1, x2, y2 = y1, x1, y2, x2
         reductions.append(Reduction(kind))
+        ctx = _case2_context(tree, x_mask, y_mask, x1, y1, x2, y2, deg_x, deg_y)
     if ctx.case_number not in _TERMINAL_CASES:
         raise FamilyConstructionError(
             f"dispatch failed to reach a terminal case (stuck at {ctx.case_number})"
@@ -458,74 +441,41 @@ class PathFamily:
         return len(self.paths)
 
 
-def _build_entry(
-    ctx: Case1Context | Case2Context,
-    label: str,
-    moves: list[tuple[int, int]],
-    conds: tuple[TraceCondition, ...],
-) -> tuple[str, TokenPath, tuple[TraceCondition, ...]]:
-    try:
-        path = TokenPath(ctx.tree, ctx.x_cfg, tuple(TokenMove(*m) for m in moves))
-    except ValueError as exc:
-        raise FamilyConstructionError(f"path {label} does not replay: {exc}") from exc
-    if path.end != ctx.y_cfg:
-        raise FamilyConstructionError(f"path {label} ends at {path.end}, not {ctx.y_cfg}")
-    for cond in conds:
-        if not check_trace(path, cond, ctx):
-            raise FamilyConstructionError(f"path {label} violates trace condition {cond.id}")
-    return label, path, conds
+Moves = tuple[tuple[int, int], ...]
+# a planned path: label, moves in the normalised frame, trace conditions
+PathPlan = tuple[str, Moves, tuple[TraceCondition, ...]]
 
 
-def _assemble(ctx, entries) -> PathFamily:
-    labels = tuple(e[0] for e in entries)
-    paths = tuple(e[1] for e in entries)
-    traces = tuple(e[2] for e in entries)
-    ok, clash = pairwise_internally_disjoint(paths)
-    if not ok:
-        i, j = clash
-        raise FamilyConstructionError(
-            f"paths {labels[i]} and {labels[j]} share an inner configuration"
-        )
-    return PathFamily(ctx.x_cfg, ctx.y_cfg, paths, labels, traces)
-
-
-def build_case1_step1(ctx: Case1Context) -> PathFamily:
-    """The guaranteed family of size m = m_x + m_y + eta + 1 for one-token pairs."""
+def build_case1_step1(ctx: Case1Context) -> list[PathPlan]:
+    """Plan the guaranteed family of size m = m_x + m_y + eta + 1 for one-token pairs."""
     x, y, v = ctx.x, ctx.y, ctx.v
-    entries = [
-        _build_entry(ctx, "T1", [(x, v), (v, y)], (trace_condition("C1"),))
-    ]
+    plans: list[PathPlan] = [("T1", ((x, v), (v, y)), (trace_condition("C1"),))]
     for z_i, w_j in ctx.zw_edges:
         if w_j != v:
-            moves = [(z_i, w_j), (x, v), (v, y), (w_j, z_i)]
+            moves = ((z_i, w_j), (x, v), (v, y), (w_j, z_i))
             conds = (trace_condition("C2", z=z_i), trace_condition("C2.1", w=w_j))
         else:
-            moves = [(z_i, v), (v, y), (x, v), (v, z_i)]
+            moves = ((z_i, v), (v, y), (x, v), (v, z_i))
             conds = (trace_condition("C2", z=z_i), trace_condition("C2.2"))
-        entries.append(_build_entry(ctx, "T2", moves, conds))
+        plans.append(("T2", moves, conds))
     for i in range(ctx.m_x):
         w_i, z_i = ctx.wx[i], ctx.zx[i]
-        moves = [(x, w_i), (z_i, x), (x, v), (v, y), (w_i, x), (x, z_i)]
-        entries.append(
-            _build_entry(ctx, "T3", moves, (trace_condition("C3", z=z_i, w=w_i),))
-        )
+        moves = ((x, w_i), (z_i, x), (x, v), (v, y), (w_i, x), (x, z_i))
+        plans.append(("T3", moves, (trace_condition("C3", z=z_i, w=w_i),)))
     for j in range(ctx.m_y):
         w_j, z_j = ctx.wy[j], ctx.zy[j]
-        moves = [(z_j, y), (y, w_j), (x, v), (v, y), (y, z_j), (w_j, y)]
-        entries.append(
-            _build_entry(ctx, "T4", moves, (trace_condition("C4", z=z_j, w=w_j),))
-        )
-    family = _assemble(ctx, entries)
-    if len(family) != ctx.m:
-        raise FamilyConstructionError(f"step-1 family has {len(family)} paths, expected {ctx.m}")
-    return family
+        moves = ((z_j, y), (y, w_j), (x, v), (v, y), (y, z_j), (w_j, y))
+        plans.append(("T4", moves, (trace_condition("C4", z=z_j, w=w_j),)))
+    if len(plans) != ctx.m:
+        raise FamilyConstructionError(f"step-1 family has {len(plans)} paths, expected {ctx.m}")
+    return plans
 
 
-def build_case1_step2(ctx: Case1Context, family: PathFamily, delta: int) -> PathFamily:
-    """Extend the step-1 family with up to two paths when delta exceeds m."""
+def build_case1_step2(ctx: Case1Context, plans: list[PathPlan], delta: int) -> list[PathPlan]:
+    """Extend the step-1 plans with up to two paths when delta exceeds m."""
     extra = delta - ctx.m
     if extra <= 0:
-        return family
+        return plans
     if extra > 2:
         raise FamilyConstructionError(f"delta - m = {extra} exceeds the case-1 bound 2")
     a, b, c, d = ctx.a, ctx.b, ctx.c, ctx.d
@@ -538,62 +488,49 @@ def build_case1_step2(ctx: Case1Context, family: PathFamily, delta: int) -> Path
             f"delta = m + 2 requires b >= d+2 and c >= a+2, got a={a} b={b} c={c} d={d}"
         )
     x, y, v = ctx.x, ctx.y, ctx.v
-    entries = list(zip(family.labels, family.paths, family.traces))
+    plans = list(plans)
     for step, label in zip(range(extra), ("P", "P'")):
         z_b = ctx.zy[b - 1 - step]
         z_c = ctx.zx[c - 1 - step]
-        moves = [(z_b, y), (x, v), (z_c, x), (y, z_b), (v, y), (x, z_c)]
-        entries.append(
-            _build_entry(ctx, label, moves, (trace_condition("C5", z1=z_b, z2=z_c),))
-        )
-    return _assemble(ctx, entries)
+        moves = ((z_b, y), (x, v), (z_c, x), (y, z_b), (v, y), (x, z_c))
+        plans.append((label, moves, (trace_condition("C5", z1=z_b, z2=z_c),)))
+    return plans
 
 
-def build_case2_step1(ctx: Case2Context) -> PathFamily:
-    """The guaranteed family of size m for two-token pairs."""
+def build_case2_step1(ctx: Case2Context) -> list[PathPlan]:
+    """Plan the guaranteed family of size m for two-token pairs."""
     x1, y1, x2, y2 = ctx.x1, ctx.y1, ctx.x2, ctx.y2
     d1_cond = (trace_condition("D1"),)
-    entries = [
-        _build_entry(ctx, "L1", [(x1, y1), (x2, y2)], d1_cond),
-        _build_entry(ctx, "L1", [(x2, y2), (x1, y1)], d1_cond),
+    plans: list[PathPlan] = [
+        ("L1", ((x1, y1), (x2, y2)), d1_cond),
+        ("L1", ((x2, y2), (x1, y1)), d1_cond),
     ]
     for z_i, w_j in ctx.zw_edges:
-        moves = [(z_i, w_j), (x1, y1), (x2, y2), (w_j, z_i)]
-        entries.append(
-            _build_entry(ctx, "L2", moves, (trace_condition("D2", z=z_i, w=w_j),))
-        )
+        moves = ((z_i, w_j), (x1, y1), (x2, y2), (w_j, z_i))
+        plans.append(("L2", moves, (trace_condition("D2", z=z_i, w=w_j),)))
     for i in range(min(ctx.a1, ctx.c1)):
         w_i, z_i = ctx.wx1[i], ctx.zx1[i]
-        moves = [(x1, w_i), (z_i, x1), (x1, y1), (x2, y2), (w_i, x1), (x1, z_i)]
-        entries.append(
-            _build_entry(ctx, "L3", moves, (trace_condition("D3", z=z_i, w=w_i),))
-        )
+        moves = ((x1, w_i), (z_i, x1), (x1, y1), (x2, y2), (w_i, x1), (x1, z_i))
+        plans.append(("L3", moves, (trace_condition("D3", z=z_i, w=w_i),)))
     for j in range(min(ctx.b1, ctx.d1)):
         w_j, z_j = ctx.wy1[j], ctx.zy1[j]
-        moves = [(z_j, y1), (y1, w_j), (x2, y2), (x1, y1), (y1, z_j), (w_j, y1)]
-        entries.append(
-            _build_entry(ctx, "L4", moves, (trace_condition("D4", z=z_j, w=w_j),))
-        )
+        moves = ((z_j, y1), (y1, w_j), (x2, y2), (x1, y1), (y1, z_j), (w_j, y1))
+        plans.append(("L4", moves, (trace_condition("D4", z=z_j, w=w_j),)))
     for i in range(min(ctx.a2, ctx.c2)):
         w_i, z_i = ctx.wx2[i], ctx.zx2[i]
-        moves = [(x2, w_i), (z_i, x2), (x2, y2), (x1, y1), (w_i, x2), (x2, z_i)]
-        entries.append(
-            _build_entry(ctx, "L3*", moves, (trace_condition("D3*", z=z_i, w=w_i),))
-        )
+        moves = ((x2, w_i), (z_i, x2), (x2, y2), (x1, y1), (w_i, x2), (x2, z_i))
+        plans.append(("L3*", moves, (trace_condition("D3*", z=z_i, w=w_i),)))
     for j in range(min(ctx.b2, ctx.d2)):
         w_j, z_j = ctx.wy2[j], ctx.zy2[j]
-        moves = [(z_j, y2), (y2, w_j), (x1, y1), (x2, y2), (y2, z_j), (w_j, y2)]
-        entries.append(
-            _build_entry(ctx, "L4*", moves, (trace_condition("D4*", z=z_j, w=w_j),))
-        )
-    family = _assemble(ctx, entries)
-    if len(family) != ctx.m:
-        raise FamilyConstructionError(f"step-1 family has {len(family)} paths, expected {ctx.m}")
-    return family
+        moves = ((z_j, y2), (y2, w_j), (x1, y1), (x2, y2), (y2, z_j), (w_j, y2))
+        plans.append(("L4*", moves, (trace_condition("D4*", z=z_j, w=w_j),)))
+    if len(plans) != ctx.m:
+        raise FamilyConstructionError(f"step-1 family has {len(plans)} paths, expected {ctx.m}")
+    return plans
 
 
-def _supplemental_entry(ctx: Case2Context):
-    """Pick the one extra path available when delta = m + 1."""
+def _supplemental_plan(ctx: Case2Context) -> PathPlan:
+    """Plan the one extra path available when delta = m + 1."""
     x1, y1, x2, y2 = ctx.x1, ctx.y1, ctx.x2, ctx.y2
     case = ctx.case_number
 
@@ -604,8 +541,8 @@ def _supplemental_entry(ctx: Case2Context):
             )
         w_a = ctx.wx1[ctx.a1 - 1]
         w_d = ctx.wy2[ctx.d2 - 1]
-        moves = [(x1, w_a), (x2, y2), (y2, w_d), (w_a, x1), (x1, y1), (w_d, y2)]
-        return _build_entry(ctx, "P1", moves, (trace_condition("E1", w1=w_a, w2=w_d),))
+        moves = ((x1, w_a), (x2, y2), (y2, w_d), (w_a, x1), (x1, y1), (w_d, y2))
+        return "P1", moves, (trace_condition("E1", w1=w_a, w2=w_d),)
 
     def p2():
         if not (ctx.a1 > ctx.c1 and ctx.c2 > ctx.a2):
@@ -614,8 +551,8 @@ def _supplemental_entry(ctx: Case2Context):
             )
         w_a = ctx.wx1[ctx.a1 - 1]
         z_c = ctx.zx2[ctx.c2 - 1]
-        moves = [(x1, w_a), (x2, y2), (z_c, x2), (w_a, x1), (x1, y1), (x2, z_c)]
-        return _build_entry(ctx, "P2", moves, (trace_condition("E2", z=z_c, w=w_a),))
+        moves = ((x1, w_a), (x2, y2), (z_c, x2), (w_a, x1), (x1, y1), (x2, z_c))
+        return "P2", moves, (trace_condition("E2", z=z_c, w=w_a),)
 
     def p3():
         if not (ctx.c1 > ctx.a1 and ctx.cross_kind == "x1y2"):
@@ -623,8 +560,8 @@ def _supplemental_entry(ctx: Case2Context):
                 f"P3 needs c1 > a1 and a cross edge x1-y2 in case {case}"
             )
         z_c = ctx.zx1[ctx.c1 - 1]
-        moves = [(x1, y2), (z_c, x1), (x1, y1), (y2, x1), (x2, y2), (x1, z_c)]
-        return _build_entry(ctx, "P3", moves, (trace_condition("E3", z=z_c),))
+        moves = ((x1, y2), (z_c, x1), (x1, y1), (y2, x1), (x2, y2), (x1, z_c))
+        return "P3", moves, (trace_condition("E3", z=z_c),)
 
     def p4():
         if not (ctx.d2 > ctx.b2 and ctx.cross_kind == "x1y2"):
@@ -632,8 +569,8 @@ def _supplemental_entry(ctx: Case2Context):
                 f"P4 needs d2 > b2 and a cross edge x1-y2 in case {case}"
             )
         w_d = ctx.wy2[ctx.d2 - 1]
-        moves = [(x1, y2), (y2, w_d), (x2, y2), (y2, x1), (x1, y1), (w_d, y2)]
-        return _build_entry(ctx, "P4", moves, (trace_condition("E4", w=w_d),))
+        moves = ((x1, y2), (y2, w_d), (x2, y2), (y2, x1), (x1, y1), (w_d, y2))
+        return "P4", moves, (trace_condition("E4", w=w_d),)
 
     if case in (2, 8):
         return p1()
@@ -648,58 +585,54 @@ def _supplemental_entry(ctx: Case2Context):
     raise FamilyConstructionError(f"no supplemental path exists in terminal case {case}")
 
 
-def build_case2_step2(ctx: Case2Context, family: PathFamily, delta: int) -> PathFamily:
-    """Extend the step-1 family with the one extra path when delta = m + 1."""
+def build_case2_step2(ctx: Case2Context, plans: list[PathPlan], delta: int) -> list[PathPlan]:
+    """Extend the step-1 plans with the one extra path when delta = m + 1."""
     extra = delta - ctx.m
     if extra <= 0:
-        return family
+        return plans
     if extra > 1:
         raise FamilyConstructionError(f"delta - m = {extra} exceeds the case-2 bound 1")
-    entries = list(zip(family.labels, family.paths, family.traces))
-    entries.append(_supplemental_entry(ctx))
-    return _assemble(ctx, entries)
+    return [*plans, _supplemental_plan(ctx)]
 
 
 # ---------------------------------------------------------------------------
-# pullback
+# verification
 
 
-def _pull_back_path(path: TokenPath, red: Reduction) -> TokenPath:
-    g = path.graph
-    if red.kind in ("complement", "complement_with_relabel"):
-        start = complement_iso(path.start, g.n)
-        moves = tuple(TokenMove(m.dst, m.src) for m in path.moves)
-        return TokenPath(g, start, moves)
-    if red.kind == "swap_xy":
-        moves = tuple(TokenMove(m.dst, m.src) for m in reversed(path.moves))
-        return TokenPath(g, path.end, moves)
-    return path  # swap_indices_12 relabels the context only
-
-
-def _pull_back_family(family: PathFamily, reductions: tuple[Reduction, ...]) -> PathFamily:
-    paths = family.paths
-    x_cfg, y_cfg = family.x_cfg, family.y_cfg
+def _pull_back(moves: Moves, reductions: tuple[Reduction, ...]) -> Moves:
+    """Map a normalised-frame move list back to the original instance."""
     for red in reversed(reductions):
-        paths = tuple(_pull_back_path(p, red) for p in paths)
-    if paths:
-        x_cfg, y_cfg = paths[0].start, paths[0].end
-    return PathFamily(x_cfg, y_cfg, paths, family.labels, family.traces)
+        if red.kind == "swap_xy":
+            moves = tuple((dst, src) for src, dst in reversed(moves))
+        elif red.kind != "swap_indices_12":  # a complement trades tokens and holes
+            moves = tuple((dst, src) for src, dst in moves)
+    return moves
 
 
 @dataclass(frozen=True)
 class FamilyResult:
-    """A verified family plus the normalisation data that produced it."""
+    """A verified family plus the normalisation data that produced it.
+
+    `normalized` is the same family in the normalised frame, where the trace
+    certificates speak; it is replayed from `normalized_moves` on first use.
+    """
 
     family: PathFamily
-    normalized: PathFamily
     context: Case1Context | Case2Context
     reductions: tuple[Reduction, ...]
     delta: int
     m: int
+    normalized_moves: tuple[Moves, ...] = field(repr=False)
 
     @property
     def case(self) -> int:
         return 1 if isinstance(self.context, Case1Context) else 2
+
+    @cached_property
+    def normalized(self) -> PathFamily:
+        ctx, fam = self.context, self.family
+        paths = tuple(TokenPath(ctx.tree, ctx.x_cfg, moves) for moves in self.normalized_moves)
+        return PathFamily(ctx.x_cfg, ctx.y_cfg, paths, fam.labels, fam.traces)
 
 
 def build_family(
@@ -712,8 +645,7 @@ def build_family(
     ctx, reductions = normalize(tree, x_cfg, y_cfg)
 
     if isinstance(ctx, Case1Context):
-        family = build_case1_step1(ctx)
-        family = build_case1_step2(ctx, family, delta)
+        plans = build_case1_step2(ctx, build_case1_step1(ctx), delta)
     else:
         # the supplemental x1-y2 paths need the cross edge on that diagonal;
         # relabelling is free because it does not touch X, Y, or any path
@@ -724,20 +656,38 @@ def build_family(
         ):
             ctx = _swap_indices(ctx)
             reductions = reductions + (Reduction("swap_indices_12"),)
-        family = build_case2_step1(ctx)
-        family = build_case2_step2(ctx, family, delta)
+        plans = build_case2_step2(ctx, build_case2_step1(ctx), delta)
 
-    if len(family) < delta:
-        raise FamilyConstructionError(
-            f"family of {len(family)} paths is below delta = {delta}"
-        )
-    pulled = _pull_back_family(family, reductions)
-    if pulled.x_cfg != x_cfg or pulled.y_cfg != y_cfg:
-        raise FamilyConstructionError("pullback lost the original endpoints")
-    ok, clash = pairwise_internally_disjoint(pulled.paths)
+    complements = sum(r.kind in ("complement", "complement_with_relabel") for r in reductions)
+    # XOR with this mask takes an original-frame configuration to the normalised one
+    to_normalized = (1 << tree.n) - 1 if complements % 2 else 0
+    paths = []
+    for label, moves, conds in plans:
+        try:
+            path = TokenPath(tree, x_cfg, _pull_back(moves, reductions))
+        except ValueError as exc:
+            raise FamilyConstructionError(f"path {label} does not replay: {exc}") from exc
+        if path.end != y_cfg:
+            raise FamilyConstructionError(f"path {label} ends at {path.end}, not {y_cfg}")
+        inner = [m ^ to_normalized for m in path.masks[1:-1]]
+        for cond in conds:
+            if not check_trace(inner, cond, ctx):
+                raise FamilyConstructionError(f"path {label} violates trace condition {cond.id}")
+        paths.append(path)
+
+    labels, planned_moves, traces = zip(*plans)
+    ok, clash = pairwise_internally_disjoint(paths)
     if not ok:
-        raise FamilyConstructionError(f"pullback broke internal disjointness at {clash}")
-    return FamilyResult(pulled, family, ctx, reductions, delta, ctx.m)
+        i, j = clash
+        raise FamilyConstructionError(
+            f"paths {labels[i]} and {labels[j]} share an inner configuration"
+        )
+    if len(paths) < delta:
+        raise FamilyConstructionError(
+            f"family of {len(paths)} paths is below delta = {delta}"
+        )
+    family = PathFamily(x_cfg, y_cfg, tuple(paths), labels, traces)
+    return FamilyResult(family, ctx, reductions, delta, ctx.m, planned_moves)
 
 
 def construct_disjoint_family(tree: Graph, x_cfg: Config, y_cfg: Config) -> PathFamily:

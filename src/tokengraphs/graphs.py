@@ -69,6 +69,15 @@ class Graph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per vertex, the bitmask of its neighbours (bit w set when vw is an edge)."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -100,8 +109,12 @@ class Graph:
                     queue.append(w)
         return len(seen) == self.n
 
-    def is_tree(self) -> bool:
+    @cached_property
+    def _is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
+
+    def is_tree(self) -> bool:
+        return self._is_tree
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2

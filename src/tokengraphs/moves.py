@@ -2,17 +2,20 @@
 
 A move slides one token along a base edge to a free vertex.  A TokenPath
 replays its moves from the start configuration when built, so any admissible
-TokenPath is a simple path in the token graph by construction.
+TokenPath is a simple path in the token graph by construction.  The replay,
+the disjointness check and the trace conditions work on int occupancy masks
+(bit v set when v holds a token; a move XORs two bits), and the sorted-tuple
+views of a path's configurations are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .graphs import Graph
-from .tokens import Config, check_config
+from .tokens import Config, check_config, config_mask, mask_config
 
 __all__ = [
     "TokenMove",
@@ -49,6 +52,7 @@ class TokenPath:
 
     Construction replays every move and raises ValueError on an inadmissible
     move or a repeated configuration, so instances are always valid.
+    `masks` holds the occupancy mask of every visited configuration.
     """
 
     graph: Graph
@@ -56,34 +60,35 @@ class TokenPath:
     moves: tuple[TokenMove, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", _as_moves(self.moves))
+        moves = _as_moves(self.moves)
+        object.__setattr__(self, "moves", moves)
         check_config(self.graph, self.start)
-        configs = [self.start]
-        occupied = set(self.start)
-        seen = {self.start}
-        for step, (src, dst) in enumerate(self.moves):
-            if src not in occupied:
-                raise ValueError(f"move {step}: no token at {src} in {tuple(sorted(occupied))}")
-            if dst in occupied:
-                raise ValueError(f"move {step}: target {dst} occupied in {tuple(sorted(occupied))}")
-            if not self.graph.has_edge(src, dst):
+        nbrs = self.graph.neighbor_masks
+        occupied = config_mask(self.start)
+        masks = [occupied]
+        seen = {occupied}
+        for step, (src, dst) in enumerate(moves):
+            if src < 0 or not occupied >> src & 1:
+                raise ValueError(f"move {step}: no token at {src} in {mask_config(occupied)}")
+            if dst >= 0 and occupied >> dst & 1:
+                raise ValueError(f"move {step}: target {dst} occupied in {mask_config(occupied)}")
+            if dst < 0 or not nbrs[src] >> dst & 1:
                 raise ValueError(f"move {step}: {src}-{dst} is not a base edge")
-            occupied.remove(src)
-            occupied.add(dst)
-            cfg = tuple(sorted(occupied))
-            if cfg in seen:
+            occupied ^= 1 << src | 1 << dst
+            if occupied in seen:
+                cfg = mask_config(occupied)
                 raise ValueError(f"move {step}: configuration {cfg} repeats, path not simple")
-            seen.add(cfg)
-            configs.append(cfg)
-        object.__setattr__(self, "_configs", tuple(configs))
+            seen.add(occupied)
+            masks.append(occupied)
+        object.__setattr__(self, "masks", tuple(masks))
 
-    @property
+    @cached_property
     def configs(self) -> tuple[Config, ...]:
-        return self._configs  # type: ignore[attr-defined]
+        return tuple(mask_config(m) for m in self.masks)
 
     @property
     def end(self) -> Config:
-        return self.configs[-1]
+        return mask_config(self.masks[-1])
 
     @property
     def inner(self) -> tuple[Config, ...]:
@@ -170,16 +175,17 @@ def pairwise_internally_disjoint(
     """
     if not paths:
         return True, None
-    x, y = paths[0].start, paths[0].end
+    first = paths[0].masks
     for p in paths[1:]:
-        if p.start != x or p.end != y:
+        if p.masks[0] != first[0] or p.masks[-1] != first[-1]:
             raise ValueError(
-                f"endpoint mismatch: expected {x}->{y}, got {p.start}->{p.end}"
+                f"endpoint mismatch: expected {paths[0].start}->{paths[0].end}, "
+                f"got {p.start}->{p.end}"
             )
-    inners = [set(p.inner) for p in paths]
+    inners = [frozenset(p.masks[1:-1]) for p in paths]
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
-            if inners[i] & inners[j]:
+            if not inners[i].isdisjoint(inners[j]):
                 return False, (i, j)
     return True, None
 
@@ -260,7 +266,21 @@ class TraceCondition:
                 return vert
         raise KeyError(f"condition {self.id} binds no slot {slot!r}")
 
+    @cached_property
+    def _allowed(self) -> tuple[frozenset[int] | None, frozenset[int] | None, bool]:
+        """The shape's allowed Z-drop and W-region values as bound masks."""
+        shape = _SHAPES[self.id]
 
+        def masks(alternatives):
+            if alternatives is None:
+                return None
+            return frozenset(config_mask(map(self.vertex, alt)) for alt in alternatives)
+
+        return masks(shape.z_drops), masks(shape.w_vals), shape.forbid_trivial
+
+
+# conditions are immutable, so equal requests share one object and its masks
+@lru_cache(maxsize=4096)
 def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
     if cond_id not in _SHAPES:
         raise ValueError(f"unknown trace condition {cond_id!r}")
@@ -272,25 +292,24 @@ def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
     return TraceCondition(cond_id, tuple(sorted(bindings.items())))
 
 
-def check_trace(p: TokenPath, cond: TraceCondition, ctx: _TraceContext) -> bool:
-    """Evaluate cond on every configuration strictly inside p."""
-    shape = _SHAPES[cond.id]
-    z = ctx.z
-    region = ctx.w_region
-    drops_allowed = None
-    if shape.z_drops is not None:
-        drops_allowed = {frozenset(cond.vertex(s) for s in alt) for alt in shape.z_drops}
-    w_allowed = None
-    if shape.w_vals is not None:
-        w_allowed = {frozenset(cond.vertex(s) for s in alt) for alt in shape.w_vals}
-    for cfg in p.inner:
-        occupied = set(cfg)
-        dropped = frozenset(z - occupied)
-        present = frozenset(occupied & region)
+def check_trace(
+    p: TokenPath | Iterable[int], cond: TraceCondition, ctx: _TraceContext
+) -> bool:
+    """Evaluate cond on every configuration strictly inside p.
+
+    p is a path, or the occupancy masks of the configurations strictly inside
+    one, in any order: each predicate looks at one configuration at a time.
+    """
+    drops_allowed, w_allowed, forbid_trivial = cond._allowed
+    z = config_mask(ctx.z)
+    region = config_mask(ctx.w_region)
+    for occupied in p.masks[1:-1] if isinstance(p, TokenPath) else p:
+        dropped = z & ~occupied
+        present = occupied & region
         if drops_allowed is not None and dropped not in drops_allowed:
             return False
         if w_allowed is not None and present not in w_allowed:
             return False
-        if shape.forbid_trivial and not dropped and not present:
+        if forbid_trivial and not dropped and not present:
             return False
     return True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator
@@ -54,6 +55,32 @@ def check_config(g: Graph, cfg: Config) -> None:
         raise ValueError(f"configuration {cfg} out of range for n={g.n}")
 
 
+def config_mask(cfg: Iterable[int]) -> int:
+    """Occupancy bitmask of a configuration: bit v is set when v holds a token."""
+    mask = 0
+    for v in cfg:
+        mask |= 1 << v
+    return mask
+
+
+# configurations are immutable, so one tuple per mask can be shared
+@lru_cache(maxsize=4096)
+def mask_config(mask: int) -> Config:
+    """The sorted configuration whose occupancy bitmask is mask."""
+    cfg = []
+    while mask:
+        low = mask & -mask
+        cfg.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(cfg)
+
+
+def mask_degree(g: Graph, mask: int) -> int:
+    """Token degree of the configuration with occupancy bitmask mask."""
+    nbrs = g.neighbor_masks
+    return sum((nbrs[v] & ~mask).bit_count() for v in mask_config(mask))
+
+
 def move_token(cfg: Config, src: int, dst: int) -> Config:
     """Configuration after sliding the token at src to dst."""
     if src not in cfg:
@@ -71,22 +98,14 @@ def complement_iso(cfg: Config, n: int) -> Config:
 def token_degree(g: Graph, cfg: Config) -> int:
     """Number of base edges with exactly one endpoint occupied by cfg."""
     check_config(g, cfg)
-    occupied = set(cfg)
-    return sum((u in occupied) != (v in occupied) for u, v in g.edges)
+    return mask_degree(g, config_mask(cfg))
 
 
 def min_token_degree(g: Graph, k: int) -> int:
     """Minimum token degree over all k-configurations, by direct scan."""
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={g.n}")
-    edges = g.edges
-    best = inf
-    for cfg in combinations(range(g.n), k):
-        occupied = set(cfg)
-        d = sum((u in occupied) != (v in occupied) for u, v in edges)
-        if d < best:
-            best = d
-    return int(best)
+    return min(mask_degree(g, config_mask(cfg)) for cfg in combinations(range(g.n), k))
 
 
 class TokenGraph:
@@ -207,18 +226,19 @@ def classify_distance2(g: Graph, a: Config, b: Config) -> Case1Pair | Case2Pair:
     check_config(g, b)
     if len(a) != len(b):
         raise ValueError(f"configurations have different sizes: {len(a)} vs {len(b)}")
-    only_a = sorted(set(a) - set(b))
-    only_b = sorted(set(b) - set(a))
+    a_mask, b_mask = config_mask(a), config_mask(b)
+    only_a = list(mask_config(a_mask & ~b_mask))
+    only_b = list(mask_config(b_mask & ~a_mask))
     if not only_a:
         raise ValueError("identical configurations are at distance 0")
     if len(only_a) == 1:
         x, y = only_a[0], only_b[0]
         if g.has_edge(x, y):
             raise ValueError(f"configurations are adjacent (token slide {x}->{y})")
-        common = sorted(g.neighbors(x) & g.neighbors(y))
+        common = g.neighbor_masks[x] & g.neighbor_masks[y]
         if not common:
             raise ValueError(f"distance exceeds 2: vertices {x},{y} share no neighbour")
-        return Case1Pair(x, y, common[0])
+        return Case1Pair(x, y, mask_config(common)[0])
     if len(only_a) == 2:
         x1, x2 = only_a
         r, s = only_b

@@ -185,6 +185,15 @@ class TestConjecture:
         assert code == 2
         assert "'C'" in err
 
+    def test_undecodable_byte(self, capsys, tmp_path):
+        path = tmp_path / "input.g6"
+        path.write_bytes(C5.encode("ascii") + b"\n\xff\n")
+        code = main(["conjecture", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error:") and "decode" in err
+        assert out == ""
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -1,12 +1,17 @@
 """Tests for the constructive disjoint path families over trees."""
 
+import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
+
+import networkx as nx
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokengraphs import families
 from tokengraphs.families import (
     _CASE_REDUCTIONS,
     _TERMINAL_CASES,
@@ -20,7 +25,7 @@ from tokengraphs.families import (
     construct_disjoint_family,
     normalize,
 )
-from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph
+from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph, star_graph
 from tokengraphs.moves import check_trace, pairwise_internally_disjoint
 from tokengraphs.tokens import build_token_graph, make_config, min_token_degree
 
@@ -332,6 +337,133 @@ class TestFailureModes:
         # this instance has b = d = 0, so no extension path exists
         with pytest.raises(FamilyConstructionError, match="requires b > d and c > a"):
             build_family(P4, (0, 1), (0, 3), delta=2)
+
+
+# one-token instances whose normalisation complements (star centre occupied)
+# or swaps the endpoints; both have a Z-W edge and a spare free neighbour of v
+BROKEN_BUILDER_INSTANCES = {
+    "complement": (star_graph(4), (0, 1, 2), (0, 1, 3)),
+    "swap_xy": (Graph(6, ((0, 1), (0, 4), (0, 5), (1, 2), (2, 3))), (2, 4), (1, 2)),
+}
+
+
+class TestBrokenBuilders:
+    """Every family check still fires when a builder emits a bad path."""
+
+    @pytest.fixture(params=sorted(BROKEN_BUILDER_INSTANCES))
+    def instance(self, request):
+        tree, x, y = BROKEN_BUILDER_INSTANCES[request.param]
+        ctx, reds = normalize(tree, x, y)
+        assert [r.kind for r in reds] == [request.param]
+        assert isinstance(ctx, Case1Context) and ctx.zw_edges
+        return request.param, tree, x, y, ctx
+
+    @staticmethod
+    def tamper_step1(monkeypatch, change):
+        real = families.build_case1_step1
+        monkeypatch.setattr(families, "build_case1_step1", lambda ctx: real(change(ctx)))
+
+    def test_inadmissible_move(self, instance, monkeypatch):
+        _, tree, x, y, ctx = instance
+        z = ctx.zw_edges[0][0]
+        far = min(w for w in ctx.w - {ctx.v} if not tree.has_edge(z, w))
+        self.tamper_step1(
+            monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges + ((z, far),))
+        )
+        with pytest.raises(FamilyConstructionError, match="path T2 does not replay"):
+            build_family(tree, x, y)
+
+    def test_wrong_end(self, instance, monkeypatch):
+        kind, tree, x, y, ctx = instance
+        taken = {ctx.x, ctx.y} | set(ctx.x_cfg) | set(ctx.y_cfg)
+        other = min(tree.neighbors(ctx.v) - taken)
+        self.tamper_step1(monkeypatch, lambda c: replace(c, y=other))
+        # after an endpoint swap the path runs backwards from the original X,
+        # so its wrong end can surface as a first move that does not replay
+        symptom = "(ends at|does not replay)" if kind == "swap_xy" else "ends at"
+        with pytest.raises(FamilyConstructionError, match=f"path T1 {symptom}"):
+            build_family(tree, x, y)
+
+    def test_broken_trace_condition(self, instance, monkeypatch):
+        _, tree, x, y, ctx = instance
+        real = families.trace_condition
+
+        def wrong(cond_id, **slots):
+            # T1 never parks a token in W - {v}, so C2.1 fails on it
+            if cond_id == "C1":
+                return real("C2.1", w=ctx.v)
+            return real(cond_id, **slots)
+
+        monkeypatch.setattr(families, "trace_condition", wrong)
+        with pytest.raises(FamilyConstructionError, match="path T1 violates trace condition C2.1"):
+            build_family(tree, x, y)
+
+    def test_identical_paths(self, instance, monkeypatch):
+        _, tree, x, y, ctx = instance
+        self.tamper_step1(
+            monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges[:1] + c.zw_edges)
+        )
+        with pytest.raises(FamilyConstructionError, match="paths T2 and T2 share"):
+            build_family(tree, x, y)
+
+    def test_delta_above_family_size(self, instance, monkeypatch):
+        _, tree, x, y, ctx = instance
+        monkeypatch.setattr(families, "build_case1_step2", lambda c, family, delta: family)
+        with pytest.raises(FamilyConstructionError, match=f"below delta = {ctx.m + 1}"):
+            build_family(tree, x, y, delta=ctx.m + 1)
+
+
+def hub_tree(rng: random.Random, n: int) -> Graph:
+    """A Prüfer-random tree whose code uses three hubs, each of degree >= 3.
+
+    Uniform Prüfer trees have a leaf-heavy k-set with one or two boundary
+    edges, so their token graphs have delta <= 2 and never need the extension
+    paths; three hubs give delta = 3 often enough to reach both bounds.
+    """
+    hubs = rng.sample(range(n), 3)
+    code = hubs * 2 + [rng.choice(hubs) for _ in range(n - 8)]
+    rng.shuffle(code)
+    return Graph(n, tuple(nx.from_prufer_sequence(code).edges()))
+
+
+class TestSeededLargerTrees:
+    """Seeded random instances beyond the exhaustive paths sweep (n <= 8)."""
+
+    def test_families_on_trees_with_9_to_12_vertices(self):
+        rng = random.Random(3)
+        slack = {1: 0, 2: 0}
+        covered = Counter()
+        trees = checked = 0
+        for _ in range(80):
+            n = rng.randint(9, 12)
+            tree = hub_tree(rng, n)
+            deltas = {k: min_token_degree(tree, k) for k in range(1, n)}
+            if max(deltas.values()) < 3:
+                continue
+            k = rng.choice([k for k, d in deltas.items() if d == max(deltas.values())])
+            delta = deltas[k]
+            pairs = list(build_token_graph(tree, k).distance2_pairs())
+            # a uniform sample almost never holds a pair whose family needs
+            # extension paths, so every such pair joins the sample
+            sample = rng.sample(pairs, 40) + [
+                (x, y) for x, y in pairs if normalize(tree, x, y)[0].m < delta
+            ]
+            for x, y in sample:
+                result = build_family(tree, x, y)
+                assert result.delta == delta
+                verify_result(tree, x, y, result)
+                slack[result.case] = max(slack[result.case], delta - result.m)
+                number = getattr(result.context, "case_number", None)
+                covered[(result.case, number, tuple(r.kind for r in result.reductions))] += 1
+            checked += len(sample)
+            trees += 1
+            if trees == 3:
+                break
+        print(f"{trees} trees, {checked} families; (case, case_number, reductions) covered:")
+        for combo, hits in sorted(covered.items(), key=str):
+            print(f"  {combo}: {hits}")
+        assert trees == 3
+        assert slack == {1: 2, 2: 1}
 
 
 @st.composite

@@ -335,3 +335,66 @@ class TestLiftProperties:
         p = lift_path(g, route, start)
         back = TokenPath(g, p.end, tuple(TokenMove(d, s) for s, d in reversed(p.moves)))
         assert back.configs == p.configs[::-1]
+
+
+def set_replay(g, start, moves):
+    """Reference replay on Python sets: the visited configurations, or the error text."""
+    edges = set(g.edges)
+    occupied = set(start)
+    configs = [tuple(start)]
+    for step, (src, dst) in enumerate(moves):
+        if src not in occupied:
+            return f"move {step}: no token at {src} in {tuple(sorted(occupied))}"
+        if dst in occupied:
+            return f"move {step}: target {dst} occupied in {tuple(sorted(occupied))}"
+        if (min(src, dst), max(src, dst)) not in edges:
+            return f"move {step}: {src}-{dst} is not a base edge"
+        occupied = occupied - {src} | {dst}
+        cfg = tuple(sorted(occupied))
+        if cfg in configs:
+            return f"move {step}: configuration {cfg} repeats, path not simple"
+        configs.append(cfg)
+    return tuple(configs)
+
+
+@st.composite
+def tree_start_moves(draw):
+    """A tree, a start configuration, and moves that are mostly admissible slides."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    trees = enumerate_trees(n)
+    g = trees[draw(st.integers(min_value=0, max_value=len(trees) - 1))]
+    start = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+    occupied = set(start)
+    seen = {start}
+    moves = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        slides = sorted((u, w) for u in occupied for w in g.neighbors(u) if w not in occupied)
+        fresh = [(u, w) for u, w in slides if tuple(sorted(occupied - {u} | {w})) not in seen]
+        kind = draw(st.integers(0, 4))  # 0: any pair, 1: any slide, else an unseen one
+        pool = slides if kind == 1 else fresh
+        if kind and pool:
+            src, dst = draw(st.sampled_from(pool))
+            occupied = occupied - {src} | {dst}
+            seen.add(tuple(sorted(occupied)))
+        else:
+            src, dst = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+        moves.append((src, dst))
+    return g, start, tuple(moves)
+
+
+class TestMaskReplay:
+    @given(tree_start_moves())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_replay(self, case):
+        g, start, moves = case
+        expect = set_replay(g, start, moves)
+        if isinstance(expect, str):
+            with pytest.raises(ValueError) as info:
+                TokenPath(g, start, moves)
+            assert str(info.value) == expect
+            return
+        p = TokenPath(g, start, moves)
+        assert p.configs == expect
+        assert p.inner == expect[1:-1]
+        assert p.end == expect[-1]
+        assert p.masks == tuple(sum(1 << v for v in cfg) for cfg in expect)
