@@ -4,9 +4,11 @@ Subcommands sweep tree token graphs (theorem), cross-check the constructive
 path engine (paths), reproduce the two-clique counterexample family
 (hfamily), and scan girth-5 graphs for the connectivity conjecture
 (conjecture).  Every run streams one JSON record per (graph, k) unit;
-a human summary follows unless --json is given.  Exit code 1 flags a
+a human summary follows unless --json is given.  A unit that raises an
+unexpected exception yields a record with status "error" and the exception,
+and its traceback goes to stderr; the sweep goes on.  Exit code 1 flags a
 violated record in the theorem, paths or hfamily modes, 2 a usage or input
-error.
+error, and 3 a unit that errored, in any mode.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import multiprocessing
 import sys
+import traceback
 from collections import Counter
 
 from .connectivity import edge_connectivity, vertex_connectivity
@@ -163,7 +166,12 @@ _UNIT_RUNNERS = {
 
 def _pool_worker(task: tuple[str, object]) -> dict:
     mode, arg = task
-    return _UNIT_RUNNERS[mode](arg)
+    try:
+        return _UNIT_RUNNERS[mode](arg)
+    except Exception as exc:  # one failing unit must not end the sweep
+        traceback.print_exc()
+        unit = {"m": arg} if mode == "hfamily" else {"graph_id": arg[0], "k": arg[1]}
+        return {**unit, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_units(mode: str, units: list, jobs: int):
@@ -177,22 +185,34 @@ def _run_units(mode: str, units: list, jobs: int):
         yield from pool.imap(_pool_worker, tasks, chunksize=1)
 
 
-def _emit(records, args, summary_head: str) -> tuple[Counter, list[dict]]:
-    """Stream records as JSON lines; collect status counts and violations."""
+def _emit(records, args, summary_head: str) -> Counter:
+    """Stream records as JSON lines; summarise status counts, violations and errors."""
     counts: Counter = Counter()
-    violated: list[dict] = []
+    flagged: list[dict] = []
     for record in records:
         counts[record["status"]] += 1
-        if record["status"] == "violated":
-            violated.append(record)
+        if record["status"] in ("violated", "error"):
+            flagged.append(record)
         print(json.dumps(record))
     if not args.json:
-        parts = [f"{counts[s]} {s}" for s in ("confirmed", "violated", "skipped") if counts[s]]
+        statuses = ("confirmed", "violated", "skipped", "error")
+        parts = [f"{counts[s]} {s}" for s in statuses if counts[s]]
         total = sum(counts.values())
         print(f"# {summary_head}: {total} records: {', '.join(parts) or 'none'}")
-        for record in violated:
-            print(f"#   violated: graph_id={record['graph_id']} k={record['k']}")
-    return counts, violated
+        for record in flagged:
+            if record["status"] == "violated":
+                print(f"#   violated: graph_id={record['graph_id']} k={record['k']}")
+            else:
+                unit = " ".join(f"{key}={value}" for key, value in record.items()
+                                if key not in ("status", "error"))
+                print(f"#   error: {unit}: {record['error']}")
+    return counts
+
+
+def _exit_code(counts: Counter, violations_fail: bool = True) -> int:
+    if counts["error"]:
+        return 3
+    return 1 if violations_fail and counts["violated"] else 0
 
 
 def _tree_units(n_max: int) -> list[tuple[str, int]]:
@@ -207,22 +227,19 @@ def _tree_units(n_max: int) -> list[tuple[str, int]]:
 def cmd_theorem(args) -> int:
     units = _tree_units(args.n_max)
     records = _run_units("theorem", units, args.jobs)
-    counts, _ = _emit(records, args, f"theorem n<={args.n_max}")
-    return 1 if counts["violated"] else 0
+    return _exit_code(_emit(records, args, f"theorem n<={args.n_max}"))
 
 
 def cmd_paths(args) -> int:
     units = _tree_units(args.n_max)
     records = _run_units("paths", units, args.jobs)
-    counts, _ = _emit(records, args, f"paths n<={args.n_max}")
-    return 1 if counts["violated"] else 0
+    return _exit_code(_emit(records, args, f"paths n<={args.n_max}"))
 
 
 def cmd_hfamily(args) -> int:
     units = list(range(args.m_min, args.m_max + 1))
     records = _run_units("hfamily", units, args.jobs)
-    counts, _ = _emit(records, args, f"hfamily m={args.m_min}..{args.m_max}")
-    return 1 if counts["violated"] else 0
+    return _exit_code(_emit(records, args, f"hfamily m={args.m_min}..{args.m_max}"))
 
 
 def cmd_conjecture(args) -> int:
@@ -269,8 +286,8 @@ def cmd_conjecture(args) -> int:
         for kind, payload in plan:
             yield payload if kind == "skip" else next(results)
 
-    _emit(stream(), args, f"conjecture {args.input}")
-    return 0
+    # a kappa < delta finding is the scan's output, not a failure
+    return _exit_code(_emit(stream(), args, f"conjecture {args.input}"), violations_fail=False)
 
 
 def _int_range(lo: int, hi: int):

@@ -2,20 +2,25 @@
 
 For a tree T and configurations X, Y at distance 2 in the k-token graph, this
 module builds at least min-token-degree many pairwise internally disjoint
-X-Y token paths.  Instances are first normalised on int occupancy masks
-(complementing tokens with free vertices, swapping endpoint roles, relabelling
-the two moved-token indices) so that one of two fixed construction schemes
-applies.  The builders only plan each path: a label, a move list and trace
-conditions in the normalised frame.  `build_family` verifies each guarantee
-once, in the original frame: it maps every move list back through the
-reductions, replays it from X, checks its end and its trace conditions, then
-checks the final family's disjointness and size.
+X-Y token paths.  `normalize` brings each instance into one of two fixed
+shapes (complementing tokens with free vertices, swapping endpoint roles,
+relabelling the two moved-token indices) on int occupancy masks: the case-2
+dispatch permutes eight neighbour counts instead of rebuilding anything, and
+each pair gets one context.  A context stores Z, W and the neighbour sets as
+masks and the counts as ints; the sorted tuples and frozensets that the
+builders and callers read are derived on each read.  The builders only plan
+each path: a label, a move list and trace conditions in the normalised frame.
+`build_family` verifies each guarantee once, in the original frame: it folds
+the reductions into two flags (reverse each move list, flip each move), maps
+every plan with them, replays it once from X, checks its end and its trace
+conditions, then checks the final family's disjointness and size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .graphs import Graph
 from .moves import (
@@ -27,10 +32,9 @@ from .moves import (
 )
 from .tokens import (
     Case1Pair,
-    Case2Pair,
     Config,
-    classify_distance2,
-    config_mask,
+    checked_mask,
+    classify_masks,
     make_config,
     mask_config,
     mask_degree,
@@ -79,71 +83,63 @@ class Reduction:
             raise ValueError(f"unknown reduction kind {self.kind!r}")
 
 
+# reductions are immutable, so every instance shares these
+_REDUCTIONS = {kind: Reduction(kind) for kind in REDUCTION_KINDS}
+
+
 def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], ...]:
     """Edges from a shared token to a free vertex, as sorted (z, w) pairs."""
     return tuple((u, t) for u in mask_config(z) for t in mask_config(nbrs[u] & w))
+
+
+def _side(i: int) -> property:
+    """The i-th neighbour set of a context, as an ascending tuple."""
+    return property(lambda self: mask_config(self.side_masks[i]))
+
+
+def _vertex_set(mask_name: str) -> property:
+    """The vertices of a context mask, as a frozenset."""
+    return property(lambda self: frozenset(mask_config(getattr(self, mask_name))))
 
 
 @dataclass(frozen=True)
 class Case1Context:
     """Normalised instance where X and Y differ in a single token x vs y.
 
-    The shared tokens are z, the free vertices w; v is the common neighbour
-    of x and y and is free.  Neighbour lists are ascending; counts a, b, c, d
-    follow deg(X) = a + b + eta + 1 and deg(Y) = c + d + eta + 1.
+    The shared tokens are Z, the free vertices W; v is the common neighbour
+    of x and y and is free.  side_masks holds the neighbours of x in W - v,
+    of y in Z, of x in Z and of y in W - v; their sizes are the counts a, b,
+    c, d, with deg(X) = a + b + eta + 1 and deg(Y) = c + d + eta + 1.
     """
 
     tree: Graph
-    k: int
-    x_cfg: Config
-    y_cfg: Config
     x: int
     y: int
     v: int
-    z: frozenset[int]
-    w: frozenset[int]
-    w_minus_v: frozenset[int]
-    wx: tuple[int, ...]
-    wy: tuple[int, ...]
-    zx: tuple[int, ...]
-    zy: tuple[int, ...]
+    z_mask: int
+    w_mask: int
+    side_masks: tuple[int, int, int, int]
+    a: int
+    b: int
+    c: int
+    d: int
     zw_edges: tuple[tuple[int, int], ...]
+    m: int = field(init=False)
 
-    @property
-    def w_region(self) -> frozenset[int]:
-        return self.w_minus_v
+    def __post_init__(self):
+        object.__setattr__(self, "m", self.m_x + self.m_y + len(self.zw_edges) + 1)
 
-    @property
-    def a(self) -> int:
-        return len(self.wx)
-
-    @property
-    def b(self) -> int:
-        return len(self.zy)
-
-    @property
-    def c(self) -> int:
-        return len(self.zx)
-
-    @property
-    def d(self) -> int:
-        return len(self.wy)
-
-    @property
-    def eta(self) -> int:
-        return len(self.zw_edges)
-
-    @property
-    def m_x(self) -> int:
-        return min(self.a, self.c)
-
-    @property
-    def m_y(self) -> int:
-        return min(self.b, self.d)
-
-    @cached_property
-    def m(self) -> int:
-        return self.m_x + self.m_y + self.eta + 1
+    # views derived on each read
+    wx, zy, zx, wy = _side(0), _side(1), _side(2), _side(3)
+    z, w = _vertex_set("z_mask"), _vertex_set("w_mask")
+    w_minus_v = w_region = _vertex_set("region_mask")
+    region_mask = property(lambda self: self.w_mask & ~(1 << self.v))
+    x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x))
+    y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y))
+    k = property(lambda self: self.z_mask.bit_count() + 1)
+    eta = property(lambda self: len(self.zw_edges))
+    m_x = property(lambda self: min(self.a, self.c))
+    m_y = property(lambda self: min(self.b, self.d))
 
 
 @dataclass(frozen=True)
@@ -152,81 +148,50 @@ class Case2Context:
 
     The slide edges x1-y1 and x2-y2 are independent; cross is the unique
     further edge between {x1, y1} and {x2, y2} if one exists, oriented as
-    (endpoint among x1/y1, endpoint among x2/y2).  Counts follow
+    (endpoint among x1/y1, endpoint among x2/y2).  side_masks holds the
+    neighbour sets wx1 wx2 zy1 zy2 zx1 zx2 wy1 wy2 (neighbours of x_i or y_i
+    in W or Z); their sizes are the counts a1 a2 b1 b2 c1 c2 d1 d2, with
     deg(X) = a1 + a2 + b1 + b2 + eta + 2 (+1 with an x-to-y cross edge).
     """
 
     tree: Graph
-    k: int
-    x_cfg: Config
-    y_cfg: Config
     x1: int
     y1: int
     x2: int
     y2: int
-    z: frozenset[int]
-    w: frozenset[int]
-    wx1: tuple[int, ...]
-    wx2: tuple[int, ...]
-    wy1: tuple[int, ...]
-    wy2: tuple[int, ...]
-    zx1: tuple[int, ...]
-    zx2: tuple[int, ...]
-    zy1: tuple[int, ...]
-    zy2: tuple[int, ...]
+    z_mask: int
+    w_mask: int
+    side_masks: tuple[int, ...]
+    a1: int
+    a2: int
+    b1: int
+    b2: int
+    c1: int
+    c2: int
+    d1: int
+    d2: int
     zw_edges: tuple[tuple[int, int], ...]
     cross: tuple[int, int] | None
+    m: int = field(init=False)
+    case_number: int = field(init=False)
 
-    @property
-    def w_region(self) -> frozenset[int]:
-        return self.w
+    def __post_init__(self):
+        a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
+        c1, c2, d1, d2 = self.c1, self.c2, self.d1, self.d2
+        m = min(a1, c1) + min(a2, c2) + min(b1, d1) + min(b2, d2) + len(self.zw_edges) + 2
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "case_number", _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2))
 
-    @property
-    def a1(self) -> int:
-        return len(self.wx1)
-
-    @property
-    def a2(self) -> int:
-        return len(self.wx2)
-
-    @property
-    def b1(self) -> int:
-        return len(self.zy1)
-
-    @property
-    def b2(self) -> int:
-        return len(self.zy2)
-
-    @property
-    def c1(self) -> int:
-        return len(self.zx1)
-
-    @property
-    def c2(self) -> int:
-        return len(self.zx2)
-
-    @property
-    def d1(self) -> int:
-        return len(self.wy1)
-
-    @property
-    def d2(self) -> int:
-        return len(self.wy2)
-
-    @property
-    def eta(self) -> int:
-        return len(self.zw_edges)
-
-    @cached_property
-    def m(self) -> int:
-        return (
-            min(self.a1, self.c1)
-            + min(self.a2, self.c2)
-            + min(self.b1, self.d1)
-            + min(self.b2, self.d2)
-            + self.eta
-            + 2
-        )
+    # views derived on each read
+    wx1, wx2, zy1, zy2 = _side(0), _side(1), _side(2), _side(3)
+    zx1, zx2, wy1, wy2 = _side(4), _side(5), _side(6), _side(7)
+    z, w = _vertex_set("z_mask"), _vertex_set("w_mask")
+    w_region = w
+    region_mask = property(lambda self: self.w_mask)
+    x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x1 | 1 << self.x2))
+    y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y1 | 1 << self.y2))
+    k = property(lambda self: self.z_mask.bit_count() + 2)
+    eta = property(lambda self: len(self.zw_edges))
 
     @property
     def cross_kind(self) -> str | None:
@@ -236,12 +201,6 @@ class Case2Context:
         first = "x1" if p == self.x1 else "y1"
         second = "x2" if q == self.x2 else "y2"
         return first + second
-
-    @cached_property
-    def case_number(self) -> int:
-        return _case_index(
-            self.a1 > self.c1, self.a2 > self.c2, self.b1 > self.d1, self.b2 > self.d2
-        )
 
 
 def _case_index(a1_gt: bool, a2_gt: bool, b1_gt: bool, b2_gt: bool) -> int:
@@ -263,6 +222,15 @@ _CASE_REDUCTIONS: dict[int, str] = {
 }
 _TERMINAL_CASES = frozenset({2, 4, 6, 7, 8, 16})
 
+# each case-2 relabelling as a permutation of side_masks and of the counts,
+# both in the order a1 a2 b1 b2 c1 c2 d1 d2: swapping the indices exchanges
+# the 1 and 2 entries; complementing trades Z and W, so x_i's neighbours in
+# W become y_i's in Z (a_i <-> b_i) and x_i's in Z become y_i's in W (c_i <-> d_i)
+_RELABELLINGS: dict[str, tuple[int, ...]] = {
+    "swap_indices_12": (1, 0, 3, 2, 5, 4, 7, 6),
+    "complement_with_relabel": (2, 3, 0, 1, 6, 7, 4, 5),
+}
+
 
 def _case1_context(
     tree: Graph, x_mask: int, y_mask: int, x: int, y: int, v: int, deg_x: int, deg_y: int
@@ -276,90 +244,90 @@ def _case1_context(
         raise ValueError(f"middle vertex {v} must be free")
     if not (nbrs[v] >> x & 1 and nbrs[v] >> y & 1):
         raise ValueError(f"{v} is not a common neighbour of {x} and {y}")
-    w_minus_v = w & ~(1 << v)
-    ctx = Case1Context(
-        tree=tree,
-        k=x_mask.bit_count(),
-        x_cfg=mask_config(x_mask),
-        y_cfg=mask_config(y_mask),
-        x=x,
-        y=y,
-        v=v,
-        z=frozenset(mask_config(z)),
-        w=frozenset(mask_config(w)),
-        w_minus_v=frozenset(mask_config(w_minus_v)),
-        wx=mask_config(nbrs[x] & w_minus_v),
-        wy=mask_config(nbrs[y] & w_minus_v),
-        zx=mask_config(nbrs[x] & z),
-        zy=mask_config(nbrs[y] & z),
-        zw_edges=_zw_edges(nbrs, z, w),
-    )
-    if ctx.a + ctx.b + ctx.eta + 1 != deg_x:
+    region = w & ~(1 << v)
+    sides = (nbrs[x] & region, nbrs[y] & z, nbrs[x] & z, nbrs[y] & region)
+    a, b, c, d = map(int.bit_count, sides)
+    zw_edges = _zw_edges(nbrs, z, w)
+    if a + b + len(zw_edges) + 1 != deg_x:
         raise FamilyConstructionError("case-1 degree bookkeeping failed for X")
-    if ctx.c + ctx.d + ctx.eta + 1 != deg_y:
+    if c + d + len(zw_edges) + 1 != deg_y:
         raise FamilyConstructionError("case-1 degree bookkeeping failed for Y")
-    return ctx
+    return Case1Context(tree, x, y, v, z, w, sides, a, b, c, d, zw_edges)
 
 
 def _case2_context(
     tree: Graph,
     x_mask: int,
     y_mask: int,
-    x1: int,
-    y1: int,
-    x2: int,
-    y2: int,
+    labels: tuple[int, int, int, int],
     deg_x: int,
     deg_y: int,
+    delta: int | None,
+    reductions: list[Reduction],
 ) -> Case2Context:
+    """Run the count dispatch to a terminal case and build its one context.
+
+    The relabellings applied are appended to reductions.  When the family
+    needs the supplemental x1-y2 paths (delta = m + 1 in case 16), the cross
+    edge is also relabelled onto that diagonal; relabelling is free because
+    it does not touch X, Y, or any path.
+    """
     nbrs = tree.neighbor_masks
+    x1, y1, x2, y2 = labels
     if 1 << x1 | 1 << x2 != x_mask & ~y_mask or 1 << y1 | 1 << y2 != y_mask & ~x_mask:
         raise ValueError("x_i/y_i must be the moved tokens of X and Y")
     if not (nbrs[x1] >> y1 & 1 and nbrs[x2] >> y2 & 1):
         raise ValueError("slide edges x1-y1 and x2-y2 must exist")
-    z = x_mask & y_mask
-    w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
     crosses = [(p, q) for p in (x1, y1) for q in (x2, y2) if nbrs[p] >> q & 1]
     if len(crosses) > 1:
         raise ValueError("multiple cross edges form a cycle; base graph is not a tree")
-    ctx = Case2Context(
-        tree=tree,
-        k=x_mask.bit_count(),
-        x_cfg=mask_config(x_mask),
-        y_cfg=mask_config(y_mask),
-        x1=x1,
-        y1=y1,
-        x2=x2,
-        y2=y2,
-        z=frozenset(mask_config(z)),
-        w=frozenset(mask_config(w)),
-        wx1=mask_config(nbrs[x1] & w),
-        wx2=mask_config(nbrs[x2] & w),
-        wy1=mask_config(nbrs[y1] & w),
-        wy2=mask_config(nbrs[y2] & w),
-        zx1=mask_config(nbrs[x1] & z),
-        zx2=mask_config(nbrs[x2] & z),
-        zy1=mask_config(nbrs[y1] & z),
-        zy2=mask_config(nbrs[y2] & z),
-        zw_edges=_zw_edges(nbrs, z, w),
-        cross=crosses[0] if crosses else None,
-    )
+    cross = crosses[0] if crosses else None
+    z = x_mask & y_mask
+    w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
+    sides = (nbrs[x1] & w, nbrs[x2] & w, nbrs[y1] & z, nbrs[y2] & z,
+             nbrs[x1] & z, nbrs[x2] & z, nbrs[y1] & w, nbrs[y2] & w)
+    counts = tuple(map(int.bit_count, sides))
+
+    def relabel(kind: str) -> None:
+        nonlocal labels, z, w, sides, counts, cross
+        x1, y1, x2, y2 = labels
+        perm = _RELABELLINGS[kind]
+        sides, counts = tuple(sides[i] for i in perm), tuple(counts[i] for i in perm)
+        if kind == "swap_indices_12":
+            labels, cross = (x2, y2, x1, y1), cross[::-1] if cross else None
+        else:
+            labels, z, w = (y1, x1, y2, x2), w, z
+        reductions.append(_REDUCTIONS[kind])
+
+    for _ in range(2):
+        a1, a2, b1, b2, c1, c2, d1, d2 = counts
+        case = _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2)
+        if case == 1:
+            raise FamilyConstructionError("case 1 of the dispatch contradicts deg(X) <= deg(Y)")
+        kind = _CASE_REDUCTIONS.get(case)
+        if kind is None:
+            break
+        relabel(kind)
+    zw_edges = _zw_edges(nbrs, z, w)
+    ctx = Case2Context(tree, *labels, z, w, sides, *counts, zw_edges, cross)
+    if ctx.case_number not in _TERMINAL_CASES:
+        raise FamilyConstructionError(
+            f"dispatch failed to reach a terminal case (stuck at {ctx.case_number})"
+        )
+    if delta == ctx.m + 1 and ctx.case_number == 16 and ctx.cross_kind == "y1x2":
+        relabel("swap_indices_12")
+        ctx = Case2Context(tree, *labels, z, w, sides, *counts, zw_edges, cross)
+    # the relabellings permute the counts and keep the cross-edge bonus
     bonus = 1 if ctx.cross_kind in ("x1y2", "y1x2") else 0
-    if ctx.a1 + ctx.a2 + ctx.b1 + ctx.b2 + ctx.eta + 2 + bonus != deg_x:
+    if sum(counts[:4]) + len(zw_edges) + 2 + bonus != deg_x:
         raise FamilyConstructionError("case-2 degree bookkeeping failed for X")
-    if ctx.c1 + ctx.c2 + ctx.d1 + ctx.d2 + ctx.eta + 2 + bonus != deg_y:
+    if sum(counts[4:]) + len(zw_edges) + 2 + bonus != deg_y:
         raise FamilyConstructionError("case-2 degree bookkeeping failed for Y")
     return ctx
 
 
-def _swap_indices(ctx: Case2Context) -> Case2Context:
-    x_mask, y_mask = config_mask(ctx.x_cfg), config_mask(ctx.y_cfg)
-    deg_x, deg_y = mask_degree(ctx.tree, x_mask), mask_degree(ctx.tree, y_mask)
-    return _case2_context(ctx.tree, x_mask, y_mask, ctx.x2, ctx.y2, ctx.x1, ctx.y1, deg_x, deg_y)
-
-
 def normalize(
-    tree: Graph, x_cfg: Config, y_cfg: Config
+    tree: Graph, x_cfg: Config, y_cfg: Config, delta: int | None = None
 ) -> tuple[Case1Context | Case2Context, tuple[Reduction, ...]]:
     """Classify and normalise a distance-2 instance over a tree.
 
@@ -369,57 +337,38 @@ def normalize(
     until the middle vertex is free, then endpoint-swapped so X has the
     smaller token degree.  Case-2 instances are endpoint-swapped the same
     way, then run through the count-comparison dispatch until a terminal
-    case is reached (at most two reductions).  Complementing keeps token
-    degrees, so both are computed once.
+    case is reached (at most two reductions); given the family size delta,
+    a case-16 instance whose family needs the supplemental x1-y2 paths is
+    also relabelled so the cross edge lies on that diagonal.  Complementing
+    keeps token degrees, so both are computed once.
     """
     if not tree.is_tree():
         raise ValueError("base graph must be a tree")
-    pair = classify_distance2(tree, x_cfg, y_cfg)
-    full = (1 << tree.n) - 1
-    x_mask, y_mask = config_mask(x_cfg), config_mask(y_cfg)
+    x_mask, y_mask = checked_mask(tree, x_cfg), checked_mask(tree, y_cfg)
+    pair = classify_masks(tree, x_mask, y_mask)
     deg_x, deg_y = mask_degree(tree, x_mask), mask_degree(tree, y_mask)
     reductions: list[Reduction] = []
 
     if isinstance(pair, Case1Pair):
         x, y, v = pair.x, pair.y, pair.v
         if (x_mask | y_mask) >> v & 1:
+            full = (1 << tree.n) - 1
             x_mask, y_mask = x_mask ^ full, y_mask ^ full
             x, y = y, x
-            reductions.append(Reduction("complement"))
+            reductions.append(_REDUCTIONS["complement"])
         if deg_x > deg_y:
             x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
             x, y = y, x
-            reductions.append(Reduction("swap_xy"))
+            reductions.append(_REDUCTIONS["swap_xy"])
         ctx = _case1_context(tree, x_mask, y_mask, x, y, v, deg_x, deg_y)
         return ctx, tuple(reductions)
 
-    assert isinstance(pair, Case2Pair)
-    x1, y1, x2, y2 = pair.x1, pair.y1, pair.x2, pair.y2
+    labels = (pair.x1, pair.y1, pair.x2, pair.y2)
     if deg_x > deg_y:
         x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
-        x1, y1, x2, y2 = y1, x1, y2, x2
-        reductions.append(Reduction("swap_xy"))
-    ctx = _case2_context(tree, x_mask, y_mask, x1, y1, x2, y2, deg_x, deg_y)
-    for _ in range(2):
-        case = ctx.case_number
-        if case == 1:
-            raise FamilyConstructionError(
-                "case 1 of the dispatch contradicts deg(X) <= deg(Y)"
-            )
-        kind = _CASE_REDUCTIONS.get(case)
-        if kind is None:
-            break
-        if kind == "swap_indices_12":
-            x1, y1, x2, y2 = x2, y2, x1, y1
-        else:
-            x_mask, y_mask = x_mask ^ full, y_mask ^ full
-            x1, y1, x2, y2 = y1, x1, y2, x2
-        reductions.append(Reduction(kind))
-        ctx = _case2_context(tree, x_mask, y_mask, x1, y1, x2, y2, deg_x, deg_y)
-    if ctx.case_number not in _TERMINAL_CASES:
-        raise FamilyConstructionError(
-            f"dispatch failed to reach a terminal case (stuck at {ctx.case_number})"
-        )
+        labels = (pair.y1, pair.x1, pair.y2, pair.x2)
+        reductions.append(_REDUCTIONS["swap_xy"])
+    ctx = _case2_context(tree, x_mask, y_mask, labels, deg_x, deg_y, delta, reductions)
     return ctx, tuple(reductions)
 
 
@@ -599,14 +548,8 @@ def build_case2_step2(ctx: Case2Context, plans: list[PathPlan], delta: int) -> l
 # verification
 
 
-def _pull_back(moves: Moves, reductions: tuple[Reduction, ...]) -> Moves:
-    """Map a normalised-frame move list back to the original instance."""
-    for red in reversed(reductions):
-        if red.kind == "swap_xy":
-            moves = tuple((dst, src) for src, dst in reversed(moves))
-        elif red.kind != "swap_indices_12":  # a complement trades tokens and holes
-            moves = tuple((dst, src) for src, dst in moves)
-    return moves
+# a complement or an endpoint swap turns each move (src, dst) into (dst, src)
+_flipped = itemgetter(1, 0)
 
 
 @dataclass(frozen=True)
@@ -642,34 +585,38 @@ def build_family(
     x_cfg, y_cfg = make_config(x_cfg), make_config(y_cfg)
     if delta is None:
         delta = min_token_degree(tree, len(x_cfg))
-    ctx, reductions = normalize(tree, x_cfg, y_cfg)
-
+    ctx, reductions = normalize(tree, x_cfg, y_cfg, delta)
     if isinstance(ctx, Case1Context):
         plans = build_case1_step2(ctx, build_case1_step1(ctx), delta)
     else:
-        # the supplemental x1-y2 paths need the cross edge on that diagonal;
-        # relabelling is free because it does not touch X, Y, or any path
-        if (
-            delta == ctx.m + 1
-            and ctx.case_number == 16
-            and ctx.cross_kind == "y1x2"
-        ):
-            ctx = _swap_indices(ctx)
-            reductions = reductions + (Reduction("swap_indices_12"),)
         plans = build_case2_step2(ctx, build_case2_step1(ctx), delta)
 
-    complements = sum(r.kind in ("complement", "complement_with_relabel") for r in reductions)
+    # map the plans back through the reductions in one step: every swap_xy
+    # reverses a move list, and every swap_xy or complement flips each move
+    reverse = flip = complemented = False
+    for red in reductions:
+        if red.kind == "swap_xy":
+            reverse, flip = not reverse, not flip
+        elif red.kind != "swap_indices_12":
+            flip, complemented = not flip, not complemented
     # XOR with this mask takes an original-frame configuration to the normalised one
-    to_normalized = (1 << tree.n) - 1 if complements % 2 else 0
+    to_normalized = (1 << tree.n) - 1 if complemented else 0
+    y_mask = checked_mask(tree, y_cfg)
     paths = []
     for label, moves, conds in plans:
+        if reverse:
+            moves = moves[::-1]
+        if flip:
+            moves = tuple(map(_flipped, moves))
         try:
-            path = TokenPath(tree, x_cfg, _pull_back(moves, reductions))
+            path = TokenPath(tree, x_cfg, moves)
         except ValueError as exc:
             raise FamilyConstructionError(f"path {label} does not replay: {exc}") from exc
-        if path.end != y_cfg:
+        if path.masks[-1] != y_mask:
             raise FamilyConstructionError(f"path {label} ends at {path.end}, not {y_cfg}")
-        inner = [m ^ to_normalized for m in path.masks[1:-1]]
+        inner = path.masks[1:-1]
+        if to_normalized:
+            inner = [m ^ to_normalized for m in inner]
         for cond in conds:
             if not check_trace(inner, cond, ctx):
                 raise FamilyConstructionError(f"path {label} violates trace condition {cond.id}")

@@ -5,7 +5,11 @@ replays its moves from the start configuration when built, so any admissible
 TokenPath is a simple path in the token graph by construction.  The replay,
 the disjointness check and the trace conditions work on int occupancy masks
 (bit v set when v holds a token; a move XORs two bits), and the sorted-tuple
-views of a path's configurations are built only when read.
+views of a path's configurations are built only when read.  Construction
+still validates every start and coerces every move, through two bounded
+memos: the start check keyed on the vertex count and the start, the move
+conversion keyed on the move.  `check_trace` reads the Z and W-region masks
+a family context carries, or builds them from frozensets.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .graphs import Graph
-from .tokens import Config, check_config, config_mask, mask_config
+from .tokens import Config, checked_mask, config_mask, mask_config
 
 __all__ = [
     "TokenMove",
@@ -43,7 +47,18 @@ MoveLike = TokenMove | tuple[int, int]
 
 
 def _as_moves(moves: Iterable[MoveLike]) -> tuple[TokenMove, ...]:
-    return tuple(TokenMove(int(s), int(d)) for s, d in moves)
+    moves = tuple(moves)
+    try:
+        return tuple(map(_as_move, moves))
+    except TypeError:  # an unhashable move, such as a list, skips the memo
+        return tuple(TokenMove(int(s), int(d)) for s, d in moves)
+
+
+# equal moves convert to equal int moves, so one TokenMove per pair is shared
+@lru_cache(maxsize=4096)
+def _as_move(move: MoveLike) -> TokenMove:
+    src, dst = move
+    return TokenMove(int(src), int(dst))
 
 
 @dataclass(frozen=True)
@@ -62,9 +77,8 @@ class TokenPath:
     def __post_init__(self):
         moves = _as_moves(self.moves)
         object.__setattr__(self, "moves", moves)
-        check_config(self.graph, self.start)
         nbrs = self.graph.neighbor_masks
-        occupied = config_mask(self.start)
+        occupied = checked_mask(self.graph, self.start)
         masks = [occupied]
         seen = {occupied}
         for step, (src, dst) in enumerate(moves):
@@ -182,7 +196,11 @@ def pairwise_internally_disjoint(
                 f"endpoint mismatch: expected {paths[0].start}->{paths[0].end}, "
                 f"got {p.start}->{p.end}"
             )
-    inners = [frozenset(p.masks[1:-1]) for p in paths]
+    inners = [p.masks[1:-1] for p in paths]
+    # no inner mask repeats anywhere: disjoint without a pairwise scan
+    if len(set().union(*inners)) == sum(map(len, inners)):
+        return True, None
+    inners = [frozenset(inner) for inner in inners]
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             if not inners[i].isdisjoint(inners[j]):
@@ -200,6 +218,7 @@ def pairwise_internally_disjoint(
 
 
 class _TraceContext(Protocol):
+    # a family context also carries these as z_mask and region_mask
     z: frozenset[int]
     w_region: frozenset[int]
 
@@ -301,8 +320,10 @@ def check_trace(
     one, in any order: each predicate looks at one configuration at a time.
     """
     drops_allowed, w_allowed, forbid_trivial = cond._allowed
-    z = config_mask(ctx.z)
-    region = config_mask(ctx.w_region)
+    try:
+        z, region = ctx.z_mask, ctx.region_mask
+    except AttributeError:
+        z, region = config_mask(ctx.z), config_mask(ctx.w_region)
     for occupied in p.masks[1:-1] if isinstance(p, TokenPath) else p:
         dropped = z & ~occupied
         present = occupied & region

@@ -47,12 +47,30 @@ def make_config(vertices: Iterable[int]) -> Config:
 
 def check_config(g: Graph, cfg: Config) -> None:
     """Validate cfg as a k-token configuration of g (1 <= k <= n-1)."""
+    _check_config(g.n, cfg)
+
+
+def _check_config(n: int, cfg: Config) -> None:
     if tuple(sorted(set(cfg))) != cfg:
         raise ValueError(f"configuration {cfg} is not a sorted duplicate-free tuple")
-    if not 1 <= len(cfg) <= g.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1 tokens, got k={len(cfg)} with n={g.n}")
-    if cfg and not (0 <= cfg[0] and cfg[-1] < g.n):
-        raise ValueError(f"configuration {cfg} out of range for n={g.n}")
+    if not 1 <= len(cfg) <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1 tokens, got k={len(cfg)} with n={n}")
+    if cfg and not (0 <= cfg[0] and cfg[-1] < n):
+        raise ValueError(f"configuration {cfg} out of range for n={n}")
+
+
+def checked_mask(g: Graph, cfg: Config) -> int:
+    """check_config, then the occupancy mask of cfg."""
+    if type(cfg) is not tuple:
+        check_config(g, cfg)  # raises: a configuration is a tuple
+    return _checked_mask(g.n, cfg)
+
+
+# both steps are pure in (n, cfg), so a configuration seen before costs one lookup
+@lru_cache(maxsize=1024)
+def _checked_mask(n: int, cfg: Config) -> int:
+    _check_config(n, cfg)
+    return config_mask(cfg)
 
 
 def config_mask(cfg: Iterable[int]) -> int:
@@ -77,8 +95,10 @@ def mask_config(mask: int) -> Config:
 
 def mask_degree(g: Graph, mask: int) -> int:
     """Token degree of the configuration with occupancy bitmask mask."""
-    nbrs = g.neighbor_masks
-    return sum((nbrs[v] & ~mask).bit_count() for v in mask_config(mask))
+    nbrs, free, degree = g.neighbor_masks, ~mask, 0
+    for v in mask_config(mask):
+        degree += (nbrs[v] & free).bit_count()
+    return degree
 
 
 def move_token(cfg: Config, src: int, dst: int) -> Config:
@@ -222,11 +242,15 @@ def classify_distance2(g: Graph, a: Config, b: Config) -> Case1Pair | Case2Pair:
     a perfect matching of base edges between the leftover pairs.  Anything
     else is not at distance 2 and raises ValueError.
     """
-    check_config(g, a)
-    check_config(g, b)
-    if len(a) != len(b):
-        raise ValueError(f"configurations have different sizes: {len(a)} vs {len(b)}")
-    a_mask, b_mask = config_mask(a), config_mask(b)
+    return classify_masks(g, checked_mask(g, a), checked_mask(g, b))
+
+
+def classify_masks(g: Graph, a_mask: int, b_mask: int) -> Case1Pair | Case2Pair:
+    """classify_distance2 on the occupancy masks of two valid configurations."""
+    if a_mask.bit_count() != b_mask.bit_count():
+        raise ValueError(
+            f"configurations have different sizes: {a_mask.bit_count()} vs {b_mask.bit_count()}"
+        )
     only_a = list(mask_config(a_mask & ~b_mask))
     only_b = list(mask_config(b_mask & ~a_mask))
     if not only_a:

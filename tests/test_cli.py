@@ -1,6 +1,7 @@
 """Tests for the batch verification command line driver."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -193,6 +194,100 @@ class TestConjecture:
         assert code == 2
         assert err.startswith("error:") and "decode" in err
         assert out == ""
+
+
+# the patched unit code reaches --jobs workers only when they are forked
+JOBS = [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers do not inherit patches"))]
+
+
+class TestUnitErrors:
+    """An unexpected exception in one unit becomes that unit's error record."""
+
+    @staticmethod
+    def fail_on(monkeypatch, name, should_fail, exc):
+        real = getattr(cli, name)
+
+        def flaky(arg, *rest):
+            if should_fail(arg):
+                raise exc
+            return real(arg, *rest)
+
+        monkeypatch.setattr(cli, name, flaky)
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_theorem(self, capsys, monkeypatch, jobs):
+        # only the k = 2 units of the two 4-vertex trees have 6 configurations
+        self.fail_on(monkeypatch, "vertex_connectivity", lambda g: g.n == 6,
+                     RuntimeError("boom"))
+        argv = ["theorem", "--n-max", "4", "--jobs", str(jobs)]
+        code, records, summary, err = run(capsys, argv)
+        assert code == 3
+        if jobs == 1:  # forked workers write to their own copy of the captured stderr
+            assert err.count("Traceback (most recent call last)") == 2
+            assert err.rstrip().endswith("RuntimeError: boom")
+        errors = [r for r in records if r["status"] == "error"]
+        assert [(r["graph_id"], r["k"]) for r in errors] == [("Ck", 2), ("Cs", 2)]
+        assert all(list(r) == ["graph_id", "k", "status", "error"] for r in errors)
+        assert {r["error"] for r in errors} == {"RuntimeError: boom"}
+        assert sum(r["status"] == "confirmed" for r in records) == 7
+        assert summary == [
+            "# theorem n<=4: 9 records: 7 confirmed, 2 error",
+            "#   error: graph_id=Ck k=2: RuntimeError: boom",
+            "#   error: graph_id=Cs k=2: RuntimeError: boom",
+        ]
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_hfamily_names_m(self, capsys, monkeypatch, jobs):
+        self.fail_on(monkeypatch, "bridged_cliques", lambda m: m == 4, KeyError("H"))
+        argv = ["hfamily", "--m-min", "3", "--m-max", "5", "--jobs", str(jobs)]
+        code, records, summary, _ = run(capsys, argv)
+        assert code == 3
+        assert [r["status"] for r in records] == ["confirmed", "error", "confirmed"]
+        assert records[1] == {"m": 4, "status": "error", "error": "KeyError: 'H'"}
+        assert summary[1:] == ["#   error: m=4: KeyError: 'H'"]
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_paths(self, capsys, monkeypatch, jobs):
+        self.fail_on(monkeypatch, "build_family", lambda tree: tree.n == 4,
+                     ZeroDivisionError("division by zero"))
+        code, records, _, _ = run(capsys, ["paths", "--n-max", "4", "--jobs", str(jobs)])
+        assert code == 3
+        got = {(r["graph_id"] in ("Ck", "Cs"), r["status"]) for r in records if r.get("pairs", 1)}
+        assert got == {(True, "error"), (False, "confirmed")}
+
+    def test_error_outranks_violation(self, capsys, monkeypatch):
+        def unit(arg):
+            if arg[0] == "A_":
+                return {"graph_id": arg[0], "k": arg[1], "status": "violated"}
+            return 1 / 0
+
+        monkeypatch.setitem(cli._UNIT_RUNNERS, "paths", unit)
+        code, records, summary, _ = run(capsys, ["paths", "--n-max", "3"])
+        assert code == 3
+        assert [r["status"] for r in records] == ["violated", "error", "error"]
+        assert summary == [
+            "# paths n<=3: 3 records: 1 violated, 2 error",
+            "#   violated: graph_id=A_ k=1",
+            "#   error: graph_id=Bo k=1: ZeroDivisionError: division by zero",
+            "#   error: graph_id=Bo k=2: ZeroDivisionError: division by zero",
+        ]
+
+    def test_conjecture(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "input.g6"
+        path.write_text(f"{C5}\n", encoding="ascii")
+        self.fail_on(monkeypatch, "build_token_graph", lambda g: True, MemoryError())
+        code, records, _, _ = run(capsys, ["conjecture", "--input", str(path)])
+        assert code == 3
+        assert records == [
+            {"graph_id": C5, "k": 2, "status": "error", "error": "MemoryError: "},
+            {"graph_id": C5, "k": 3, "status": "error", "error": "MemoryError: "},
+        ]
+
+    def test_clean_sweep_output_unchanged(self, capsys):
+        code, _, summary, _ = run(capsys, ["theorem", "--n-max", "3"])
+        assert code == 0
+        assert summary == ["# theorem n<=3: 3 records: 3 confirmed"]
 
 
 class TestUsageErrors:

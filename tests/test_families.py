@@ -4,6 +4,8 @@ import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from math import comb
+from types import SimpleNamespace
 
 import networkx as nx
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokengraphs import families
+from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import (
     _CASE_REDUCTIONS,
     _TERMINAL_CASES,
@@ -464,6 +467,122 @@ class TestSeededLargerTrees:
             print(f"  {combo}: {hits}")
         assert trees == 3
         assert slack == {1: 2, 2: 1}
+
+    def test_connectivity_equals_min_degree_on_trees_with_9_to_12_vertices(self):
+        # the flow oracles against the degree floor on every small enough F_k;
+        # with comb(n, k) <= 250, k stays near 1 or n - 1 and delta is 1 or 2,
+        # and only delta >= 2 makes the oracles run flows
+        rng = random.Random(5)
+        deltas = Counter()
+        for _ in range(40):
+            n = rng.randint(9, 12)
+            tree = hub_tree(rng, n)
+            for k in range(1, n):
+                if comb(n, k) > 250:
+                    continue
+                fk = build_token_graph(tree, k).as_graph()
+                delta = min_token_degree(tree, k)
+                assert fk.min_degree() == delta
+                assert vertex_connectivity(fk) == edge_connectivity(fk) == delta, (tree, k)
+                deltas[delta] += 1
+        print(f"{sum(deltas.values())} F_k checked; count by delta: {sorted(deltas.items())}")
+        assert deltas[2] >= 100
+
+
+def expected_context(tree, x_cfg, y_cfg, ctx, reductions):
+    """Every context field normalize promises, recomputed on plain sets."""
+    full = set(range(tree.n))
+    x_set, y_set = set(x_cfg), set(y_cfg)
+    for red in reductions:  # the normalised endpoints follow from the reductions alone
+        if red.kind in ("complement", "complement_with_relabel"):
+            x_set, y_set = full - x_set, full - y_set
+        elif red.kind == "swap_xy":
+            x_set, y_set = y_set, x_set
+    adj = {u: set(tree.neighbors(u)) for u in full}
+    z, w = x_set & y_set, full - x_set - y_set
+    got = {"x_cfg": tuple(sorted(x_set)), "y_cfg": tuple(sorted(y_set)), "k": len(x_set),
+           "z": frozenset(z), "w": frozenset(w)}
+    got["zw_edges"] = tuple((u, t) for u in sorted(z) for t in sorted(adj[u] & w))
+    got["eta"] = len(got["zw_edges"])
+    if isinstance(ctx, Case1Context):
+        assert x_set - y_set == {ctx.x} and y_set - x_set == {ctx.y}
+        assert ctx.v in w and ctx.v in adj[ctx.x] & adj[ctx.y]
+        region = w - {ctx.v}
+        got.update(w_minus_v=frozenset(region), w_region=frozenset(region))
+        for name, u, side in (("wx", ctx.x, region), ("wy", ctx.y, region),
+                              ("zx", ctx.x, z), ("zy", ctx.y, z)):
+            got[name] = tuple(sorted(adj[u] & side))
+        got.update(a=len(got["wx"]), b=len(got["zy"]), c=len(got["zx"]), d=len(got["wy"]))
+        got["m"] = min(got["a"], got["c"]) + min(got["b"], got["d"]) + got["eta"] + 1
+        return got
+    x1, y1, x2, y2 = ctx.x1, ctx.y1, ctx.x2, ctx.y2
+    assert x_set - y_set == {x1, x2} and y_set - x_set == {y1, y2}
+    assert y1 in adj[x1] and y2 in adj[x2]
+    got["w_region"] = frozenset(w)
+    for i, (xi, yi) in enumerate(((x1, y1), (x2, y2)), start=1):
+        for name, u, side in (("wx", xi, w), ("wy", yi, w), ("zx", xi, z), ("zy", yi, z)):
+            got[f"{name}{i}"] = tuple(sorted(adj[u] & side))
+        got.update({f"a{i}": len(got[f"wx{i}"]), f"b{i}": len(got[f"zy{i}"]),
+                    f"c{i}": len(got[f"zx{i}"]), f"d{i}": len(got[f"wy{i}"])})
+    got["m"] = got["eta"] + 2 + sum(
+        min(got[f"{p}{i}"], got[f"{q}{i}"]) for i in (1, 2) for p, q in (("a", "c"), ("b", "d"))
+    )
+    names = {x1: "x1", y1: "y1", x2: "x2", y2: "y2"}
+    crosses = [(p, q) for p in (x1, y1) for q in (x2, y2) if q in adj[p]]
+    assert len(crosses) <= 1
+    got["cross"] = crosses[0] if crosses else None
+    got["cross_kind"] = names[crosses[0][0]] + names[crosses[0][1]] if crosses else None
+    ge = [got[f"{p}{i}"] <= got[f"{q}{i}"] for p, q in (("a", "c"), ("b", "d")) for i in (1, 2)]
+    got["case_number"] = 1 + 8 * ge[0] + 4 * ge[1] + 2 * ge[2] + ge[3]
+    return got
+
+
+def seeded_pairs(seed, trees_wanted, per_tree):
+    """Distance-2 pairs drawn on hub trees with 9 to 12 vertices."""
+    rng = random.Random(seed)
+    for _ in range(trees_wanted):
+        n = rng.randint(9, 12)
+        tree = hub_tree(rng, n)
+        k = rng.randint(2, n - 2)
+        pairs = list(build_token_graph(tree, k).distance2_pairs())
+        for x, y in rng.sample(pairs, min(per_tree, len(pairs))):
+            yield tree, x, y
+
+
+class TestMaskContexts:
+    """normalize's contexts match a recomputation on sets, pair by pair."""
+
+    @staticmethod
+    def check_pair(tree, x, y):
+        ctx, reductions = normalize(tree, x, y)
+        expect = expected_context(tree, x, y, ctx, reductions)
+        assert {name: getattr(ctx, name) for name in expect} == expect
+        # every condition of the family against every one of its paths, so
+        # both answers occur; the stub exposes only the two frozensets
+        result = build_family(tree, x, y)
+        stub = SimpleNamespace(z=expect["z"], w_region=expect["w_region"])
+        conds = {cond for conds in result.family.traces for cond in conds}
+        for path in result.normalized.paths:
+            for cond in conds:
+                assert check_trace(path, cond, result.context) == check_trace(path, cond, stub)
+        return type(ctx).__name__, tuple(r.kind for r in reductions)
+
+    def test_every_pair_up_to_n7(self):
+        kinds = Counter()
+        for n in range(2, 8):
+            for tree in enumerate_trees(n):
+                for k in range(1, n):
+                    for x, y in build_token_graph(tree, k).distance2_pairs():
+                        kinds[self.check_pair(tree, x, y)] += 1
+        assert sum(kinds.values()) == 4972
+        assert len(kinds) == 12  # both cases, every reduction chain that occurs
+
+    def test_seeded_trees_with_9_to_12_vertices(self):
+        kinds = Counter(self.check_pair(*pair) for pair in seeded_pairs(3, 6, per_tree=60))
+        print(f"{sum(kinds.values())} seeded pairs; (context, reductions) covered:")
+        for combo, hits in sorted(kinds.items()):
+            print(f"  {combo}: {hits}")
+        assert {name for name, _ in kinds} == {"Case1Context", "Case2Context"}
 
 
 @st.composite

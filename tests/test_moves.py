@@ -1,5 +1,6 @@
 """Tests for token paths, path builders, and trace conditions."""
 
+from enum import IntEnum
 from types import SimpleNamespace
 
 import pytest
@@ -74,6 +75,52 @@ class TestTokenPath:
     def test_start_must_fit_graph(self):
         with pytest.raises(ValueError, match="out of range"):
             TokenPath(P4, (0, 9), ())
+
+
+class Side(IntEnum):
+    LEFT = 1
+    RIGHT = 2
+
+
+class TestConstructionContract:
+    """Starts are checked per graph size and moves always come out as int TokenMoves."""
+
+    def test_start_accepted_on_a_larger_graph_is_rejected_on_a_smaller_one(self):
+        P8 = path_graph(8)
+        assert TokenPath(P8, (0, 6), ()).masks == (0b1000001,)
+        with pytest.raises(ValueError, match=r"configuration \(0, 6\) out of range for n=4"):
+            TokenPath(P4, (0, 6), ())
+        assert TokenPath(P5, (0, 1, 2, 3), ()).k == 4
+        with pytest.raises(ValueError, match="need 1 <= k <= n-1 tokens, got k=4 with n=4"):
+            TokenPath(P4, (0, 1, 2, 3), ())
+
+    def test_rejections_repeat(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"configuration \(1, 0\) is not a sorted"):
+                TokenPath(P4, (1, 0), ())
+
+    def test_unhashable_start_and_moves(self):
+        with pytest.raises(ValueError, match=r"configuration \[0, 1\] is not a sorted"):
+            TokenPath(P4, [0, 1], ())
+        p = TokenPath(P4, (0, 1), [[1, 2], [2, 3]])
+        assert p.moves == (TokenMove(1, 2), TokenMove(2, 3))
+
+    @pytest.mark.parametrize(
+        "moves",
+        [
+            ((1, 2), (2, 3)),
+            (TokenMove(1, 2), TokenMove(2, 3)),
+            ((True, Side.RIGHT), (Side.RIGHT, 3)),
+            (TokenMove(Side.LEFT, 2), (2, 3)),
+            iter([(1, 2), (2, 3)]),
+        ],
+    )
+    def test_move_spellings_give_equal_paths(self, moves):
+        p = TokenPath(P4, (0, 1), moves)
+        assert p == TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
+        assert all(type(m) is TokenMove for m in p.moves)
+        assert all(type(v) is int for m in p.moves for v in m)
+        assert p.configs == ((0, 1), (0, 2), (0, 3))
 
 
 class TestLiftPath:
