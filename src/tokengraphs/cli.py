@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", parents=[common],
                        help="check kappa = lambda = delta over all trees up to n-max")
-    p.add_argument("--n-max", type=_int_range(2, 10), default=7, metavar="N")
+    p.add_argument("--n-max", type=_int_range(2, 11), default=7, metavar="N")
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("paths", parents=[common],
@@ -333,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scan girth-5 graphs for kappa = delta in every F_k")
     p.add_argument("--input", required=True, metavar="FILE.g6",
                    help="graph6 file, one graph per line")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None, metavar="K")
-    group.add_argument("--all-k", action="store_true")
+    p.add_argument("--k", type=int, default=None, metavar="K")
     p.set_defaults(func=cmd_conjecture)
     return parser
 

@@ -1,9 +1,17 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
-Local vertex connectivity uses the standard vertex-splitting reduction to
-unit-capacity max flow.  The global values take the minimum of local flows
-over a pair set that is exact for every graph and far smaller than all
-vertex pairs:
+Before any flow, one iterative low-point DFS (Hopcroft and Tarjan,
+"Efficient algorithms for graph manipulation", CACM 16, 1973) finds whether
+the graph has a cut vertex or a bridge.  That settles kappa and lambda at 1,
+and at 2 when the minimum degree is 2.  Only graphs left over, with minimum
+degree at least 3, run flows.
+
+All flows run on one unit-capacity augmenting-path kernel over the cached
+neighbour bitmasks.  Vertex connectivity uses the standard vertex-splitting
+reduction, with the in and out copies of each vertex kept implicit; each BFS
+level is one mask.  The global values take the minimum of local flows over a
+pair set that is exact for every graph and far smaller than all vertex
+pairs:
 
 - kappa: flows from one minimum-degree vertex v to each non-neighbour, then
   between each non-adjacent pair of neighbours of v (Esfahanian and Hakimi,
@@ -18,7 +26,6 @@ The proofs sit in the docstrings of `vertex_connectivity` and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,96 +53,179 @@ class ConnectivityReport:
     edge_cut: tuple[tuple[int, int], ...] | None
 
 
-class _UnitFlowNet:
-    """Unit-capacity directed network with array-based residual arcs."""
+def _unit_flow(
+    masks: tuple[int, ...], s: int, t: int, limit: int, split: bool
+) -> tuple[int, list[int]]:
+    """Unit s-t flow up to `limit`, augmented along shortest residual paths.
 
-    def __init__(self, nodes: int):
-        self.head: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    Every edge carries one unit in either direction.  With `split` every
+    vertex other than s and t carries one unit too (the vertex-splitting
+    reduction): v has an in copy and an out copy joined by one arc, edge uw
+    becomes the arcs u_out -> w_in and w_out -> u_in, and the flow runs from
+    s_out to t_in.  The copies stay implicit: `out[u]` has bit w when a unit
+    flows from u to w, `into[w]` then has bit u, and `used` has bit v when
+    flow passes through v.  The residual arcs are
 
-    def add_arc(self, u: int, v: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(1)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.head[v].append(idx + 1)
-        return idx
+    - u_out -> w_in for each edge uw without flow u -> w;
+    - u_out -> u_in when u is used (undoing the pass through u);
+    - w_in -> w_out when w is unused;
+    - w_in -> u_out when a unit flows u -> w (undoing it).
 
-    def snapshot(self) -> list[int]:
-        return list(self.cap)
+    Every residual arc joins an out copy to an in copy or the reverse, so
+    the BFS levels alternate out, in, out, ... from s_out, each level one
+    mask.  Without `split` a
+    vertex is one node and each level a vertex mask; an augmentation against
+    the flow on an edge cancels it, so flow never runs both ways.  The path
+    is recovered by walking back from t through the levels, each step taking
+    the lowest vertex of the previous level with a residual arc into the
+    current node.  Returns the flow value and `out`.
+    """
+    n = len(masks)
+    out = [0] * n
+    into = [0] * n
+    used = 0
+    t_bit = 1 << t
+    flow = 0
+    while flow < limit:
+        # levels[i] is an out-copy level for even i and an in-copy level for
+        # odd i with `split`; s's in copy is never entered
+        levels = [1 << s]
+        seen_in = seen_out = frontier = 1 << s
+        while True:
+            reach = frontier & used
+            m = frontier
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                reach |= masks[u] & ~out[u]
+            reach &= ~seen_in
+            if not reach or reach & t_bit:
+                break
+            seen_in |= reach
+            levels.append(reach)
+            if not split:
+                frontier = reach
+                continue
+            frontier = reach & ~used
+            m = reach & used
+            while m:
+                low = m & -m
+                m ^= low
+                frontier |= into[low.bit_length() - 1]
+            frontier &= ~seen_out
+            if not frontier:
+                break
+            seen_out |= frontier
+            levels.append(frontier)
+        if not reach & t_bit:
+            break
+        path = [t]
+        cur = t
+        for i in range(len(levels) - 1, -1, -1):
+            if not split:
+                pred = masks[cur] & ~into[cur]
+            elif i % 2 == 0:
+                # out copies at level i with an arc into cur_in
+                pred = (masks[cur] & ~into[cur]) | ((1 << cur) & used)
+            else:
+                # in copies at level i with an arc into cur_out
+                pred = ((1 << cur) & ~used) | out[cur]
+            pred &= levels[i]
+            cur = (pred & -pred).bit_length() - 1
+            path.append(cur)
+        path.reverse()
+        for i in range(len(path) - 1):
+            u, w = path[i], path[i + 1]
+            if not split:
+                if into[u] >> w & 1:
+                    out[w] ^= 1 << u
+                    into[u] ^= 1 << w
+                else:
+                    out[u] |= 1 << w
+                    into[w] |= 1 << u
+            elif u == w:
+                # the internal arc: forward (odd i) marks u used, backward
+                # (even i) frees it
+                used ^= 1 << u
+            elif i % 2 == 0:
+                out[u] |= 1 << w
+                into[w] |= 1 << u
+            else:
+                out[w] ^= 1 << u
+                into[u] ^= 1 << w
+        flow += 1
+    return flow, out
 
-    def restore(self, caps: list[int]) -> None:
-        self.cap[:] = caps
 
-    def _augment(self, s: int, t: int) -> bool:
-        head, to, cap = self.head, self.to, self.cap
-        parent_arc = [-1] * len(head)
-        parent_arc[s] = -2
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in head[u]:
-                if cap[a] and parent_arc[to[a]] == -1:
-                    w = to[a]
-                    parent_arc[w] = a
-                    if w == t:
-                        while w != s:
-                            a = parent_arc[w]
-                            cap[a] -= 1
-                            cap[a ^ 1] += 1
-                            w = to[a ^ 1]
-                        return True
-                    queue.append(w)
-        return False
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit and self._augment(s, t):
-            flow += 1
-        return flow
+def _flow_routes(out: list[int], s: int, t: int) -> tuple[tuple[int, ...], ...]:
+    # every vertex inside a route carries one unit, so its out mask has one bit
+    routes = []
+    first = out[s]
+    while first:
+        low = first & -first
+        first ^= low
+        route = [s]
+        v = low.bit_length() - 1
+        while v != t:
+            route.append(v)
+            v = out[v].bit_length() - 1
+        route.append(t)
+        routes.append(tuple(route))
+    return tuple(routes)
 
 
-def _split_net(g: Graph) -> _UnitFlowNet:
-    # node 2i = "in" copy, 2i+1 = "out" copy of vertex i
-    net = _UnitFlowNet(2 * g.n)
-    for v in range(g.n):
-        net.add_arc(2 * v, 2 * v + 1)
-    for u, v in g.edges:
-        net.add_arc(2 * u + 1, 2 * v)
-        net.add_arc(2 * v + 1, 2 * u)
-    return net
+def _cut_vertex_and_bridge(masks: tuple[int, ...]) -> tuple[bool, bool]:
+    """Whether a connected graph has a cut vertex, and whether it has a bridge.
 
+    One iterative DFS from vertex 0 computes discovery times and low points
+    (the earliest discovery time reachable from a subtree by one back edge).
+    In an undirected DFS every non-tree edge joins a vertex to an ancestor,
+    so the subtrees of a vertex's children are joined to the rest of the
+    graph only through their back edges:
 
-def _extract_vertex_paths(
-    net: _UnitFlowNet, g: Graph, s: int, t: int
-) -> tuple[tuple[int, ...], ...]:
-    # follow saturated forward arcs from s's out-copy; unit node capacities
-    # make every trace a simple s..t path and keep traces disjoint
-    used = set()
-    paths = []
-    for a in net.head[2 * s + 1]:
-        if a % 2 == 0 and net.cap[a] == 0 and a not in used:
-            used.add(a)
-            route = [s]
-            node = net.to[a]
-            while True:
-                vert = node // 2
-                route.append(vert)
-                if vert == t:
-                    break
-                out = 2 * vert + 1
-                step = next(
-                    b
-                    for b in net.head[out]
-                    if b % 2 == 0 and net.cap[b] == 0 and b not in used
-                )
-                used.add(step)
-                node = net.to[step]
-            paths.append(tuple(route))
-    return tuple(paths)
+    - the root is a cut vertex exactly when it has two or more children;
+    - another vertex p is one exactly when some child c has low[c] >= disc[p];
+    - a tree edge (p, c) is a bridge exactly when low[c] > disc[p], and a
+      non-tree edge lies on a cycle, so it never is.
+    """
+    n = len(masks)
+    disc = [0] * n
+    low = [0] * n
+    parent = [-1] * n
+    todo = list(masks)
+    disc[0] = low[0] = clock = 1
+    root_children = 0
+    cut_vertex = bridge = False
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        rest = todo[v]
+        if rest:
+            bit = rest & -rest
+            todo[v] = rest ^ bit
+            w = bit.bit_length() - 1
+            if not disc[w]:
+                clock += 1
+                disc[w] = low[w] = clock
+                parent[w] = v
+                stack.append(w)
+            elif w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        stack.pop()
+        p = parent[v]
+        if p < 0:
+            continue
+        if low[v] < low[p]:
+            low[p] = low[v]
+        if low[v] > disc[p]:
+            bridge = True
+        if p == 0:
+            root_children += 1
+        elif low[v] >= disc[p]:
+            cut_vertex = True
+    return cut_vertex or root_children > 1, bridge
 
 
 def local_vertex_connectivity(
@@ -143,9 +233,12 @@ def local_vertex_connectivity(
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Maximum number of internally disjoint s-t paths, with a path witness.
 
-    Requires s != t non-adjacent.  With `limit` the flow stops early at that
-    value and the witness holds `limit` paths (used to cap minimum scans).
+    Requires s != t non-adjacent vertices of g.  With `limit` the flow stops
+    early at that value and the witness holds `limit` paths (used to cap
+    minimum scans).
     """
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"endpoints {s},{t} out of range for n={g.n}")
     if s == t:
         raise ValueError("endpoints must differ")
     if g.has_edge(s, t):
@@ -153,27 +246,36 @@ def local_vertex_connectivity(
     cap = min(g.degree(s), g.degree(t))
     if limit is not None:
         cap = min(cap, limit)
-    net = _split_net(g)
-    value = net.max_flow(2 * s + 1, 2 * t, cap)
-    return value, _extract_vertex_paths(net, g, s, t)
+    value, out = _unit_flow(g.neighbor_masks, s, t, cap, split=True)
+    return value, _flow_routes(out, s, t)
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity via unit flows over the Esfahanian-Hakimi pairs.
+    """Vertex connectivity: a DFS decides kappa <= 2, flows the rest.
 
-    Complete graphs return n-1, disconnected graphs 0.  Otherwise let v be the
-    lowest-index vertex of minimum degree delta; the flows run from v to every
-    non-neighbour, then between every non-adjacent pair in N(v), each capped
-    at the best value so far (kappa <= delta).
+    Complete graphs return n-1, disconnected graphs 0, and a connected graph
+    with minimum degree delta = 1 returns 1.  Otherwise one DFS looks for a
+    cut vertex.
 
-    Exactness: each flow is a local connectivity, so at least kappa.  Let S be
-    a minimum separator.  If v is not in S, the component of G - S holding v
-    contains all of N(v) - S, so any vertex w of another component is a
-    non-neighbour of v and S separates v from w.  If v is in S, minimality
-    gives v a neighbour in every component of G - S (otherwise S - v would
-    still separate), so two neighbours x, y of v in different components are
-    non-adjacent and separated by S.  Either way some flow in the scan is at
-    most |S| = kappa.
+    DFS exactness: the graph is connected and not complete, so n >= 3, and
+    kappa >= 2 exactly when no single vertex separates it, that is when it
+    has no cut vertex.  So a cut vertex gives kappa = 1, and without one
+    2 <= kappa <= delta, which settles kappa = 2 when delta = 2.
+
+    When delta >= 3 and there is no cut vertex, let v be the lowest-index
+    vertex of minimum degree; flows run from v to every non-neighbour, then
+    between every non-adjacent pair in N(v), each capped at the best value so
+    far (kappa <= delta), and the scan stops once it reaches 2, which the DFS
+    proved is a lower bound.
+
+    Flow exactness: each flow is a local connectivity, so at least kappa.
+    Let S be a minimum separator.  If v is not in S, the component of G - S
+    holding v contains all of N(v) - S, so any vertex w of another component
+    is a non-neighbour of v and S separates v from w.  If v is in S,
+    minimality gives v a neighbour in every component of G - S (otherwise
+    S - v would still separate), so two neighbours x, y of v in different
+    components are non-adjacent and separated by S.  Either way some flow in
+    the scan is at most |S| = kappa.
     """
     if g.n <= 1:
         return 0
@@ -184,19 +286,22 @@ def vertex_connectivity(g: Graph) -> int:
     best = g.min_degree()
     if best == 1:
         return 1
+    masks = g.neighbor_masks
+    cut_vertex, _ = _cut_vertex_and_bridge(masks)
+    if cut_vertex:
+        return 1
+    if best == 2:
+        return 2
     adj = g.adjacency
     v = next(u for u in range(g.n) if len(adj[u]) == best)
     pairs = [(v, w) for w in range(g.n) if w != v and w not in adj[v]]
     nbrs = sorted(adj[v])
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if y not in adj[x]]
-    net = _split_net(g)
-    base = net.snapshot()
     for s, t in pairs:
-        net.restore(base)
-        flow = net.max_flow(2 * s + 1, 2 * t, best)
+        flow, _ = _unit_flow(masks, s, t, best, split=True)
         if flow < best:
             best = flow
-            if best == 1:
+            if best == 2:
                 break
     return best
 
@@ -215,20 +320,30 @@ def _dominating_set(g: Graph) -> list[int]:
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity via unit flows between dominating-set members.
+    """Edge connectivity: a DFS decides lambda <= 2, flows the rest.
 
-    Disconnected graphs and graphs with n <= 1 return 0.  Otherwise take a
-    greedy dominating set D in index order and run flows from D[0] to every
-    other member, each capped at the best value so far (lambda <= delta).
+    Disconnected graphs and graphs with n <= 1 return 0, and a connected
+    graph with minimum degree delta = 1 returns 1.  Otherwise one DFS looks
+    for a bridge.
 
-    Exactness: each flow is a local edge connectivity, so at least lambda.
-    Suppose lambda < delta and let (A, B) be a minimum edge cut.  A side with
-    a vertices sends at least a * delta - a * (a - 1) = a * (delta - a + 1)
-    edges across, which is at least delta when 1 <= a <= delta, so both sides
-    have more than delta vertices.  If a side missed D, each of its vertices
-    would have a neighbour in D on the other side, giving more than delta
-    crossing edges.  So D meets both sides, and the flow from D[0] to a member
-    of D on the other side is at most lambda.
+    DFS exactness: the graph is connected, so lambda >= 2 exactly when no
+    single edge disconnects it, that is when it has no bridge.  So a bridge
+    gives lambda = 1, and without one 2 <= lambda <= delta, which settles
+    lambda = 2 when delta = 2.
+
+    When delta >= 3 and there is no bridge, take a greedy dominating set D
+    in index order and run flows from D[0] to every other member, each
+    capped at the best value so far (lambda <= delta); the scan stops once
+    it reaches 2, which the DFS proved is a lower bound.
+
+    Flow exactness: each flow is a local edge connectivity, so at least
+    lambda.  Suppose lambda < delta and let (A, B) be a minimum edge cut.  A
+    side with a vertices sends at least a * delta - a * (a - 1) =
+    a * (delta - a + 1) edges across, which is at least delta when
+    1 <= a <= delta, so both sides have more than delta vertices.  If a side
+    missed D, each of its vertices would have a neighbour in D on the other
+    side, giving more than delta crossing edges.  So D meets both sides, and
+    the flow from D[0] to a member of D on the other side is at most lambda.
     """
     if g.n <= 1:
         return 0
@@ -237,18 +352,18 @@ def edge_connectivity(g: Graph) -> int:
     best = g.min_degree()
     if best == 1:
         return 1
-    net = _UnitFlowNet(g.n)
-    for u, v in g.edges:
-        net.add_arc(u, v)
-        net.add_arc(v, u)
-    base = net.snapshot()
+    masks = g.neighbor_masks
+    _, bridge = _cut_vertex_and_bridge(masks)
+    if bridge:
+        return 1
+    if best == 2:
+        return 2
     source, *sinks = _dominating_set(g)
     for t in sinks:
-        net.restore(base)
-        flow = net.max_flow(source, t, best)
+        flow, _ = _unit_flow(masks, source, t, best, split=False)
         if flow < best:
             best = flow
-            if best == 1:
+            if best == 2:
                 break
     return best
 

@@ -296,12 +296,12 @@ class TestUsageErrors:
         [
             [],
             ["frobnicate"],
-            ["theorem", "--n-max", "11"],
+            ["theorem", "--n-max", "12"],
             ["theorem", "--n-max", "1"],
             ["paths", "--n-max", "9"],
             ["hfamily", "--m-min", "7"],
             ["conjecture"],
-            ["conjecture", "--input", "x.g6", "--k", "2", "--all-k"],
+            ["conjecture", "--input", "x.g6", "--k", "two"],
             ["theorem", "--jobs", "0"],
         ],
     )

@@ -142,6 +142,27 @@ class TestLocalConnectivity:
         with pytest.raises(ValueError, match="adjacent"):
             local_vertex_connectivity(cycle_graph(5), 0, 1)
 
+    def test_witness_runs_back_along_two_flow_edges(self):
+        # 0-1-2-3-4 is the unique shortest 0-4 path, so the first unit takes
+        # it; the second enters at 3 and must run back to 1 through 2
+        g = Graph(
+            11,
+            (
+                (0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3),
+                (1, 8), (8, 9), (9, 10), (10, 4),
+            ),
+        )
+        value, routes = local_vertex_connectivity(g, 0, 4)
+        assert value == 2
+        check_routes(g, 0, 4, routes)
+        assert sorted(routes) == [(0, 1, 8, 9, 10, 4), (0, 5, 6, 7, 3, 4)]
+
+    # -1 would alias the last vertex, -2 another vertex, and 7 lies past the end
+    @pytest.mark.parametrize("s,t", [(-1, 3), (0, -2), (0, 7)], ids=["s=-1", "t=-2", "t=7"])
+    def test_out_of_range_endpoints_rejected(self, s, t):
+        with pytest.raises(ValueError, match="out of range"):
+            local_vertex_connectivity(cycle_graph(6), s, t)
+
 
 class TestAgainstBruteForce:
     def test_seeded_random_graphs(self):
@@ -188,6 +209,16 @@ HUB = Graph(
     tuple(combinations(range(6), 2))
     + tuple(combinations(range(6, 12), 2))
     + ((0, 12), (1, 12), (6, 12), (7, 12)),
+)
+
+# two K_5 (1..5 and 6..10) joined through vertex 0 (to 1, 2, 6, 7) and vertex
+# 11 (to 3, 4, 8, 9): no cut vertex, and {0, 11} is the only 2-separator, so
+# flows from the minimum-degree vertex 0 alone find 3
+TWO_HUBS = Graph(
+    12,
+    tuple(combinations(range(1, 6), 2))
+    + tuple(combinations(range(6, 11), 2))
+    + ((0, 1), (0, 2), (0, 6), (0, 7), (3, 11), (4, 11), (8, 11), (9, 11)),
 )
 
 
@@ -243,6 +274,19 @@ class TestPairSetBranches:
         )
         assert from_hub == 2
 
+    def test_two_connected_hub_needs_neighbour_pairs(self):
+        assert TWO_HUBS.min_degree() == 4
+        assert vertex_connectivity(TWO_HUBS) == 2
+        assert edge_connectivity(TWO_HUBS) == 4
+        h = nx_of(TWO_HUBS)
+        assert nx.node_connectivity(h) == 2 and nx.edge_connectivity(h) == 4
+        from_hub = min(
+            local_vertex_connectivity(TWO_HUBS, 0, w)[0]
+            for w in range(1, 12)
+            if not TWO_HUBS.has_edge(0, w)
+        )
+        assert from_hub == 3
+
     @pytest.mark.parametrize("m", range(3, 7))
     def test_two_token_bridged_cliques(self, m):
         fk = build_token_graph(bridged_cliques(m), 2).as_graph()
@@ -288,6 +332,85 @@ class TestSeededDifferential:
             below_delta["lambda"] += lam < g.min_degree()
         # the planted cuts must reach the branches where a flow beats delta
         assert below_delta["kappa"] >= 10 and below_delta["lambda"] >= 10, below_delta
+
+
+# a bowtie: two triangles sharing vertex 0, the DFS root, or vertex 2
+BOWTIE_AT_ROOT = Graph(5, ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)))
+BOWTIE_INSIDE = Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
+BRIDGED_TRIANGLES = Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)))
+K4_PAIR = Graph(7, tuple(combinations(range(4), 2)) + tuple(combinations(range(3, 7), 2)))
+
+
+def glued_blocks(rng: random.Random) -> Graph:
+    """Cycles and cliques glued one by one into a connected graph with n >= 17.
+
+    Each graph draws the block kinds and the joins it uses.  A new block
+    meets the graph so far in one shared vertex (a cut vertex), in one edge
+    (a bridge), or in two or three disjoint edges.
+    """
+    kinds = rng.choice((("cycle",), ("clique",), ("cycle", "clique")))
+    joins = rng.choice((("vertex",), ("bridge",), ("edges",), ("vertex", "bridge", "edges")))
+    edges = []
+    n = 0
+    while n < 17:
+        kind = rng.choice(kinds)
+        size = rng.randint(3, 7) if kind == "cycle" else rng.randint(4, 6)
+        join = rng.choice(joins) if n else None
+        if join == "vertex":
+            block = [rng.randrange(n)] + list(range(n, n + size - 1))
+        else:
+            block = list(range(n, n + size))
+        if kind == "cycle":
+            edges += [(block[i - 1], block[i]) for i in range(size)]
+        else:
+            edges += combinations(block, 2)
+        if join == "bridge":
+            edges.append((rng.randrange(n), rng.choice(block)))
+        elif join == "edges":
+            width = rng.randint(2, 3)
+            edges += zip(rng.sample(range(n), width), rng.sample(block, width))
+        n = block[-1] + 1
+    return Graph(n, tuple(edges))
+
+
+class TestDfsDecision:
+    @pytest.mark.parametrize(
+        "g,kappa,lam,delta",
+        [
+            (BOWTIE_AT_ROOT, 1, 2, 2),
+            (BOWTIE_INSIDE, 1, 2, 2),
+            (BRIDGED_TRIANGLES, 1, 1, 2),
+            (cycle_graph(7), 2, 2, 2),
+            (K4_PAIR, 1, 3, 3),
+        ],
+        ids=["bowtie-at-root", "bowtie-inside", "bridged-triangles", "cycle", "k4-pair"],
+    )
+    def test_small_graphs(self, g, kappa, lam, delta):
+        h = nx_of(g)
+        assert g.min_degree() == delta
+        assert vertex_connectivity(g) == nx.node_connectivity(h) == kappa
+        assert edge_connectivity(g) == nx.edge_connectivity(h) == lam
+
+    def test_glued_blocks_beyond_subset_removal(self):
+        rng = random.Random(1973)
+        branches = Counter()
+        for _ in range(80):
+            g = glued_blocks(rng)
+            assert g.n > 16
+            h = nx_of(g)
+            delta = g.min_degree()
+            assert vertex_connectivity(g) == nx.node_connectivity(h)
+            assert edge_connectivity(g) == nx.edge_connectivity(h)
+            if any(True for _ in nx.articulation_points(h)):
+                branches["cut vertex"] += 1
+            else:
+                branches["kappa flows" if delta > 2 else "kappa 2"] += 1
+            if nx.has_bridges(h):
+                branches["bridge"] += 1
+            else:
+                branches["lambda flows" if delta > 2 else "lambda 2"] += 1
+        wanted = ("cut vertex", "kappa 2", "kappa flows", "bridge", "lambda 2", "lambda flows")
+        assert all(branches[b] >= 3 for b in wanted), branches
 
 
 class TestGuards:
