@@ -18,9 +18,7 @@ from .families import (
     FamilyConstructionError,
     FamilyResult,
     PathFamily,
-    Reduction,
     build_family,
-    construct_disjoint_family,
     normalize,
 )
 from .graphs import (
@@ -29,7 +27,6 @@ from .graphs import (
     bridged_cliques,
     complete_graph,
     cycle_graph,
-    distance,
     emit_graph6,
     enumerate_trees,
     girth,
@@ -43,11 +40,7 @@ from .moves import (
     TokenPath,
     TraceCondition,
     check_trace,
-    concat,
-    distractor_wrap,
-    lift_path,
     pairwise_internally_disjoint,
-    path_type,
     trace_condition,
 )
 from .tokens import (
@@ -59,7 +52,6 @@ from .tokens import (
     complement_iso,
     make_config,
     min_token_degree,
-    move_token,
     token_degree,
 )
 

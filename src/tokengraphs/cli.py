@@ -21,7 +21,7 @@ import traceback
 from collections import Counter
 
 from .connectivity import edge_connectivity, vertex_connectivity
-from .families import Case1Context, FamilyConstructionError, build_family
+from .families import FamilyConstructionError, build_family
 from .graphs import (
     Graph,
     Graph6Error,
@@ -36,23 +36,27 @@ from .tokens import build_token_graph, min_token_degree
 __all__ = ["main"]
 
 
+def _measure(record: dict, g: Graph, k: int, with_lambda: bool = True) -> bool:
+    """Fill in delta, kappa and lambda of F_k(g); False marks F_k too large to build."""
+    try:
+        tg = build_token_graph(g, k)
+    except ValueError as exc:
+        record.update(status="skipped", reason=str(exc))
+        return False
+    fk = tg.as_graph()
+    record.update(delta=fk.min_degree(), kappa=vertex_connectivity(fk))
+    if with_lambda:
+        record["lambda"] = edge_connectivity(fk)
+    return True
+
+
 def _theorem_unit(arg: tuple[str, int]) -> dict:
     """Check kappa = lambda = delta on one (tree, k) token graph."""
     g6, k = arg
-    tree = parse_graph6(g6)
     record = {"graph_id": g6, "k": k, "delta": None, "kappa": None, "lambda": None}
-    try:
-        tg = build_token_graph(tree, k)
-    except ValueError as exc:
-        record.update(status="skipped", reason=str(exc))
-        return record
-    fk = tg.as_graph()
-    delta = fk.min_degree()
-    kappa = vertex_connectivity(fk)
-    lam = edge_connectivity(fk)
-    record.update(delta=delta, kappa=kappa)
-    record["lambda"] = lam
-    record["status"] = "confirmed" if kappa == lam == delta else "violated"
+    if _measure(record, parse_graph6(g6), k):
+        ok = record["kappa"] == record["lambda"] == record["delta"]
+        record["status"] = "confirmed" if ok else "violated"
     return record
 
 
@@ -94,8 +98,7 @@ def _paths_unit(arg: tuple[str, int]) -> dict:
             return record
         size = len(result.family)
         min_size = size if min_size is None else min(min_size, size)
-        case = 1 if isinstance(result.context, Case1Context) else 2
-        slack = result.delta - result.m
+        slack, case = result.delta - result.m, result.case
         prev = max_slack[case]
         max_slack[case] = slack if prev is None else max(prev, slack)
     record.update(
@@ -122,37 +125,18 @@ def _hfamily_unit(m: int) -> dict:
         "kappa_expected": m - 1,
         "delta_expected": 2 * (m - 2),
     }
-    try:
-        tg = build_token_graph(h, 2)
-    except ValueError as exc:
-        record.update(status="skipped", reason=str(exc))
-        return record
-    fk = tg.as_graph()
-    delta = fk.min_degree()
-    kappa = vertex_connectivity(fk)
-    lam = edge_connectivity(fk)
-    record.update(delta=delta, kappa=kappa)
-    record["lambda"] = lam
-    ok = kappa == lam == m - 1 and delta == 2 * (m - 2)
-    record["status"] = "confirmed" if ok else "violated"
+    if _measure(record, h, 2):
+        ok = record["kappa"] == record["lambda"] == m - 1 and record["delta"] == 2 * (m - 2)
+        record["status"] = "confirmed" if ok else "violated"
     return record
 
 
 def _conjecture_unit(arg: tuple[str, int]) -> dict:
     """Compare kappa and delta of F_k(G) for one girth-5 input graph."""
     g6, k = arg
-    g = parse_graph6(g6)
     record = {"graph_id": g6, "k": k, "delta": None, "kappa": None, "lambda": None}
-    try:
-        tg = build_token_graph(g, k)
-    except ValueError as exc:
-        record.update(status="skipped", reason=str(exc))
-        return record
-    fk = tg.as_graph()
-    delta = fk.min_degree()
-    kappa = vertex_connectivity(fk)
-    record.update(delta=delta, kappa=kappa)
-    record["status"] = "confirmed" if kappa == delta else "violated"
+    if _measure(record, parse_graph6(g6), k, with_lambda=False):
+        record["status"] = "confirmed" if record["kappa"] == record["delta"] else "violated"
     return record
 
 
@@ -224,16 +208,10 @@ def _tree_units(n_max: int) -> list[tuple[str, int]]:
     return units
 
 
-def cmd_theorem(args) -> int:
-    units = _tree_units(args.n_max)
-    records = _run_units("theorem", units, args.jobs)
-    return _exit_code(_emit(records, args, f"theorem n<={args.n_max}"))
-
-
-def cmd_paths(args) -> int:
-    units = _tree_units(args.n_max)
-    records = _run_units("paths", units, args.jobs)
-    return _exit_code(_emit(records, args, f"paths n<={args.n_max}"))
+def cmd_trees(args) -> int:
+    """theorem and paths: one unit per tree with n <= n-max and per k."""
+    records = _run_units(args.command, _tree_units(args.n_max), args.jobs)
+    return _exit_code(_emit(records, args, f"{args.command} n<={args.n_max}"))
 
 
 def cmd_hfamily(args) -> int:
@@ -316,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", parents=[common],
                        help="check kappa = lambda = delta over all trees up to n-max")
     p.add_argument("--n-max", type=_int_range(2, 11), default=7, metavar="N")
-    p.set_defaults(func=cmd_theorem)
+    p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("paths", parents=[common],
                        help="build disjoint path families for every distance-2 pair")
     p.add_argument("--n-max", type=_int_range(2, 8), default=6, metavar="N")
-    p.set_defaults(func=cmd_paths)
+    p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("hfamily", parents=[common],
                        help="reproduce the two-clique counterexample values")

@@ -8,22 +8,26 @@ relabelling the two moved-token indices) on int occupancy masks: the case-2
 dispatch permutes eight neighbour counts instead of rebuilding anything, and
 each pair gets one context.  A context stores Z, W and the neighbour sets as
 masks and the counts as ints; the sorted tuples and frozensets that the
-builders and callers read are derived on each read.  The builders only plan
-each path: a label, a move list and trace conditions in the normalised frame.
-`build_family` verifies each guarantee once, in the original frame: it folds
-the reductions into two flags (reverse each move list, flip each move), maps
-every plan with them, replays it once from X, checks its end and its trace
-conditions, then checks the final family's disjointness and size.
+planner and callers read are derived on each read.  Every path the paper
+names (T1-T4, P and P' for one moved token; L1-L4*, P1-P4 for two) is one
+row of `_TEMPLATES`: a label, moves over slot names and trace-condition ids.
+`plan_family` binds the slots from the context and its neighbour sets and
+emits each path's plan in the normalised frame.  `build_family` verifies
+each guarantee once, in the original frame: it folds the reductions into two
+flags (reverse each move list, flip each move), maps every plan with them,
+replays it once from X, checks its end and its trace conditions, then checks
+the final family's disjointness and size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .graphs import Graph
 from .moves import (
+    _SHAPES,
     TokenPath,
     TraceCondition,
     check_trace,
@@ -45,17 +49,12 @@ __all__ = [
     "FamilyConstructionError",
     "Case1Context",
     "Case2Context",
-    "Reduction",
     "REDUCTION_KINDS",
     "PathFamily",
     "FamilyResult",
     "normalize",
-    "build_case1_step1",
-    "build_case1_step2",
-    "build_case2_step1",
-    "build_case2_step2",
+    "plan_family",
     "build_family",
-    "construct_disjoint_family",
 ]
 
 
@@ -63,28 +62,12 @@ class FamilyConstructionError(RuntimeError):
     """A constructed family violates an invariant the construction guarantees."""
 
 
+# the instance transformations normalisation applies, named by these strings:
+#   complement              exchange tokens and free vertices (k -> n-k)
+#   swap_xy                 exchange the roles of X and Y
+#   swap_indices_12         exchange the labels of the two moved-token pairs
+#   complement_with_relabel complement plus the induced role relabelling
 REDUCTION_KINDS = ("complement", "swap_xy", "swap_indices_12", "complement_with_relabel")
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """One instance transformation applied during normalisation.
-
-    complement              exchange tokens and free vertices (k -> n-k)
-    swap_xy                 exchange the roles of X and Y
-    swap_indices_12         exchange the labels of the two moved-token pairs
-    complement_with_relabel complement plus the induced role relabelling
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in REDUCTION_KINDS:
-            raise ValueError(f"unknown reduction kind {self.kind!r}")
-
-
-# reductions are immutable, so every instance shares these
-_REDUCTIONS = {kind: Reduction(kind) for kind in REDUCTION_KINDS}
 
 
 def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], ...]:
@@ -127,19 +110,18 @@ class Case1Context:
     m: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", self.m_x + self.m_y + len(self.zw_edges) + 1)
+        m = min(self.a, self.c) + min(self.b, self.d) + len(self.zw_edges) + 1
+        object.__setattr__(self, "m", m)
 
     # views derived on each read
     wx, zy, zx, wy = _side(0), _side(1), _side(2), _side(3)
     z, w = _vertex_set("z_mask"), _vertex_set("w_mask")
-    w_minus_v = w_region = _vertex_set("region_mask")
+    w_region = _vertex_set("region_mask")
     region_mask = property(lambda self: self.w_mask & ~(1 << self.v))
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y))
     k = property(lambda self: self.z_mask.bit_count() + 1)
     eta = property(lambda self: len(self.zw_edges))
-    m_x = property(lambda self: min(self.a, self.c))
-    m_y = property(lambda self: min(self.b, self.d))
 
 
 @dataclass(frozen=True)
@@ -210,15 +192,8 @@ def _case_index(a1_gt: bool, a2_gt: bool, b1_gt: bool, b2_gt: bool) -> int:
 
 # dispatch table: which reduction each non-terminal case applies
 _CASE_REDUCTIONS: dict[int, str] = {
-    3: "swap_indices_12",
-    9: "swap_indices_12",
-    10: "swap_indices_12",
-    11: "swap_indices_12",
-    12: "swap_indices_12",
-    15: "swap_indices_12",
-    5: "complement_with_relabel",
-    13: "complement_with_relabel",
-    14: "complement_with_relabel",
+    **dict.fromkeys((3, 9, 10, 11, 12, 15), "swap_indices_12"),
+    **dict.fromkeys((5, 13, 14), "complement_with_relabel"),
 }
 _TERMINAL_CASES = frozenset({2, 4, 6, 7, 8, 16})
 
@@ -263,7 +238,7 @@ def _case2_context(
     deg_x: int,
     deg_y: int,
     delta: int | None,
-    reductions: list[Reduction],
+    reductions: list[str],
 ) -> Case2Context:
     """Run the count dispatch to a terminal case and build its one context.
 
@@ -297,7 +272,7 @@ def _case2_context(
             labels, cross = (x2, y2, x1, y1), cross[::-1] if cross else None
         else:
             labels, z, w = (y1, x1, y2, x2), w, z
-        reductions.append(_REDUCTIONS[kind])
+        reductions.append(kind)
 
     for _ in range(2):
         a1, a2, b1, b2, c1, c2, d1, d2 = counts
@@ -328,26 +303,26 @@ def _case2_context(
 
 def normalize(
     tree: Graph, x_cfg: Config, y_cfg: Config, delta: int | None = None
-) -> tuple[Case1Context | Case2Context, tuple[Reduction, ...]]:
+) -> tuple[Case1Context | Case2Context, tuple[str, ...]]:
     """Classify and normalise a distance-2 instance over a tree.
 
     x_cfg and y_cfg must be configurations (sorted tuples, see make_config).
-    Returns the construction-ready context together with the reductions that
-    were applied, in application order.  Case-1 instances are complemented
-    until the middle vertex is free, then endpoint-swapped so X has the
-    smaller token degree.  Case-2 instances are endpoint-swapped the same
-    way, then run through the count-comparison dispatch until a terminal
-    case is reached (at most two reductions); given the family size delta,
-    a case-16 instance whose family needs the supplemental x1-y2 paths is
-    also relabelled so the cross edge lies on that diagonal.  Complementing
-    keeps token degrees, so both are computed once.
+    Returns the construction-ready context together with the reductions
+    applied, as REDUCTION_KINDS strings in application order.  Case-1
+    instances are complemented until the middle vertex is free, then
+    endpoint-swapped so X has the smaller token degree.  Case-2 instances are
+    endpoint-swapped the same way, then run through the count-comparison
+    dispatch until a terminal case is reached (at most two reductions); given
+    the family size delta, a case-16 instance whose family needs the
+    supplemental x1-y2 paths is also relabelled so the cross edge lies on that
+    diagonal.  Complementing keeps token degrees, so both are computed once.
     """
     if not tree.is_tree():
         raise ValueError("base graph must be a tree")
     x_mask, y_mask = checked_mask(tree, x_cfg), checked_mask(tree, y_cfg)
     pair = classify_masks(tree, x_mask, y_mask)
     deg_x, deg_y = mask_degree(tree, x_mask), mask_degree(tree, y_mask)
-    reductions: list[Reduction] = []
+    reductions: list[str] = []
 
     if isinstance(pair, Case1Pair):
         x, y, v = pair.x, pair.y, pair.v
@@ -355,11 +330,11 @@ def normalize(
             full = (1 << tree.n) - 1
             x_mask, y_mask = x_mask ^ full, y_mask ^ full
             x, y = y, x
-            reductions.append(_REDUCTIONS["complement"])
+            reductions.append("complement")
         if deg_x > deg_y:
             x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
             x, y = y, x
-            reductions.append(_REDUCTIONS["swap_xy"])
+            reductions.append("swap_xy")
         ctx = _case1_context(tree, x_mask, y_mask, x, y, v, deg_x, deg_y)
         return ctx, tuple(reductions)
 
@@ -367,7 +342,7 @@ def normalize(
     if deg_x > deg_y:
         x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
         labels = (pair.y1, pair.x1, pair.y2, pair.x2)
-        reductions.append(_REDUCTIONS["swap_xy"])
+        reductions.append("swap_xy")
     ctx = _case2_context(tree, x_mask, y_mask, labels, deg_x, deg_y, delta, reductions)
     return ctx, tuple(reductions)
 
@@ -394,37 +369,112 @@ Moves = tuple[tuple[int, int], ...]
 # a planned path: label, moves in the normalised frame, trace conditions
 PathPlan = tuple[str, Moves, tuple[TraceCondition, ...]]
 
+# Every path of both schemes as (label, moves, trace-condition ids).  A move
+# "a>b" slides the token on slot a to slot b.  The context fills the slots
+# x, y, v (one moved token) or x1, y1, x2, y2 (two); each path fills the rest
+# from a Z-W edge or from neighbour sets.  A condition's slots take the
+# path's values of the same names.
+_TEMPLATES: dict[str, tuple[str, str, str]] = {
+    "T1": ("T1", "x>v v>y", "C1"),
+    "T2": ("T2", "z>w x>v v>y w>z", "C2 C2.1"),
+    "T2v": ("T2", "z>v v>y x>v v>z", "C2 C2.2"),  # the Z-W edge ends at v
+    "T3": ("T3", "x>w z>x x>v v>y w>x x>z", "C3"),
+    "T4": ("T4", "z>y y>w x>v v>y y>z w>y", "C4"),
+    "P": ("P", "z1>y x>v z2>x y>z1 v>y x>z2", "C5"),
+    "P'": ("P'", "z1>y x>v z2>x y>z1 v>y x>z2", "C5"),
+    "L1": ("L1", "x1>y1 x2>y2", "D1"),
+    "L1'": ("L1", "x2>y2 x1>y1", "D1"),
+    "L2": ("L2", "z>w x1>y1 x2>y2 w>z", "D2"),
+    "L3": ("L3", "x1>w z>x1 x1>y1 x2>y2 w>x1 x1>z", "D3"),
+    "L4": ("L4", "z>y1 y1>w x2>y2 x1>y1 y1>z w>y1", "D4"),
+    "L3*": ("L3*", "x2>w z>x2 x2>y2 x1>y1 w>x2 x2>z", "D3*"),
+    "L4*": ("L4*", "z>y2 y2>w x1>y1 x2>y2 y2>z w>y2", "D4*"),
+    "P1": ("P1", "x1>w1 x2>y2 y2>w2 w1>x1 x1>y1 w2>y2", "E1"),
+    "P2": ("P2", "x1>w x2>y2 z>x2 w>x1 x1>y1 x2>z", "E2"),
+    "P3": ("P3", "x1>y2 z>x1 x1>y1 y2>x1 x2>y2 x1>z", "E3"),
+    "P4": ("P4", "x1>y2 y2>w x2>y2 y2>x1 x1>y1 w>y2", "E4"),
+}
+_CONTEXT_SLOTS = (("x", "y", "v"), ("x1", "y1", "x2", "y2"))
+# the templates with one path per pair of a W-neighbour and a Z-neighbour, as
+# (key, index of the W set, index of the Z set) into side_masks, which holds
+# (wx, zy, zx, wy) or (wx1, wx2, zy1, zy2, zx1, zx2, wy1, wy2)
+_SIDE_ROWS = (
+    (("T3", 0, 2), ("T4", 3, 1)),
+    (("L3", 0, 4), ("L4", 6, 2), ("L3*", 1, 5), ("L4*", 7, 3)),
+)
 
-def build_case1_step1(ctx: Case1Context) -> list[PathPlan]:
-    """Plan the guaranteed family of size m = m_x + m_y + eta + 1 for one-token pairs."""
-    x, y, v = ctx.x, ctx.y, ctx.v
-    plans: list[PathPlan] = [("T1", ((x, v), (v, y)), (trace_condition("C1"),))]
-    for z_i, w_j in ctx.zw_edges:
-        if w_j != v:
-            moves = ((z_i, w_j), (x, v), (v, y), (w_j, z_i))
-            conds = (trace_condition("C2", z=z_i), trace_condition("C2.1", w=w_j))
-        else:
-            moves = ((z_i, v), (v, y), (x, v), (v, z_i))
-            conds = (trace_condition("C2", z=z_i), trace_condition("C2.2"))
-        plans.append(("T2", moves, conds))
-    for i in range(ctx.m_x):
-        w_i, z_i = ctx.wx[i], ctx.zx[i]
-        moves = ((x, w_i), (z_i, x), (x, v), (v, y), (w_i, x), (x, z_i))
-        plans.append(("T3", moves, (trace_condition("C3", z=z_i, w=w_i),)))
-    for j in range(ctx.m_y):
-        w_j, z_j = ctx.wy[j], ctx.zy[j]
-        moves = ((z_j, y), (y, w_j), (x, v), (v, y), (y, z_j), (w_j, y))
-        plans.append(("T4", moves, (trace_condition("C4", z=z_j, w=w_j),)))
+# the supplemental two-token path of delta = m + 1: its guard on the counts,
+# the guard's wording, and the neighbour sets whose last vertices fill its slots
+_SUPPLEMENTS = {
+    "P1": (lambda c: c.a1 > c.c1 and c.d2 > c.b2, "a1 > c1 and d2 > b2", ("wx1", "wy2")),
+    "P2": (lambda c: c.a1 > c.c1 and c.c2 > c.a2, "a1 > c1 and c2 > a2", ("wx1", "zx2")),
+    "P3": (lambda c: c.c1 > c.a1 and c.cross_kind == "x1y2",
+           "c1 > a1 and a cross edge x1-y2", ("zx1",)),
+    "P4": (lambda c: c.d2 > c.b2 and c.cross_kind == "x1y2",
+           "d2 > b2 and a cross edge x1-y2", ("wy2",)),
+}
+
+
+def _compile(label: str, moves: str, conds: str) -> tuple:
+    """A template with each slot name replaced by its index in the slot values:
+    the context's slots first, then the path's own in name order (w before z)."""
+    names = set(moves.replace(">", " ").split())
+    context = _CONTEXT_SLOTS["x1" in names]
+    index = {name: i for i, name in enumerate(context + tuple(sorted(names - set(context))))}
+    steps = tuple((index[a], index[b]) for a, b in (m.split(">") for m in moves.split()))
+    checks = tuple((cid, tuple((slot, index[slot]) for slot in _SHAPES[cid].slots))
+                   for cid in conds.split())
+    return label, steps, checks
+
+
+_COMPILED = {key: _compile(*row) for key, row in _TEMPLATES.items()}
+
+
+# a plan is pure in its template and slot values, and the families of one
+# tree repeat them, so most paths cost one lookup
+@lru_cache(maxsize=1024)
+def _bind(key: str, values: tuple[int, ...]) -> PathPlan:
+    label, steps, checks = _COMPILED[key]
+    moves = tuple((values[i], values[j]) for i, j in steps)
+    return label, moves, tuple(
+        trace_condition(cid, **{slot: values[i] for slot, i in slots}) for cid, slots in checks
+    )
+
+
+def plan_family(ctx: Case1Context | Case2Context, delta: int) -> list[PathPlan]:
+    """Plan the guaranteed family of size m, then the paths delta - m asks for.
+
+    One moved token: T1, a T2 per Z-W edge, min(a, c) T3 and min(b, d) T4,
+    then up to two of P, P'.  Two moved tokens: L1 both ways, an L2 per Z-W
+    edge, then L3, L4, L3*, L4* from the neighbour sets, and at most one of
+    P1-P4.
+    """
+    one_token = isinstance(ctx, Case1Context)
+    if one_token:
+        base, v = (ctx.x, ctx.y, ctx.v), ctx.v
+        plans = [_bind("T1", base)]
+        plans += [_bind("T2", base + (w, z)) if w != v else _bind("T2v", base + (z,))
+                  for z, w in ctx.zw_edges]
+    else:
+        base = (ctx.x1, ctx.y1, ctx.x2, ctx.y2)
+        plans = [_bind("L1", base), _bind("L1'", base)]
+        plans += [_bind("L2", base + (w, z)) for z, w in ctx.zw_edges]
+    sides = ctx.side_masks
+    for key, w_side, z_side in _SIDE_ROWS[not one_token]:
+        if sides[w_side] and sides[z_side]:  # zip stops at the smaller count
+            pairs = zip(mask_config(sides[w_side]), mask_config(sides[z_side]))
+            plans += [_bind(key, base + wz) for wz in pairs]
     if len(plans) != ctx.m:
         raise FamilyConstructionError(f"step-1 family has {len(plans)} paths, expected {ctx.m}")
+    extra = delta - ctx.m
+    if extra > 0:
+        rows = _extension(ctx, extra) if one_token else [_supplement(ctx, extra)]
+        plans += [_bind(key, base + values) for key, values in rows]
     return plans
 
 
-def build_case1_step2(ctx: Case1Context, plans: list[PathPlan], delta: int) -> list[PathPlan]:
-    """Extend the step-1 plans with up to two paths when delta exceeds m."""
-    extra = delta - ctx.m
-    if extra <= 0:
-        return plans
+def _extension(ctx: Case1Context, extra: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The P and P' rows when delta exceeds m by one or two."""
     if extra > 2:
         raise FamilyConstructionError(f"delta - m = {extra} exceeds the case-1 bound 2")
     a, b, c, d = ctx.a, ctx.b, ctx.c, ctx.d
@@ -436,112 +486,31 @@ def build_case1_step2(ctx: Case1Context, plans: list[PathPlan], delta: int) -> l
         raise FamilyConstructionError(
             f"delta = m + 2 requires b >= d+2 and c >= a+2, got a={a} b={b} c={c} d={d}"
         )
-    x, y, v = ctx.x, ctx.y, ctx.v
-    plans = list(plans)
-    for step, label in zip(range(extra), ("P", "P'")):
-        z_b = ctx.zy[b - 1 - step]
-        z_c = ctx.zx[c - 1 - step]
-        moves = ((z_b, y), (x, v), (z_c, x), (y, z_b), (v, y), (x, z_c))
-        plans.append((label, moves, (trace_condition("C5", z1=z_b, z2=z_c),)))
-    return plans
+    zy, zx = ctx.zy, ctx.zx
+    return [(key, (zy[-1 - step], zx[-1 - step])) for step, key in zip(range(extra), ("P", "P'"))]
 
 
-def build_case2_step1(ctx: Case2Context) -> list[PathPlan]:
-    """Plan the guaranteed family of size m for two-token pairs."""
-    x1, y1, x2, y2 = ctx.x1, ctx.y1, ctx.x2, ctx.y2
-    d1_cond = (trace_condition("D1"),)
-    plans: list[PathPlan] = [
-        ("L1", ((x1, y1), (x2, y2)), d1_cond),
-        ("L1", ((x2, y2), (x1, y1)), d1_cond),
-    ]
-    for z_i, w_j in ctx.zw_edges:
-        moves = ((z_i, w_j), (x1, y1), (x2, y2), (w_j, z_i))
-        plans.append(("L2", moves, (trace_condition("D2", z=z_i, w=w_j),)))
-    for i in range(min(ctx.a1, ctx.c1)):
-        w_i, z_i = ctx.wx1[i], ctx.zx1[i]
-        moves = ((x1, w_i), (z_i, x1), (x1, y1), (x2, y2), (w_i, x1), (x1, z_i))
-        plans.append(("L3", moves, (trace_condition("D3", z=z_i, w=w_i),)))
-    for j in range(min(ctx.b1, ctx.d1)):
-        w_j, z_j = ctx.wy1[j], ctx.zy1[j]
-        moves = ((z_j, y1), (y1, w_j), (x2, y2), (x1, y1), (y1, z_j), (w_j, y1))
-        plans.append(("L4", moves, (trace_condition("D4", z=z_j, w=w_j),)))
-    for i in range(min(ctx.a2, ctx.c2)):
-        w_i, z_i = ctx.wx2[i], ctx.zx2[i]
-        moves = ((x2, w_i), (z_i, x2), (x2, y2), (x1, y1), (w_i, x2), (x2, z_i))
-        plans.append(("L3*", moves, (trace_condition("D3*", z=z_i, w=w_i),)))
-    for j in range(min(ctx.b2, ctx.d2)):
-        w_j, z_j = ctx.wy2[j], ctx.zy2[j]
-        moves = ((z_j, y2), (y2, w_j), (x1, y1), (x2, y2), (y2, z_j), (w_j, y2))
-        plans.append(("L4*", moves, (trace_condition("D4*", z=z_j, w=w_j),)))
-    if len(plans) != ctx.m:
-        raise FamilyConstructionError(f"step-1 family has {len(plans)} paths, expected {ctx.m}")
-    return plans
-
-
-def _supplemental_plan(ctx: Case2Context) -> PathPlan:
-    """Plan the one extra path available when delta = m + 1."""
-    x1, y1, x2, y2 = ctx.x1, ctx.y1, ctx.x2, ctx.y2
+def _supplement(ctx: Case2Context, extra: int) -> tuple[str, tuple[int, ...]]:
+    """The one extra row available when delta = m + 1."""
+    if extra > 1:
+        raise FamilyConstructionError(f"delta - m = {extra} exceeds the case-2 bound 1")
     case = ctx.case_number
-
-    def p1():
-        if not (ctx.a1 > ctx.c1 and ctx.d2 > ctx.b2):
-            raise FamilyConstructionError(
-                f"P1 needs a1 > c1 and d2 > b2 in case {case}"
-            )
-        w_a = ctx.wx1[ctx.a1 - 1]
-        w_d = ctx.wy2[ctx.d2 - 1]
-        moves = ((x1, w_a), (x2, y2), (y2, w_d), (w_a, x1), (x1, y1), (w_d, y2))
-        return "P1", moves, (trace_condition("E1", w1=w_a, w2=w_d),)
-
-    def p2():
-        if not (ctx.a1 > ctx.c1 and ctx.c2 > ctx.a2):
-            raise FamilyConstructionError(
-                f"P2 needs a1 > c1 and c2 > a2 in case {case}"
-            )
-        w_a = ctx.wx1[ctx.a1 - 1]
-        z_c = ctx.zx2[ctx.c2 - 1]
-        moves = ((x1, w_a), (x2, y2), (z_c, x2), (w_a, x1), (x1, y1), (x2, z_c))
-        return "P2", moves, (trace_condition("E2", z=z_c, w=w_a),)
-
-    def p3():
-        if not (ctx.c1 > ctx.a1 and ctx.cross_kind == "x1y2"):
-            raise FamilyConstructionError(
-                f"P3 needs c1 > a1 and a cross edge x1-y2 in case {case}"
-            )
-        z_c = ctx.zx1[ctx.c1 - 1]
-        moves = ((x1, y2), (z_c, x1), (x1, y1), (y2, x1), (x2, y2), (x1, z_c))
-        return "P3", moves, (trace_condition("E3", z=z_c),)
-
-    def p4():
-        if not (ctx.d2 > ctx.b2 and ctx.cross_kind == "x1y2"):
-            raise FamilyConstructionError(
-                f"P4 needs d2 > b2 and a cross edge x1-y2 in case {case}"
-            )
-        w_d = ctx.wy2[ctx.d2 - 1]
-        moves = ((x1, y2), (y2, w_d), (x2, y2), (y2, x1), (x1, y1), (w_d, y2))
-        return "P4", moves, (trace_condition("E4", w=w_d),)
-
-    if case in (2, 8):
-        return p1()
-    if case == 6:
-        return p2() if ctx.c2 > ctx.a2 else p1()
     if case == 16:
         if ctx.cross_kind != "x1y2":
             raise FamilyConstructionError(
                 "case 16 needs the cross edge oriented x1-y2; apply the index swap first"
             )
-        return p3() if ctx.c1 > ctx.a1 else p4()
-    raise FamilyConstructionError(f"no supplemental path exists in terminal case {case}")
-
-
-def build_case2_step2(ctx: Case2Context, plans: list[PathPlan], delta: int) -> list[PathPlan]:
-    """Extend the step-1 plans with the one extra path when delta = m + 1."""
-    extra = delta - ctx.m
-    if extra <= 0:
-        return plans
-    if extra > 1:
-        raise FamilyConstructionError(f"delta - m = {extra} exceeds the case-2 bound 1")
-    return [*plans, _supplemental_plan(ctx)]
+        key = "P3" if ctx.c1 > ctx.a1 else "P4"
+    elif case == 6 and ctx.c2 > ctx.a2:
+        key = "P2"
+    elif case in (2, 6, 8):
+        key = "P1"
+    else:
+        raise FamilyConstructionError(f"no supplemental path exists in terminal case {case}")
+    holds, needs, sides = _SUPPLEMENTS[key]
+    if not holds(ctx):
+        raise FamilyConstructionError(f"{key} needs {needs} in case {case}")
+    return key, tuple(getattr(ctx, side)[-1] for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +531,7 @@ class FamilyResult:
 
     family: PathFamily
     context: Case1Context | Case2Context
-    reductions: tuple[Reduction, ...]
+    reductions: tuple[str, ...]
     delta: int
     m: int
     normalized_moves: tuple[Moves, ...] = field(repr=False)
@@ -586,18 +555,15 @@ def build_family(
     if delta is None:
         delta = min_token_degree(tree, len(x_cfg))
     ctx, reductions = normalize(tree, x_cfg, y_cfg, delta)
-    if isinstance(ctx, Case1Context):
-        plans = build_case1_step2(ctx, build_case1_step1(ctx), delta)
-    else:
-        plans = build_case2_step2(ctx, build_case2_step1(ctx), delta)
+    plans = plan_family(ctx, delta)
 
     # map the plans back through the reductions in one step: every swap_xy
     # reverses a move list, and every swap_xy or complement flips each move
     reverse = flip = complemented = False
     for red in reductions:
-        if red.kind == "swap_xy":
+        if red == "swap_xy":
             reverse, flip = not reverse, not flip
-        elif red.kind != "swap_indices_12":
+        elif red != "swap_indices_12":
             flip, complemented = not flip, not complemented
     # XOR with this mask takes an original-frame configuration to the normalised one
     to_normalized = (1 << tree.n) - 1 if complemented else 0
@@ -636,7 +602,3 @@ def build_family(
     family = PathFamily(x_cfg, y_cfg, tuple(paths), labels, traces)
     return FamilyResult(family, ctx, reductions, delta, ctx.m, planned_moves)
 
-
-def construct_disjoint_family(tree: Graph, x_cfg: Config, y_cfg: Config) -> PathFamily:
-    """The pulled-back verified family for a distance-2 pair over a tree."""
-    return build_family(tree, x_cfg, y_cfg).family

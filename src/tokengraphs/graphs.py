@@ -18,7 +18,6 @@ __all__ = [
     "Graph6Error",
     "parse_graph6",
     "emit_graph6",
-    "distance",
     "girth",
     "enumerate_trees",
     "tree_canonical_form",
@@ -118,29 +117,6 @@ class Graph:
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
-
-
-def _bfs_dists(g: Graph, source: int) -> list[float]:
-    dist: list[float] = [math.inf] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] == math.inf:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def distance(g: Graph, u: int, v: int) -> int | float:
-    """Length of a shortest u-v path, or math.inf if none exists."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"vertices {u},{v} out of range for n={g.n}")
-    if u == v:
-        return 0
-    d = _bfs_dists(g, u)[v]
-    return int(d) if d != math.inf else d
 
 
 def girth(g: Graph) -> int | float:

@@ -24,10 +24,6 @@ from .tokens import Config, checked_mask, config_mask, mask_config
 __all__ = [
     "TokenMove",
     "TokenPath",
-    "lift_path",
-    "concat",
-    "distractor_wrap",
-    "path_type",
     "pairwise_internally_disjoint",
     "TraceCondition",
     "CONDITION_IDS",
@@ -115,68 +111,6 @@ class TokenPath:
     @property
     def k(self) -> int:
         return len(self.start)
-
-
-def lift_path(g: Graph, route: Sequence[int], start: Config) -> TokenPath:
-    """Slide one token along a base path whose only contact with start is its head.
-
-    `route` must be a path in g with route[0] occupied, every later vertex
-    free, and at least one edge.  The result visits k+ (len-1) configurations
-    and has type 1.
-    """
-    if len(route) < 2:
-        raise ValueError("route needs at least two vertices")
-    if len(set(route)) != len(route):
-        raise ValueError(f"route {tuple(route)} repeats a vertex")
-    for u, w in zip(route, route[1:]):
-        if not g.has_edge(u, w):
-            raise ValueError(f"route step {u}-{w} is not a base edge")
-    occupied = set(start)
-    if route[0] not in occupied:
-        raise ValueError(f"route head {route[0]} is not occupied in {start}")
-    tail_hits = occupied.intersection(route[1:])
-    if tail_hits:
-        raise ValueError(f"route passes occupied vertices {sorted(tail_hits)}")
-    return TokenPath(g, tuple(sorted(start)), tuple(zip(route, route[1:])))
-
-
-def concat(g: Graph, segments: Sequence[Sequence[MoveLike]], start: Config) -> TokenPath:
-    """Concatenate move blocks into one path from start (validity re-checked)."""
-    moves: list[MoveLike] = []
-    for block in segments:
-        moves.extend(block)
-    return TokenPath(g, tuple(sorted(start)), tuple(moves))
-
-
-def distractor_wrap(g: Graph, inner: Sequence[MoveLike], u: int, v: int, start: Config) -> TokenPath:
-    """Wrap a move block as u->v; inner; v->u.
-
-    Requires edge uv, with u occupied and v free in every configuration the
-    inner block visits (endpoints included).  Every configuration strictly
-    inside the wrapped path then contains v and omits u, so wrapped paths
-    built from a common inner family stay internally disjoint from it.
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"{u}-{v} is not a base edge")
-    inner_moves = _as_moves(inner)
-    probe = TokenPath(g, tuple(sorted(start)), inner_moves)
-    for i, cfg in enumerate(probe.configs):
-        if u not in cfg:
-            raise ValueError(f"inner configuration {i} lost the anchor token at {u}")
-        if v in cfg:
-            raise ValueError(f"inner configuration {i} occupies the parking vertex {v}")
-    wrapped = TokenPath(g, tuple(sorted(start)), (TokenMove(u, v),) + inner_moves + (TokenMove(v, u),))
-    for cfg in wrapped.inner:
-        assert v in cfg and u not in cfg
-    return wrapped
-
-
-def path_type(p: TokenPath) -> int:
-    """Number of tokens that move at least once: k minus the always-occupied core."""
-    core = set(p.start)
-    for cfg in p.configs[1:]:
-        core.intersection_update(cfg)
-    return p.k - len(core)
 
 
 def pairwise_internally_disjoint(

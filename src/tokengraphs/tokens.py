@@ -21,7 +21,6 @@ __all__ = [
     "MATERIALIZE_LIMIT",
     "make_config",
     "check_config",
-    "move_token",
     "complement_iso",
     "token_degree",
     "min_token_degree",
@@ -101,15 +100,6 @@ def mask_degree(g: Graph, mask: int) -> int:
     return degree
 
 
-def move_token(cfg: Config, src: int, dst: int) -> Config:
-    """Configuration after sliding the token at src to dst."""
-    if src not in cfg:
-        raise ValueError(f"no token at {src} in {cfg}")
-    if dst in cfg:
-        raise ValueError(f"target {dst} already occupied in {cfg}")
-    return tuple(sorted((set(cfg) - {src}) | {dst}))
-
-
 def complement_iso(cfg: Config, n: int) -> Config:
     """Image of a configuration under occupied/free exchange on n vertices."""
     return tuple(sorted(set(range(n)) - set(cfg)))
@@ -117,8 +107,7 @@ def complement_iso(cfg: Config, n: int) -> Config:
 
 def token_degree(g: Graph, cfg: Config) -> int:
     """Number of base edges with exactly one endpoint occupied by cfg."""
-    check_config(g, cfg)
-    return mask_degree(g, config_mask(cfg))
+    return mask_degree(g, checked_mask(g, cfg))
 
 
 def min_token_degree(g: Graph, k: int) -> int:
@@ -251,26 +240,27 @@ def classify_masks(g: Graph, a_mask: int, b_mask: int) -> Case1Pair | Case2Pair:
         raise ValueError(
             f"configurations have different sizes: {a_mask.bit_count()} vs {b_mask.bit_count()}"
         )
-    only_a = list(mask_config(a_mask & ~b_mask))
-    only_b = list(mask_config(b_mask & ~a_mask))
+    only_a, only_b = a_mask & ~b_mask, b_mask & ~a_mask
     if not only_a:
         raise ValueError("identical configurations are at distance 0")
-    if len(only_a) == 1:
-        x, y = only_a[0], only_b[0]
-        if g.has_edge(x, y):
+    nbrs = g.neighbor_masks
+    moved = only_a.bit_count()
+    if moved == 1:
+        x, y = only_a.bit_length() - 1, only_b.bit_length() - 1
+        if nbrs[x] >> y & 1:
             raise ValueError(f"configurations are adjacent (token slide {x}->{y})")
-        common = g.neighbor_masks[x] & g.neighbor_masks[y]
+        common = nbrs[x] & nbrs[y]
         if not common:
             raise ValueError(f"distance exceeds 2: vertices {x},{y} share no neighbour")
-        return Case1Pair(x, y, mask_config(common)[0])
-    if len(only_a) == 2:
-        x1, x2 = only_a
-        r, s = only_b
-        if g.has_edge(x1, r) and g.has_edge(x2, s):
+        return Case1Pair(x, y, (common & -common).bit_length() - 1)
+    if moved == 2:
+        x1, r = (only_a & -only_a).bit_length() - 1, (only_b & -only_b).bit_length() - 1
+        x2, s = only_a.bit_length() - 1, only_b.bit_length() - 1
+        if nbrs[x1] >> r & 1 and nbrs[x2] >> s & 1:
             return Case2Pair(x1, r, x2, s)
-        if g.has_edge(x1, s) and g.has_edge(x2, r):
+        if nbrs[x1] >> s & 1 and nbrs[x2] >> r & 1:
             return Case2Pair(x1, s, x2, r)
         raise ValueError(
-            f"distance exceeds 2: no matching of edges between {only_a} and {only_b}"
+            f"distance exceeds 2: no matching of edges between {[x1, x2]} and {[r, s]}"
         )
     raise ValueError("distance exceeds 2: symmetric difference larger than 4")

@@ -13,7 +13,6 @@ from tokengraphs.graphs import (
     bridged_cliques,
     complete_graph,
     cycle_graph,
-    distance,
     emit_graph6,
     enumerate_trees,
     girth,
@@ -156,15 +155,6 @@ class TestGraph6:
 
 
 class TestDistanceGirth:
-    def test_path_distances(self):
-        g = path_graph(4)
-        assert distance(g, 0, 3) == 3
-        assert distance(g, 1, 1) == 0
-
-    def test_disconnected_distance(self):
-        g = Graph(4, ((0, 1), (2, 3)))
-        assert distance(g, 0, 3) == math.inf
-
     @pytest.mark.parametrize(
         "g,expected",
         [

@@ -1,4 +1,4 @@
-"""Tests for token paths, path builders, and trace conditions."""
+"""Tests for token paths, disjointness and trace conditions."""
 
 from enum import IntEnum
 from types import SimpleNamespace
@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph, star_graph
+from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph
 from tokengraphs.moves import (
     CONDITION_IDS,
     TokenMove,
     TokenPath,
     check_trace,
-    concat,
-    distractor_wrap,
-    lift_path,
     pairwise_internally_disjoint,
-    path_type,
     trace_condition,
 )
 
@@ -123,99 +119,6 @@ class TestConstructionContract:
         assert p.configs == ((0, 1), (0, 2), (0, 3))
 
 
-class TestLiftPath:
-    def test_slide_along_route(self):
-        p = lift_path(P5, (1, 2, 3, 4), (0, 1))
-        assert p.moves == (TokenMove(1, 2), TokenMove(2, 3), TokenMove(3, 4))
-        assert p.end == (0, 4)
-        assert path_type(p) == 1
-
-    def test_single_edge_route(self):
-        p = lift_path(P4, (2, 3), (0, 2))
-        assert p.configs == ((0, 2), (0, 3))
-
-    def test_route_too_short(self):
-        with pytest.raises(ValueError, match="at least two"):
-            lift_path(P4, (1,), (0, 1))
-
-    def test_route_repeats_vertex(self):
-        with pytest.raises(ValueError, match="repeats a vertex"):
-            lift_path(P4, (1, 2, 1), (0, 1))
-
-    def test_route_not_a_base_path(self):
-        with pytest.raises(ValueError, match="1-3 is not a base edge"):
-            lift_path(P4, (1, 3), (0, 1))
-
-    def test_route_head_unoccupied(self):
-        with pytest.raises(ValueError, match="head 2 is not occupied"):
-            lift_path(P4, (2, 3), (0, 1))
-
-    def test_route_tail_occupied(self):
-        with pytest.raises(ValueError, match="occupied vertices \\[3\\]"):
-            lift_path(P4, (1, 2, 3), (1, 3))
-
-
-class TestConcat:
-    def test_blocks_joined_in_order(self):
-        p = concat(P4, [((1, 2),), ((2, 3),)], (0, 1))
-        assert p.configs == ((0, 1), (0, 2), (0, 3))
-
-    def test_empty_segment_list(self):
-        p = concat(P4, [], (0, 1))
-        assert p.length == 0
-
-    def test_invalid_junction_rejected(self):
-        # second block reuses a token that the first block moved away
-        with pytest.raises(ValueError, match="no token at 1"):
-            concat(P4, [((1, 2),), ((1, 0),)], (0, 1))
-
-
-class TestDistractorWrap:
-    def test_wrap_parks_a_token(self):
-        p = distractor_wrap(P5, ((3, 4),), 0, 1, (0, 3))
-        assert p.moves == (TokenMove(0, 1), TokenMove(3, 4), TokenMove(1, 0))
-        assert p.start == (0, 3)
-        assert p.end == (0, 4)
-        for cfg in p.inner:
-            assert 1 in cfg and 0 not in cfg
-
-    def test_wrapped_disjoint_from_inner(self):
-        inner = TokenPath(P5, (0, 3), ((3, 4),))
-        wrapped = distractor_wrap(P5, ((3, 4),), 0, 1, (0, 3))
-        assert not set(inner.inner) & set(wrapped.inner)
-
-    def test_uv_must_be_an_edge(self):
-        with pytest.raises(ValueError, match="0-2 is not a base edge"):
-            distractor_wrap(P5, ((3, 4),), 0, 2, (0, 3))
-
-    def test_anchor_must_stay_put(self):
-        with pytest.raises(ValueError, match="lost the anchor"):
-            distractor_wrap(P5, ((0, 1), (1, 2)), 0, 1, (0, 3))
-
-    def test_parking_vertex_must_stay_free(self):
-        star = star_graph(3)
-        with pytest.raises(ValueError, match="occupies the parking vertex"):
-            distractor_wrap(star, ((2, 0), (0, 3)), 1, 0, (1, 2))
-
-
-class TestPathType:
-    def test_pure_slide_is_type_one(self):
-        p = lift_path(P5, (2, 3, 4), (0, 2))
-        assert path_type(p) == 1
-
-    def test_two_tokens_moving_is_type_two(self):
-        p = TokenPath(P4, (0, 1), ((1, 2), (0, 1)))
-        assert p.end == (1, 2)
-        assert path_type(p) == 2
-
-    def test_empty_path_is_type_zero(self):
-        assert path_type(TokenPath(P4, (0, 1), ())) == 0
-
-    def test_wrap_adds_one_mover(self):
-        p = distractor_wrap(P5, ((3, 4),), 0, 1, (0, 3))
-        assert path_type(p) == 2
-
-
 class TestPairwiseDisjoint:
     def test_disjoint_pair(self):
         a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
@@ -302,7 +205,6 @@ class TestTraceConditions:
         assert p.end == (0, 3)
         ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset({4}))
         assert check_trace(p, trace_condition("C3", z=0, w=4), ctx)
-        assert path_type(p) == 2
 
     def test_exchange_condition_forbids_undisturbed_interior(self):
         # a plain slide never disturbs anything, which the exchange shape bans
@@ -326,7 +228,7 @@ class TestTraceConditions:
     def test_parked_interior_condition(self):
         # every interior configuration occupies exactly the bound free vertex
         ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset({1}))
-        p = distractor_wrap(P5, ((3, 4),), 0, 1, (0, 3))
+        p = TokenPath(P5, (0, 3), ((0, 1), (3, 4), (1, 0)))
         assert check_trace(p, trace_condition("C2.1", w=1), ctx)
         assert not check_trace(p, trace_condition("C1"), ctx)
 
@@ -361,13 +263,14 @@ def tree_route_start(draw):
 
 
 class TestLiftProperties:
+    """One token slid along a tree route through free vertices."""
+
     @given(tree_route_start())
     @settings(max_examples=120, deadline=None)
     def test_lift_moves_one_token_between_endpoints(self, case):
         g, route, start = case
-        p = lift_path(g, route, start)
+        p = TokenPath(g, start, tuple(zip(route, route[1:])))
         assert p.length == len(route) - 1
-        assert path_type(p) == 1
         expect = tuple(sorted(set(start) - {route[0]} | {route[-1]}))
         assert p.end == expect
         # every visited configuration keeps the bystanders fixed
@@ -379,7 +282,7 @@ class TestLiftProperties:
     @settings(max_examples=120, deadline=None)
     def test_reversed_moves_walk_the_path_backwards(self, case):
         g, route, start = case
-        p = lift_path(g, route, start)
+        p = TokenPath(g, start, tuple(zip(route, route[1:])))
         back = TokenPath(g, p.end, tuple(TokenMove(d, s) for s, d in reversed(p.moves)))
         assert back.configs == p.configs[::-1]
 

@@ -17,7 +17,6 @@ from tokengraphs.tokens import (
     complement_iso,
     make_config,
     min_token_degree,
-    move_token,
     token_degree,
 )
 
@@ -38,9 +37,6 @@ class TestConfigs:
     def test_make_config_rejects_duplicates(self):
         with pytest.raises(ValueError):
             make_config([1, 1, 2])
-
-    def test_move_token(self):
-        assert move_token((0, 2), 2, 3) == (0, 3)
 
     def test_complement_involution(self):
         cfg = (0, 2, 5)
