@@ -1,10 +1,12 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
-Before any flow, one iterative low-point DFS (Hopcroft and Tarjan,
-"Efficient algorithms for graph manipulation", CACM 16, 1973) finds whether
-the graph has a cut vertex or a bridge.  That settles kappa and lambda at 1,
-and at 2 when the minimum degree is 2.  Only graphs left over, with minimum
-degree at least 3, run flows.
+Before any flow, one low-point DFS finds whether the graph is connected and
+whether it has a cut vertex or a bridge.  The DFS lives on the graph itself
+(`Graph.cut_flags` in `graphs.py`, with its proof) and is cached there, so
+`Graph.is_connected`, `vertex_connectivity` and `edge_connectivity` share one
+run per graph.  It settles kappa and lambda at 0 and 1, and at 2 when the
+minimum degree is 2.  Only graphs left over, with minimum degree at least 3,
+run flows.
 
 All flows run on one unit-capacity augmenting-path kernel over the cached
 neighbour bitmasks.  Vertex connectivity uses the standard vertex-splitting
@@ -175,57 +177,18 @@ def _flow_routes(out: list[int], s: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(routes)
 
 
-def _cut_vertex_and_bridge(masks: tuple[int, ...]) -> tuple[bool, bool]:
-    """Whether a connected graph has a cut vertex, and whether it has a bridge.
-
-    One iterative DFS from vertex 0 computes discovery times and low points
-    (the earliest discovery time reachable from a subtree by one back edge).
-    In an undirected DFS every non-tree edge joins a vertex to an ancestor,
-    so the subtrees of a vertex's children are joined to the rest of the
-    graph only through their back edges:
-
-    - the root is a cut vertex exactly when it has two or more children;
-    - another vertex p is one exactly when some child c has low[c] >= disc[p];
-    - a tree edge (p, c) is a bridge exactly when low[c] > disc[p], and a
-      non-tree edge lies on a cycle, so it never is.
-    """
-    n = len(masks)
-    disc = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    todo = list(masks)
-    disc[0] = low[0] = clock = 1
-    root_children = 0
-    cut_vertex = bridge = False
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        rest = todo[v]
-        if rest:
-            bit = rest & -rest
-            todo[v] = rest ^ bit
-            w = bit.bit_length() - 1
-            if not disc[w]:
-                clock += 1
-                disc[w] = low[w] = clock
-                parent[w] = v
-                stack.append(w)
-            elif w != parent[v] and disc[w] < low[v]:
-                low[v] = disc[w]
-            continue
-        stack.pop()
-        p = parent[v]
-        if p < 0:
-            continue
-        if low[v] < low[p]:
-            low[p] = low[v]
-        if low[v] > disc[p]:
-            bridge = True
-        if p == 0:
-            root_children += 1
-        elif low[v] >= disc[p]:
-            cut_vertex = True
-    return cut_vertex or root_children > 1, bridge
+def _dfs_settled(g: Graph, flag: int) -> int:
+    """kappa (flag 1, the cut-vertex entry of `Graph.cut_flags`) or lambda
+    (flag 2, the bridge entry) when at most 2, else the minimum degree."""
+    if g.n <= 1:
+        return 0
+    flags = g.cut_flags
+    if not flags[0]:
+        return 0
+    delta = g.min_degree()
+    if delta == 1 or flags[flag]:
+        return 1
+    return delta
 
 
 def local_vertex_connectivity(
@@ -253,11 +216,11 @@ def local_vertex_connectivity(
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity: a DFS decides kappa <= 2, flows the rest.
 
-    Complete graphs return n-1, disconnected graphs 0, and a connected graph
-    with minimum degree delta = 1 returns 1.  Otherwise one DFS looks for a
-    cut vertex.
+    Disconnected graphs and graphs with n <= 1 return 0, and a connected
+    graph with minimum degree delta = 1 returns 1.  Otherwise the cached DFS
+    on `g` (`Graph.cut_flags`) says whether there is a cut vertex.
 
-    DFS exactness: the graph is connected and not complete, so n >= 3, and
+    DFS exactness: the graph is connected with delta >= 2, so n >= 3, and
     kappa >= 2 exactly when no single vertex separates it, that is when it
     has no cut vertex.  So a cut vertex gives kappa = 1, and without one
     2 <= kappa <= delta, which settles kappa = 2 when delta = 2.
@@ -266,7 +229,8 @@ def vertex_connectivity(g: Graph) -> int:
     vertex of minimum degree; flows run from v to every non-neighbour, then
     between every non-adjacent pair in N(v), each capped at the best value so
     far (kappa <= delta), and the scan stops once it reaches 2, which the DFS
-    proved is a lower bound.
+    proved is a lower bound.  A complete graph has no such pair and returns
+    delta = n - 1.
 
     Flow exactness: each flow is a local connectivity, so at least kappa.
     Let S be a minimum separator.  If v is not in S, the component of G - S
@@ -277,26 +241,14 @@ def vertex_connectivity(g: Graph) -> int:
     components are non-adjacent and separated by S.  Either way some flow in
     the scan is at most |S| = kappa.
     """
-    if g.n <= 1:
-        return 0
-    if not g.is_connected():
-        return 0
-    if g.is_complete():
-        return g.n - 1
-    best = g.min_degree()
-    if best == 1:
-        return 1
+    best = _dfs_settled(g, 1)
+    if best <= 2:
+        return best
     masks = g.neighbor_masks
-    cut_vertex, _ = _cut_vertex_and_bridge(masks)
-    if cut_vertex:
-        return 1
-    if best == 2:
-        return 2
-    adj = g.adjacency
-    v = next(u for u in range(g.n) if len(adj[u]) == best)
-    pairs = [(v, w) for w in range(g.n) if w != v and w not in adj[v]]
-    nbrs = sorted(adj[v])
-    pairs += [(x, y) for x, y in combinations(nbrs, 2) if y not in adj[x]]
+    v = next(u for u in range(g.n) if masks[u].bit_count() == best)
+    pairs = [(v, w) for w in range(g.n) if w != v and not masks[v] >> w & 1]
+    nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
+    pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
     for s, t in pairs:
         flow, _ = _unit_flow(masks, s, t, best, split=True)
         if flow < best:
@@ -306,25 +258,12 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def _dominating_set(g: Graph) -> list[int]:
-    """Greedy dominating set: take each vertex not yet dominated, in order."""
-    dominated = [False] * g.n
-    chosen = []
-    for v in range(g.n):
-        if not dominated[v]:
-            chosen.append(v)
-            dominated[v] = True
-            for w in g.adjacency[v]:
-                dominated[w] = True
-    return chosen
-
-
 def edge_connectivity(g: Graph) -> int:
     """Edge connectivity: a DFS decides lambda <= 2, flows the rest.
 
     Disconnected graphs and graphs with n <= 1 return 0, and a connected
-    graph with minimum degree delta = 1 returns 1.  Otherwise one DFS looks
-    for a bridge.
+    graph with minimum degree delta = 1 returns 1.  Otherwise the cached DFS
+    on `g` (`Graph.cut_flags`) says whether there is a bridge.
 
     DFS exactness: the graph is connected, so lambda >= 2 exactly when no
     single edge disconnects it, that is when it has no bridge.  So a bridge
@@ -332,9 +271,10 @@ def edge_connectivity(g: Graph) -> int:
     lambda = 2 when delta = 2.
 
     When delta >= 3 and there is no bridge, take a greedy dominating set D
-    in index order and run flows from D[0] to every other member, each
-    capped at the best value so far (lambda <= delta); the scan stops once
-    it reaches 2, which the DFS proved is a lower bound.
+    (each vertex not yet dominated, in index order) and run flows from D[0]
+    to every other member, each capped at the best value so far
+    (lambda <= delta); the scan stops once it reaches 2, which the DFS
+    proved is a lower bound.
 
     Flow exactness: each flow is a local edge connectivity, so at least
     lambda.  Suppose lambda < delta and let (A, B) be a minimum edge cut.  A
@@ -345,20 +285,16 @@ def edge_connectivity(g: Graph) -> int:
     side, giving more than delta crossing edges.  So D meets both sides, and
     the flow from D[0] to a member of D on the other side is at most lambda.
     """
-    if g.n <= 1:
-        return 0
-    if not g.is_connected():
-        return 0
-    best = g.min_degree()
-    if best == 1:
-        return 1
+    best = _dfs_settled(g, 2)
+    if best <= 2:
+        return best
     masks = g.neighbor_masks
-    _, bridge = _cut_vertex_and_bridge(masks)
-    if bridge:
-        return 1
-    if best == 2:
-        return 2
-    source, *sinks = _dominating_set(g)
+    dominating, dominated = [], 0
+    for v in range(g.n):
+        if not dominated >> v & 1:
+            dominating.append(v)
+            dominated |= 1 << v | masks[v]
+    source, *sinks = dominating
     for t in sinks:
         flow, _ = _unit_flow(masks, source, t, best, split=False)
         if flow < best:
@@ -439,8 +375,5 @@ def brute_force_connectivity(g: Graph) -> ConnectivityReport:
             # so only edgeless single-vertex graphs get here
             edge_cut = ()
         lam = len(edge_cut)
-    if g.n == 1:
-        lam = 0
-        edge_cut = ()
 
     return ConnectivityReport(kappa, lam, delta, vertex_cut, edge_cut)

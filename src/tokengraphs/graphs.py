@@ -85,35 +85,81 @@ class Graph:
         return self.adjacency[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.neighbor_masks[v].bit_count()
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("empty graph has no degrees")
-        return min(len(a) for a in self.adjacency)
+        return min(m.bit_count() for m in self.neighbor_masks)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return bool(self.neighbor_masks[u] >> v & 1)
 
     @cached_property
-    def _is_tree(self) -> bool:
-        return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
+    def cut_flags(self) -> tuple[bool, bool, bool]:
+        """(connected, has a cut vertex, has a bridge), from one low-point DFS.
+
+        One iterative DFS from vertex 0 computes discovery times and low points
+        (the earliest discovery time reachable from a subtree by one back edge;
+        Hopcroft and Tarjan, "Efficient algorithms for graph manipulation",
+        CACM 16, 1973).  The graph is connected exactly when the DFS reaches
+        every vertex.  In an undirected DFS every non-tree edge joins a vertex
+        to an ancestor, so the subtrees of a vertex's children are joined to
+        the rest of the graph only through their back edges:
+
+        - the root is a cut vertex exactly when it has two or more children;
+        - another vertex p is one exactly when some child c has low[c] >= disc[p];
+        - a tree edge (p, c) is a bridge exactly when low[c] > disc[p], and a
+          non-tree edge lies on a cycle, so it never is.
+
+        The cut-vertex and bridge flags describe the graph only when it is
+        connected (otherwise they describe the component of vertex 0).
+        """
+        n = self.n
+        if n == 0:
+            return True, False, False
+        disc = [0] * n
+        low = [0] * n
+        parent = [-1] * n
+        todo = list(self.neighbor_masks)
+        disc[0] = low[0] = clock = 1
+        root_children = 0
+        cut_vertex = bridge = False
+        stack = [0]
+        while stack:
+            v = stack[-1]
+            rest = todo[v]
+            if rest:
+                bit = rest & -rest
+                todo[v] = rest ^ bit
+                w = bit.bit_length() - 1
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    parent[w] = v
+                    stack.append(w)
+                elif w != parent[v] and disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            stack.pop()
+            p = parent[v]
+            if p < 0:
+                continue
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] > disc[p]:
+                bridge = True
+            if p == 0:
+                root_children += 1
+            elif low[v] >= disc[p]:
+                cut_vertex = True
+        return clock == n, cut_vertex or root_children > 1, bridge
+
+    def is_connected(self) -> bool:
+        return self.cut_flags[0]
 
     def is_tree(self) -> bool:
-        return self._is_tree
+        return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
@@ -225,7 +271,6 @@ def _centroids(g: Graph) -> list[int]:
     if n == 1:
         return [0]
     size = [1] * n
-    order = []
     seen = [False] * n
     stack = [(0, -1, False)]
     while stack:
@@ -234,7 +279,6 @@ def _centroids(g: Graph) -> list[int]:
             for w in g.adjacency[u]:
                 if w != p:
                     size[u] += size[w]
-            order.append((u, p))
             continue
         seen[u] = True
         stack.append((u, p, True))

@@ -7,9 +7,8 @@ the base graph, i.e. one token slides along an edge to a free vertex.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator
@@ -118,14 +117,17 @@ def min_token_degree(g: Graph, k: int) -> int:
 
 
 class TokenGraph:
-    """A materialised k-token graph with index-based adjacency."""
+    """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
-    def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...], adj: list[list[int]]):
+    `vertices` lists the configurations in lexicographic order, and bit j of
+    `masks[i]` is set when vertices[i] and vertices[j] are adjacent.
+    """
+
+    def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...], masks: list[int]):
         self.base = base
         self.k = k
         self.vertices = vertices
-        self.adj = adj
-        self.index = {cfg: i for i, cfg in enumerate(vertices)}
+        self.masks = masks
 
     @property
     def n(self) -> int:
@@ -133,53 +135,69 @@ class TokenGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
+
+    # the tuple index serves only the reference methods below
+    @cached_property
+    def index(self) -> dict[Config, int]:
+        return {cfg: i for i, cfg in enumerate(self.vertices)}
 
     def degree(self, cfg: Config) -> int:
-        return len(self.adj[self.index[cfg]])
+        return self.masks[self.index[cfg]].bit_count()
 
     def neighbors(self, cfg: Config) -> tuple[Config, ...]:
-        return tuple(self.vertices[j] for j in self.adj[self.index[cfg]])
+        m = self.masks[self.index[cfg]]
+        return tuple(self.vertices[j] for j in range(m.bit_length()) if m >> j & 1)
 
     def distance(self, a: Config, b: Config) -> int | float:
-        if a == b:
-            return 0
-        start, goal = self.index[a], self.index[b]
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    if w == goal:
-                        return dist[w]
-                    queue.append(w)
-        return inf
+        goal = 1 << self.index[b]
+        seen = frontier = 1 << self.index[a]
+        dist = 0
+        while frontier and not frontier & goal:
+            nxt = 0
+            for j in range(frontier.bit_length()):
+                if frontier >> j & 1:
+                    nxt |= self.masks[j]
+            frontier = nxt & ~seen
+            seen |= frontier
+            dist += 1
+        return dist if frontier else inf
 
     def distance2_pairs(self) -> Iterator[tuple[Config, Config]]:
         """Unordered pairs at distance exactly 2, in lexicographic order."""
-        for i, cfg in enumerate(self.vertices):
-            direct = set(self.adj[i])
-            second: set[int] = set()
-            for j in direct:
-                second.update(self.adj[j])
-            second -= direct
-            second.discard(i)
-            for j in sorted(second):
-                if j > i:
-                    yield cfg, self.vertices[j]
+        masks, vertices = self.masks, self.vertices
+        for i, cfg in enumerate(vertices):
+            direct = m = masks[i]
+            second = 0
+            while m:
+                low = m & -m
+                m ^= low
+                second |= masks[low.bit_length() - 1]
+            # keep the vertices after i: the pair (cfg, later) is unordered
+            second &= ~direct & -(2 << i)
+            while second:
+                low = second & -second
+                second ^= low
+                yield cfg, vertices[low.bit_length() - 1]
 
     def as_graph(self) -> Graph:
         """Flatten to a plain Graph over configuration indices."""
-        edges = tuple(
-            (i, j) for i, nbrs in enumerate(self.adj) for j in nbrs if i < j
-        )
-        return Graph(len(self.vertices), edges)
+        edges = []
+        for i, m in enumerate(self.masks):
+            m &= -(2 << i)  # each edge once, from its lower end
+            while m:
+                low = m & -m
+                m ^= low
+                edges.append((i, low.bit_length() - 1))
+        return Graph(len(self.vertices), tuple(edges))
 
 
 def build_token_graph(g: Graph, k: int) -> TokenGraph:
-    """Materialise the k-token graph of g (guarded by MATERIALIZE_LIMIT)."""
+    """Materialise the k-token graph of g (guarded by MATERIALIZE_LIMIT).
+
+    Each configuration is keyed by its occupancy mask, so sliding a token
+    from u to a free neighbour w gives the mask occ ^ (1 << u | 1 << w).
+    """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={g.n}")
     size = comb(g.n, k)
@@ -188,19 +206,20 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
             f"token graph would have {size} configurations, over the limit {MATERIALIZE_LIMIT}"
         )
     vertices = tuple(combinations(range(g.n), k))
-    index = {cfg: i for i, cfg in enumerate(vertices)}
-    adj: list[list[int]] = [[] for _ in vertices]
-    adjacency = g.adjacency
-    for i, cfg in enumerate(vertices):
-        occupied = set(cfg)
-        for u in cfg:
-            for w in adjacency[u]:
-                if w not in occupied:
-                    j = index[tuple(sorted((occupied - {u}) | {w}))]
-                    adj[i].append(j)
-    for nbrs in adj:
-        nbrs.sort()
-    return TokenGraph(g, k, vertices, adj)
+    occs = [config_mask(cfg) for cfg in vertices]
+    index = {occ: i for i, occ in enumerate(occs)}
+    nbrs = g.neighbor_masks
+    masks = []
+    for i, occ in enumerate(occs):
+        adj = 0
+        for u in vertices[i]:
+            free = nbrs[u] & ~occ
+            while free:
+                w = free & -free
+                free ^= w
+                adj |= 1 << index[occ ^ (1 << u | w)]
+        masks.append(adj)
+    return TokenGraph(g, k, vertices, masks)
 
 
 @dataclass(frozen=True)

@@ -467,16 +467,16 @@ class TestSeededLargerTrees:
         assert slack == {1: 2, 2: 1}
 
     def test_connectivity_equals_min_degree_on_trees_with_9_to_12_vertices(self):
-        # the flow oracles against the degree floor on every small enough F_k;
-        # with comb(n, k) <= 250, k stays near 1 or n - 1 and delta is 1 or 2,
-        # and only delta >= 2 makes the oracles run flows
+        # the flow oracles against the degree floor on every F_k with n <= 12;
+        # comb(n, k) <= 924 admits every k, so k near n/2 reaches delta >= 3,
+        # where the oracles run flows instead of stopping at the DFS
         rng = random.Random(5)
         deltas = Counter()
         for _ in range(40):
             n = rng.randint(9, 12)
             tree = hub_tree(rng, n)
             for k in range(1, n):
-                if comb(n, k) > 250:
+                if comb(n, k) > 924:
                     continue
                 fk = build_token_graph(tree, k).as_graph()
                 delta = min_token_degree(tree, k)
@@ -485,6 +485,7 @@ class TestSeededLargerTrees:
                 deltas[delta] += 1
         print(f"{sum(deltas.values())} F_k checked; count by delta: {sorted(deltas.items())}")
         assert deltas[2] >= 100
+        assert deltas[3] >= 1
 
 
 def expected_context(tree, x_cfg, y_cfg, ctx, reductions):

@@ -80,6 +80,46 @@ class TestGraphBasics:
         assert not path_graph(4).is_complete()
 
 
+class TestOneDfs:
+    """`Graph.cut_flags` and the mask-based degree reads against networkx."""
+
+    @pytest.fixture(scope="class")
+    def small_graphs(self):
+        # every graph with 1 <= n <= 7, then the edgeless graphs on 1 and 2 vertices
+        pairs = [(h, Graph(h.number_of_nodes(), tuple(h.edges()))) for h in nx.graph_atlas_g()[1:]]
+        pairs += [(nx.empty_graph(n), Graph(n, ())) for n in (1, 2)]
+        return pairs
+
+    def test_flags_match_networkx(self, small_graphs):
+        connected_count = 0
+        for h, g in small_graphs:
+            connected, cut_vertex, bridge = g.cut_flags
+            assert connected == nx.is_connected(h) == g.is_connected(), h.edges
+            if connected:
+                connected_count += 1
+                assert cut_vertex == any(True for _ in nx.articulation_points(h)), h.edges
+                assert bridge == nx.has_bridges(h), h.edges
+        assert connected_count == 996 + 1  # the atlas for n = 1..7, then Graph(1, ())
+
+    def test_null_graph_is_connected(self):
+        assert Graph(0, ()).cut_flags == (True, False, False)
+        assert Graph(0, ()).is_connected()
+
+    def test_dfs_runs_once_per_graph(self):
+        g = cycle_graph(5)
+        assert g.cut_flags is g.cut_flags
+        assert g.is_connected() and "cut_flags" in vars(g)
+
+    def test_mask_reads_match_adjacency(self, small_graphs):
+        for _, g in small_graphs:
+            adj = g.adjacency
+            assert g.min_degree() == min(len(a) for a in adj)
+            for v in range(g.n):
+                assert g.degree(v) == len(adj[v])
+                for w in range(g.n):
+                    assert g.has_edge(v, w) is (w in adj[v])
+
+
 class TestGraph6:
     # strings produced independently by networkx for the same labelings
     FROZEN = [

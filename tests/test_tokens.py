@@ -115,6 +115,37 @@ class TestTokenGraphShape:
         assert tg.distance((0, 1), (0, 1)) == 0
 
 
+class TestAgainstDefinition:
+    """F_k rebuilt from sets: configurations are adjacent when their
+    symmetric difference is a base edge."""
+
+    GRAPHS = [t for n in range(2, 8) for t in enumerate_trees(n)]
+    GRAPHS += [cycle_graph(5), cycle_graph(6), complete_graph(5)]
+
+    def test_token_graph_matches_definition(self):
+        for g in self.GRAPHS:
+            base_edges = {frozenset(e) for e in g.edges}
+            for k in range(1, g.n):
+                tg = build_token_graph(g, k)
+                configs = list(combinations(range(g.n), k))
+                order = range(len(configs))
+                near = [
+                    {j for j in order if frozenset(configs[i]) ^ frozenset(configs[j]) in base_edges}
+                    for i in order
+                ]
+                assert tg.vertices == tuple(configs)
+                for i, cfg in enumerate(configs):
+                    assert tg.neighbors(cfg) == tuple(configs[j] for j in sorted(near[i]))
+                edges = [(i, j) for i, j in combinations(order, 2) if j in near[i]]
+                assert tg.as_graph() == Graph(len(configs), tuple(edges))
+                expected = [
+                    (configs[i], configs[j])
+                    for i, j in combinations(order, 2)
+                    if j not in near[i] and near[i] & near[j]
+                ]
+                assert list(tg.distance2_pairs()) == expected, (g, k)
+
+
 class TestDistance2Pairs:
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])
     def test_pairs_match_bfs(self, n, k):
