@@ -4,11 +4,15 @@ Subcommands sweep tree token graphs (theorem), cross-check the constructive
 path engine (paths), reproduce the two-clique counterexample family
 (hfamily), and scan girth-5 graphs for the connectivity conjecture
 (conjecture).  Every run streams one JSON record per (graph, k) unit;
-a human summary follows unless --json is given.  A unit that raises an
-unexpected exception yields a record with status "error" and the exception,
-and its traceback goes to stderr; the sweep goes on.  Exit code 1 flags a
-violated record in the theorem, paths or hfamily modes, 2 a usage or input
-error, and 3 a unit that errored, in any mode.
+a human summary follows unless --json is given.  Complementing configurations
+maps F_k(G) onto F_{n-k}(G), so a theorem, paths or conjecture unit with
+k > n - k whose unit for n - k came earlier is a mirror: that record is
+emitted again with only k rewritten, unless it is violated or errored, and
+then the mirror runs for real so that its own witness or traceback appears.
+A unit that raises an unexpected exception yields a record with status
+"error" and the exception, and its traceback goes to stderr; the sweep goes
+on.  Exit code 1 flags a violated record in the theorem, paths or hfamily
+modes, 2 a usage or input error, and 3 a unit that errored, in any mode.
 """
 
 from __future__ import annotations
@@ -169,6 +173,33 @@ def _run_units(mode: str, units: list, jobs: int):
         yield from pool.imap(_pool_worker, tasks, chunksize=1)
 
 
+def _run_mirrored(mode: str, units: list[tuple[str, int]], jobs: int):
+    """Yield one record per (graph6, k) unit in unit order, dispatching no mirror.
+
+    It wraps _run_units because perfbench's tracer replaces _pool_worker and
+    relies on _run_units passing worker results through unchanged.
+    """
+    listed, bases = set(), []
+    for g6, k in units:
+        base = (g6, ord(g6[0]) - 63 - k)  # (g6, n - k): the codec writes n as one byte
+        bases.append(base if base[1] < k and base in listed else None)
+        listed.add((g6, k))
+    wanted = set(filter(None, bases))
+    results = _run_units(mode, [u for u, b in zip(units, bases) if b is None], jobs)
+    held: dict[tuple[str, int], dict] = {}
+    for unit, base in zip(units, bases):
+        if base is None:
+            record = next(results)
+            if unit in wanted:
+                held[unit] = record
+        elif (record := held.pop(base))["status"] in ("confirmed", "skipped"):
+            record = {**record, "k": unit[1]}
+        else:
+            record = next(_run_units(mode, [unit], 1))
+        yield record
+    next(results, None)  # let the dispatcher finish and close its pool
+
+
 def _emit(records, args, summary_head: str) -> Counter:
     """Stream records as JSON lines; summarise status counts, violations and errors."""
     counts: Counter = Counter()
@@ -210,7 +241,7 @@ def _tree_units(n_max: int) -> list[tuple[str, int]]:
 
 def cmd_trees(args) -> int:
     """theorem and paths: one unit per tree with n <= n-max and per k."""
-    records = _run_units(args.command, _tree_units(args.n_max), args.jobs)
+    records = _run_mirrored(args.command, _tree_units(args.n_max), args.jobs)
     return _exit_code(_emit(records, args, f"{args.command} n<={args.n_max}"))
 
 
@@ -227,13 +258,13 @@ def cmd_conjecture(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    def skip_record(g6: str, k: int | None, reason: str) -> dict:
-        return {"graph_id": g6, "k": k, "delta": None, "kappa": None,
-                "lambda": None, "status": "skipped", "reason": reason}
-
-    # plan holds skip records and work units in input file order
-    plan: list[tuple[str, object]] = []
+    # plan holds skip records, and None for each work unit, in input file order
+    plan: list[dict | None] = []
     units: list[tuple[str, int]] = []
+    def skip(g6: str, k: int | None, reason: str) -> None:
+        plan.append({"graph_id": g6, "k": k, "delta": None, "kappa": None,
+                     "lambda": None, "status": "skipped", "reason": reason})
+
     for line in lines:
         try:
             g = parse_graph6(line)
@@ -242,30 +273,22 @@ def cmd_conjecture(args) -> int:
             return 2
         g6 = emit_graph6(g)
         if not g.is_connected():
-            plan.append(("skip", skip_record(g6, None, "not connected")))
-            continue
-        if girth(g) < 5:
-            plan.append(("skip", skip_record(g6, None, "girth<5")))
-            continue
-        if args.k is not None:
-            ks = [args.k] if 2 <= args.k <= g.n - 2 else []
-            if not ks:
-                plan.append(("skip", skip_record(g6, args.k, "k out of range")))
+            skip(g6, None, "not connected")
+        elif girth(g) < 5:
+            skip(g6, None, "girth<5")
+        elif args.k is not None and not 2 <= args.k <= g.n - 2:
+            skip(g6, args.k, "k out of range")
+        elif g.n < 4:
+            skip(g6, None, "no admissible k")
         else:
-            ks = list(range(2, g.n - 1))
-            if not ks:
-                plan.append(("skip", skip_record(g6, None, "no admissible k")))
-        for k in ks:
-            plan.append(("unit", None))
-            units.append((g6, k))
+            ks = range(2, g.n - 1) if args.k is None else [args.k]
+            plan += [None] * len(ks)
+            units += [(g6, k) for k in ks]
 
-    def stream():
-        results = _run_units("conjecture", units, args.jobs)
-        for kind, payload in plan:
-            yield payload if kind == "skip" else next(results)
-
+    results = _run_mirrored("conjecture", units, args.jobs)
+    records = (next(results) if record is None else record for record in plan)
     # a kappa < delta finding is the scan's output, not a failure
-    return _exit_code(_emit(stream(), args, f"conjecture {args.input}"), violations_fail=False)
+    return _exit_code(_emit(records, args, f"conjecture {args.input}"), violations_fail=False)
 
 
 def _int_range(lo: int, hi: int):
@@ -298,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", parents=[common],
                        help="build disjoint path families for every distance-2 pair")
-    p.add_argument("--n-max", type=_int_range(2, 8), default=6, metavar="N")
+    p.add_argument("--n-max", type=_int_range(2, 9), default=6, metavar="N")
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("hfamily", parents=[common],

@@ -77,16 +77,14 @@ class TokenPath:
         occupied = checked_mask(self.graph, self.start)
         masks = [occupied]
         seen = {occupied}
-        for step, (src, dst) in enumerate(moves):
-            if src < 0 or not occupied >> src & 1:
-                raise ValueError(f"move {step}: no token at {src} in {mask_config(occupied)}")
-            if dst >= 0 and occupied >> dst & 1:
-                raise ValueError(f"move {step}: target {dst} occupied in {mask_config(occupied)}")
-            if dst < 0 or not nbrs[src] >> dst & 1:
-                raise ValueError(f"move {step}: {src}-{dst} is not a base edge")
+        for src, dst in moves:
+            # one test admits a move: a token at src, and dst a free base neighbour of src
+            if (src | dst) < 0 or not occupied >> src & 1 or (occupied | ~nbrs[src]) >> dst & 1:
+                raise _inadmissible(len(masks) - 1, src, dst, occupied)
             occupied ^= 1 << src | 1 << dst
             if occupied in seen:
                 cfg = mask_config(occupied)
+                step = len(masks) - 1
                 raise ValueError(f"move {step}: configuration {cfg} repeats, path not simple")
             seen.add(occupied)
             masks.append(occupied)
@@ -111,6 +109,15 @@ class TokenPath:
     @property
     def k(self) -> int:
         return len(self.start)
+
+
+def _inadmissible(step: int, src: int, dst: int, occupied: int) -> ValueError:
+    """The error for a move that failed the admission test, worded by its first failed check."""
+    if src < 0 or not occupied >> src & 1:
+        return ValueError(f"move {step}: no token at {src} in {mask_config(occupied)}")
+    if dst >= 0 and occupied >> dst & 1:
+        return ValueError(f"move {step}: target {dst} occupied in {mask_config(occupied)}")
+    return ValueError(f"move {step}: {src}-{dst} is not a base edge")
 
 
 def pairwise_internally_disjoint(

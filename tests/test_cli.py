@@ -1,5 +1,6 @@
 """Tests for the batch verification command line driver."""
 
+import hashlib
 import json
 import multiprocessing
 import subprocess
@@ -7,8 +8,10 @@ import sys
 
 import pytest
 
+from _catalog import girth5_catalog
 from tokengraphs import cli
 from tokengraphs.cli import main
+from tokengraphs.graphs import emit_graph6, enumerate_trees
 
 # graph6 lines used by the conjecture tests
 C5 = "Dhc"
@@ -290,6 +293,112 @@ class TestUnitErrors:
         assert summary == ["# theorem n<=3: 3 records: 3 confirmed"]
 
 
+def without_k(record):
+    return {key: value for key, value in record.items() if key != "k"}
+
+
+def complement_pairs(graphs, k_min):
+    """(graph6, k, n - k) for every k_min <= k < n - k."""
+    for g in graphs:
+        g6 = emit_graph6(g)
+        for k in range(k_min, (g.n + 1) // 2):
+            yield g6, k, g.n - k
+
+
+class TestComplementHalves:
+    """Both halves run for real: the unit for k and for n - k agree except in k."""
+
+    @pytest.mark.parametrize("unit, n_max", [(cli._theorem_unit, 9), (cli._paths_unit, 8)])
+    def test_trees(self, unit, n_max):
+        trees = [t for n in range(2, n_max + 1) for t in enumerate_trees(n)]
+        pairs = list(complement_pairs(trees, 1))
+        assert len(pairs) == {9: 311, 8: 123}[n_max]
+        for g6, k, mirror in pairs:
+            assert without_k(unit((g6, k))) == without_k(unit((g6, mirror))), (g6, k)
+
+    def test_girth5_catalogue(self):
+        graphs = girth5_catalog(9)
+        pairs = list(complement_pairs(graphs, 2))
+        assert len({g6 for g6, _, _ in pairs}) == 214  # every catalogue graph with 5 <= n <= 9
+        for g6, k, mirror in pairs:
+            base = cli._conjecture_unit((g6, k))
+            assert without_k(base) == without_k(cli._conjecture_unit((g6, mirror))), (g6, k)
+            assert base["status"] == "confirmed"
+
+
+class TestMirroring:
+    """Units with k > n - k copy their listed base unless it failed."""
+
+    @staticmethod
+    def count_calls(monkeypatch, mode, status=lambda arg: None):
+        real, calls = cli._UNIT_RUNNERS[mode], []
+
+        def counted(arg):
+            calls.append(arg)
+            record = real(arg)
+            return {**record, "status": status(arg) or record["status"]}
+
+        monkeypatch.setitem(cli._UNIT_RUNNERS, mode, counted)
+        return calls
+
+    def test_confirmed_base_is_copied(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "theorem")
+        code, records, _, _ = run(capsys, ["theorem", "--n-max", "4", "--json"])
+        assert code == 0
+        assert calls == [("A_", 1), ("Bo", 1), ("Ck", 1), ("Ck", 2), ("Cs", 1), ("Cs", 2)]
+        assert [(r["graph_id"], r["k"]) for r in records] == [
+            ("A_", 1), ("Bo", 1), ("Bo", 2),
+            ("Ck", 1), ("Ck", 2), ("Ck", 3), ("Cs", 1), ("Cs", 2), ("Cs", 3),
+        ]
+        assert records[2] == {**records[1], "k": 2}
+        assert list(records[2]) == list(records[1])
+
+    def test_violated_base_runs_the_mirror(self, capsys, monkeypatch):
+        calls = self.count_calls(
+            monkeypatch, "theorem", lambda arg: "violated" if arg == ("Bo", 1) else None)
+        code, records, summary, _ = run(capsys, ["theorem", "--n-max", "3"])
+        assert code == 1
+        assert calls == [("A_", 1), ("Bo", 1), ("Bo", 2)]
+        assert [(r["k"], r["status"]) for r in records[1:]] == [(1, "violated"), (2, "confirmed")]
+        assert summary[1:] == ["#   violated: graph_id=Bo k=1"]
+
+    def test_explicit_k_has_no_base(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "input.g6"
+        path.write_text(f"{C5}\n", encoding="ascii")
+        calls = self.count_calls(monkeypatch, "conjecture")
+        code, records, _, _ = run(capsys, ["conjecture", "--input", str(path), "--k", "3"])
+        assert code == 0
+        assert calls == [(C5, 3)]
+        assert records[0]["k"] == 3 and records[0]["status"] == "confirmed"
+
+    def test_conjecture_mirrors_within_each_graph(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "input.g6"
+        path.write_text(f"{C5}\n{P5}\n", encoding="ascii")
+        calls = self.count_calls(monkeypatch, "conjecture")
+        _, records, _, _ = run(capsys, ["conjecture", "--input", str(path)])
+        assert calls == [(C5, 2), (P5, 2)]
+        assert [(r["graph_id"], r["k"]) for r in records] == [(C5, 2), (C5, 3), (P5, 2), (P5, 3)]
+
+    @pytest.mark.parametrize("argv", [["paths", "--n-max", "6"], ["conjecture", "--input"]])
+    def test_jobs_do_not_change_output(self, capsys, tmp_path, argv):
+        # mirror records are copied in the parent between records from the pool
+        if argv[0] == "conjecture":  # the mixed file of TestConjecture
+            path = tmp_path / "input.g6"
+            path.write_text("".join(g + "\n" for g in (K4, TWO_PIECES, C5, P5, P3)),
+                            encoding="ascii")
+            argv = [*argv, str(path)]
+        assert main([*argv, "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_theorem_digest(self, capsys):
+        # sha256 of the records computed before mirroring existed
+        assert main(["theorem", "--n-max", "10", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "9b47c3292b92f24330db6a64bba43e2930035e9bd0d456d770ac1763165d5666"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -298,7 +407,7 @@ class TestUsageErrors:
             ["frobnicate"],
             ["theorem", "--n-max", "12"],
             ["theorem", "--n-max", "1"],
-            ["paths", "--n-max", "9"],
+            ["paths", "--n-max", "10"],
             ["hfamily", "--m-min", "7"],
             ["conjecture"],
             ["conjecture", "--input", "x.g6", "--k", "two"],

@@ -56,6 +56,21 @@ class TestTokenPath:
         with pytest.raises(ValueError, match="0-2 is not a base edge"):
             TokenPath(P4, (0, 1), ((0, 2),))
 
+    @pytest.mark.parametrize("move, message", [
+        ((-1, 1), "move 1: no token at -1 in (0, 2)"),
+        ((-2, -5), "move 1: no token at -2 in (0, 2)"),
+        ((4, 3), "move 1: no token at 4 in (0, 2)"),
+        ((2, 0), "move 1: target 0 occupied in (0, 2)"),
+        ((2, -1), "move 1: 2--1 is not a base edge"),
+        ((2, 4), "move 1: 2-4 is not a base edge"),
+        ((0, 3), "move 1: 0-3 is not a base edge"),
+    ])
+    def test_rejected_move_is_worded_by_its_first_failed_check(self, move, message):
+        # negative and out-of-range vertices are rejected before any shift or lookup
+        with pytest.raises(ValueError) as info:
+            TokenPath(P4, (0, 1), ((1, 2), move))
+        assert str(info.value) == message
+
     def test_repeated_configuration(self):
         with pytest.raises(ValueError, match="repeats"):
             TokenPath(P4, (0, 1), ((1, 2), (2, 1)))
