@@ -9,10 +9,16 @@ maps F_k(G) onto F_{n-k}(G), so a theorem, paths or conjecture unit with
 k > n - k whose unit for n - k came earlier is a mirror: that record is
 emitted again with only k rewritten, unless it is violated or errored, and
 then the mirror runs for real so that its own witness or traceback appears.
-A unit that raises an unexpected exception yields a record with status
-"error" and the exception, and its traceback goes to stderr; the sweep goes
-on.  Exit code 1 flags a violated record in the theorem, paths or hfamily
-modes, 2 a usage or input error, and 3 a unit that errored, in any mode.
+A paths unit builds one family per orbit of distance-2 pairs under the
+automorphisms of the tree, plus complementing when 2k = n: isomorphic pairs
+have isomorphic families, so every record field agrees on an orbit.  Pairs
+are walked in their usual order, and the first pair of an orbit marks the
+whole orbit as seen.  If a family fails, the unit reruns over every pair so
+that its record names the first failing pair and its index.  A unit that
+raises an unexpected exception yields a record with status "error" and the
+exception, and its traceback goes to stderr; the sweep goes on.  Exit code
+1 flags a violated record in the theorem, paths or hfamily modes, 2 a usage
+or input error, and 3 a unit that errored, in any mode.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from .graphs import (
     enumerate_trees,
     girth,
     parse_graph6,
+    tree_automorphism_generators,
 )
-from .tokens import build_token_graph, min_token_degree
+from .tokens import build_token_graph, config_mask, min_token_degree
 
 __all__ = ["main"]
 
@@ -64,8 +71,8 @@ def _theorem_unit(arg: tuple[str, int]) -> dict:
     return record
 
 
-def _paths_unit(arg: tuple[str, int]) -> dict:
-    """Run the path engine on every distance-2 pair of one (tree, k)."""
+def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
+    """Run the path engine on one distance-2 pair per symmetry orbit of one (tree, k)."""
     g6, k = arg
     tree = parse_graph6(g6)
     record = {
@@ -86,14 +93,30 @@ def _paths_unit(arg: tuple[str, int]) -> dict:
         return record
     delta = min_token_degree(tree, k)
     record["delta"] = delta
+    tables = _pair_symmetries(tree, k) if fold else []
+    masks = {cfg: config_mask(cfg) for cfg in tg.vertices} if tables else {}
+    seen: set[frozenset[int]] = set()
     pairs = 0
     min_size: int | None = None
     max_slack: dict[int, int | None] = {1: None, 2: None}
     for x_cfg, y_cfg in tg.distance2_pairs():
         pairs += 1
+        if tables:
+            todo = [frozenset((masks[x_cfg], masks[y_cfg]))]
+            if todo[0] in seen:
+                continue
+            seen.add(todo[0])
+            while todo:  # close the orbit under the generators
+                a, b = todo.pop()
+                for table in tables:
+                    if (image := frozenset((table[a], table[b]))) not in seen:
+                        seen.add(image)
+                        todo.append(image)
         try:
             result = build_family(tree, x_cfg, y_cfg, delta)
         except (FamilyConstructionError, ValueError) as exc:
+            if tables:
+                return _paths_unit(arg, fold=False)
             record.update(
                 pairs=pairs,
                 status="violated",
@@ -113,6 +136,20 @@ def _paths_unit(arg: tuple[str, int]) -> dict:
         status="confirmed",
     )
     return record
+
+
+def _pair_symmetries(tree: Graph, k: int) -> list[list[int]]:
+    """Generators of the automorphisms of F_k(tree) that come from the tree, and
+    from complementing when 2k = n, each as its table of images of all 2^n masks."""
+    full = (1 << tree.n) - 1
+    tables = [[full ^ m for m in range(full + 1)]] if 2 * k == tree.n else []
+    for perm in tree_automorphism_generators(tree):
+        table = [0]
+        for v in range(tree.n):  # the masks with bit v set follow those below 1 << v
+            bit = 1 << perm[v]
+            table += [m | bit for m in table]
+        tables.append(table)
+    return tables
 
 
 def _hfamily_unit(m: int) -> dict:
@@ -321,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", parents=[common],
                        help="build disjoint path families for every distance-2 pair")
-    p.add_argument("--n-max", type=_int_range(2, 9), default=6, metavar="N")
+    p.add_argument("--n-max", type=_int_range(2, 10), default=6, metavar="N")
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("hfamily", parents=[common],

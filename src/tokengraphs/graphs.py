@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Graph",
@@ -260,64 +260,81 @@ def emit_graph6(g: Graph) -> str:
 _TREE_COUNT_MAX = 12
 
 
-def _rooted_canon(adj: Sequence[frozenset[int]], root: int, parent: int) -> str:
-    subs = sorted(_rooted_canon(adj, c, root) for c in adj[root] if c != parent)
-    return "(" + "".join(subs) + ")"
+def _rooted_codes(adj: Sequence[frozenset[int]]) -> Callable[[int, int], str]:
+    """code(u, p): AHU code of the subtree at u hanging from neighbour p (-1: all of it)."""
+
+    @cache
+    def code(u: int, p: int) -> str:
+        return "(" + "".join(sorted(code(c, u) for c in adj[u] if c != p)) + ")"
+
+    return code
 
 
 def _centroids(g: Graph) -> list[int]:
-    # classic subtree-size argument; one or two centroids in any tree
-    n = g.n
-    if n == 1:
-        return [0]
-    size = [1] * n
-    seen = [False] * n
-    stack = [(0, -1, False)]
-    while stack:
-        u, p, done = stack.pop()
-        if done:
-            for w in g.adjacency[u]:
-                if w != p:
-                    size[u] += size[w]
-            continue
-        seen[u] = True
-        stack.append((u, p, True))
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                stack.append((w, u, False))
-    best = n + 1
-    result: list[int] = []
-    for u in range(n):
-        heaviest = 0
-        for w in g.adjacency[u]:
-            part = size[w] if size[w] < size[u] else n - size[u]
-            heaviest = max(heaviest, part)
-        if heaviest < best:
-            best = heaviest
-            result = [u]
-        elif heaviest == best:
-            result.append(u)
-    return result
+    """The one or two vertices of a tree whose largest branch is smallest."""
+    n, adj = g.n, g.adjacency
+    order, parent, size = [0], [-1] * n, [1] * n
+    for u in order:  # breadth-first from 0; order grows while it is read
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    heaviest = [max([n - size[u]] + [size[w] for w in adj[u] if w != parent[u]])
+                for u in range(n)]
+    best = min(heaviest)
+    return [u for u in range(n) if heaviest[u] == best]
 
 
 def tree_canonical_form(g: Graph) -> str:
     """Isomorphism-invariant string for a tree (rooted AHU at the centroid)."""
     if not g.is_tree():
         raise ValueError("tree_canonical_form requires a tree")
-    return min(_rooted_canon(g.adjacency, c, -1) for c in _centroids(g))
+    code = _rooted_codes(g.adjacency)
+    return min(code(c, -1) for c in _centroids(g))
+
+
+def tree_automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Involutions, as vertex maps, that generate the automorphism group of a tree.
+
+    Rooted at its centroid (at both, if two), the group is generated by swapping
+    each two consecutive children of equal code at every vertex, pairing their
+    children in code order, and the two centroids' halves when their codes agree.
+    """
+    if not g.is_tree():
+        raise ValueError("tree_automorphism_generators requires a tree")
+    adj, code, cents = g.adjacency, _rooted_codes(g.adjacency), _centroids(g)
+
+    def kids(u: int, p: int) -> list[int]:
+        return sorted((c for c in adj[u] if c != p), key=lambda c: code(c, u))
+
+    def swap(a: int, pa: int, b: int, pb: int) -> tuple[int, ...]:
+        perm, stack = list(range(g.n)), [(a, pa, b, pb)]
+        while stack:
+            a, pa, b, pb = stack.pop()
+            perm[a], perm[b] = b, a
+            stack.extend((c, a, d, b) for c, d in zip(kids(a, pa), kids(b, pb)))
+        return tuple(perm)
+
+    if len(cents) == 1:
+        stack, gens = [(cents[0], -1)], []
+    else:  # rooted at the central edge: each centroid hangs from the other
+        stack = [(cents[0], cents[1]), (cents[1], cents[0])]
+        gens = [swap(*stack[0], *stack[1])] if code(*stack[0]) == code(*stack[1]) else []
+    while stack:
+        u, p = stack.pop()
+        children = kids(u, p)
+        gens += [swap(c, u, d, u) for c, d in zip(children, children[1:])
+                 if code(c, u) == code(d, u)]
+        stack.extend((c, u) for c in children)
+    return gens
 
 
 def _canonical_relabel(g: Graph) -> Graph:
     """Relabel a tree so equal canonical forms give identical edge tuples."""
     adj = g.adjacency
-    memo: dict[tuple[int, int], str] = {}
-
-    def canon(u: int, p: int) -> str:
-        key = (u, p)
-        if key not in memo:
-            memo[key] = "(" + "".join(sorted(canon(c, u) for c in adj[u] if c != p)) + ")"
-        return memo[key]
-
+    canon = _rooted_codes(adj)
     root = min(_centroids(g), key=lambda c: canon(c, -1))
     new_id: dict[int, int] = {}
 

@@ -399,6 +399,65 @@ class TestMirroring:
         assert digest == "9b47c3292b92f24330db6a64bba43e2930035e9bd0d456d770ac1763165d5666"
 
 
+class TestOrbitFolding:
+    """paths builds one family per symmetry orbit of distance-2 pairs."""
+
+    @staticmethod
+    def unfolded(monkeypatch, arg):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_pair_symmetries", lambda tree, k: [])
+            return cli._paths_unit(arg)
+
+    def test_folded_equals_unfolded(self, monkeypatch):
+        trees = [t for n in range(2, 9) for t in enumerate_trees(n)]
+        units = [(emit_graph6(t), k) for t in trees for k in range(1, t.n // 2 + 1)]
+        assert len(units) == 155
+        for arg in units:
+            assert cli._paths_unit(arg) == self.unfolded(monkeypatch, arg), arg
+
+    def test_one_family_per_orbit(self, monkeypatch):
+        built = []
+        real = cli.build_family
+        monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a[1:3]) or real(*a))
+        record = cli._paths_unit(("Cs", 2))  # the star K_{1,3}: S_3 and complementing
+        assert record["pairs"] == 6 and record["status"] == "confirmed"
+        assert built == [((0, 1), (0, 2))]
+
+    def test_failing_representative(self, monkeypatch):
+        # P_6 with k = 3: the reflection and complementing both act
+        arg = ("Eh_G", 3)
+        tree = cli.parse_graph6(arg[0])
+        assert tree.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (4, 5))
+        pairs = list(cli.build_token_graph(tree, 3).distance2_pairs())
+        built = []
+        real = cli.build_family
+        monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a[1:3]) or real(*a))
+        cli._paths_unit(arg)
+        assert len(pairs) == 48 and len(built) < len(pairs)
+        # fail on a pair the folding skips and on the next pair it builds after that
+        skipped = next(p for p in pairs if p not in built)
+        after = next(p for p in built if pairs.index(p) > pairs.index(skipped))
+
+        def fails(t, x, y, delta):
+            if (x, y) in (skipped, after):
+                raise cli.FamilyConstructionError("planted")
+            return real(t, x, y, delta)
+
+        monkeypatch.setattr(cli, "build_family", fails)
+        record = cli._paths_unit(arg)
+        assert record == self.unfolded(monkeypatch, arg)
+        assert record["status"] == "violated"
+        assert record["pairs"] == pairs.index(skipped) + 1
+        assert record["instance"] == {"x": list(skipped[0]), "y": list(skipped[1]),
+                                      "error": "planted"}
+
+    def test_paths_digest(self, capsys):
+        # sha256 of the records computed before orbit folding existed
+        assert main(["paths", "--n-max", "9", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "f02e16c2a1b641fe7536840db1cfb85ae0a1fa562328a997366ba62ce499dd86"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -407,7 +466,7 @@ class TestUsageErrors:
             ["frobnicate"],
             ["theorem", "--n-max", "12"],
             ["theorem", "--n-max", "1"],
-            ["paths", "--n-max", "10"],
+            ["paths", "--n-max", "11"],
             ["hfamily", "--m-min", "7"],
             ["conjecture"],
             ["conjecture", "--input", "x.g6", "--k", "two"],

@@ -19,6 +19,7 @@ from tokengraphs.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
+    tree_automorphism_generators,
     tree_canonical_form,
 )
 
@@ -278,6 +279,50 @@ class TestTrees:
         rng.shuffle(perm)
         relabeled = Graph(n, tuple((perm[u], perm[v]) for u, v in tree.edges))
         assert tree_canonical_form(relabeled) == tree_canonical_form(tree)
+
+
+def generated_group(gens, n):
+    """Every composition of the given vertex maps, the identity included."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def self_isomorphisms(g):
+    matcher = nx.algorithms.isomorphism.GraphMatcher(nx_of(g), nx_of(g))
+    return {tuple(m[v] for v in range(g.n)) for m in matcher.isomorphisms_iter()}
+
+
+class TestAutomorphismGenerators:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_generate_every_automorphism(self, n):
+        for tree in enumerate_trees(n):
+            gens = tree_automorphism_generators(tree)
+            assert all(sorted(p) == list(range(n)) for p in gens)
+            assert generated_group(gens, n) == self_isomorphisms(tree), emit_graph6(tree)
+
+    @pytest.mark.parametrize("tree, order", [
+        (Graph(1, ()), 1),
+        (path_graph(2), 2),
+        (path_graph(7), 2),
+        (path_graph(8), 2),
+        (star_graph(5), 120),
+        (Graph(6, ((3, 0), (3, 5), (5, 1), (5, 2), (3, 4))), 8),  # a labelled double star
+    ])
+    def test_small_and_labelled(self, tree, order):
+        group = generated_group(tree_automorphism_generators(tree), tree.n)
+        assert group == self_isomorphisms(tree)
+        assert len(group) == order
+
+    def test_rejects_non_tree(self):
+        with pytest.raises(ValueError):
+            tree_automorphism_generators(cycle_graph(4))
 
 
 class TestGenerators:
