@@ -9,11 +9,13 @@ maps F_k(G) onto F_{n-k}(G), so a theorem, paths or conjecture unit with
 k > n - k whose unit for n - k came earlier is a mirror: that record is
 emitted again with only k rewritten, unless it is violated or errored, and
 then the mirror runs for real so that its own witness or traceback appears.
-A paths unit builds one family per orbit of distance-2 pairs under the
-automorphisms of the tree, plus complementing when 2k = n: isomorphic pairs
-have isomorphic families, so every record field agrees on an orbit.  Pairs
-are walked in their usual order, and the first pair of an orbit marks the
-whole orbit as seen.  If a family fails, the unit reruns over every pair so
+Automorphisms of the tree, plus complementing when 2k = n, act on F_k
+(`_token_automorphisms`), and units fold by them.  A paths unit builds one
+family per orbit of distance-2 pairs: isomorphic pairs have isomorphic
+families, so every record field agrees on an orbit.  A theorem or conjecture
+unit runs one flow per orbit of the pairs its flow scans try.  Pairs are
+walked in their usual order, and the first pair of an orbit marks the whole
+orbit as seen.  If a family fails, the paths unit reruns over every pair so
 that its record names the first failing pair and its index.  A unit that
 raises an unexpected exception yields a record with status "error" and the
 exception, and its traceback goes to stderr; the sweep goes on.  Exit code
@@ -29,6 +31,7 @@ import multiprocessing
 import sys
 import traceback
 from collections import Counter
+from functools import lru_cache
 
 from .connectivity import edge_connectivity, vertex_connectivity
 from .families import FamilyConstructionError, build_family
@@ -39,10 +42,11 @@ from .graphs import (
     emit_graph6,
     enumerate_trees,
     girth,
+    orbit_walk,
     parse_graph6,
     tree_automorphism_generators,
 )
-from .tokens import build_token_graph, config_mask, min_token_degree
+from .tokens import TokenGraph, build_token_graph, min_token_degree
 
 __all__ = ["main"]
 
@@ -54,11 +58,52 @@ def _measure(record: dict, g: Graph, k: int, with_lambda: bool = True) -> bool:
     except ValueError as exc:
         record.update(status="skipped", reason=str(exc))
         return False
-    fk = tg.as_graph()
-    record.update(delta=fk.min_degree(), kappa=vertex_connectivity(fk))
+    delta = tg.min_degree()
+    # the DFS settles kappa and lambda when delta <= 2, so only flows use symmetries
+    gens = _token_automorphisms(tg) if delta >= 3 else []
+    record.update(delta=delta, kappa=vertex_connectivity(tg, gens))
     if with_lambda:
-        record["lambda"] = edge_connectivity(fk)
+        record["lambda"] = edge_connectivity(tg, gens)
     return True
+
+
+def _token_automorphisms(tg: TokenGraph) -> list[list[int]]:
+    """Generators of automorphisms of F_k(g), as permutations of its vertex indices.
+
+    Each automorphism of g maps k-configurations onto k-configurations and
+    keeps slides along edges, so it acts on F_k(g); these come from
+    `tree_automorphism_generators` when g is a tree.  When 2k = n,
+    complementing maps F_k(g) onto itself for any g.
+    """
+    g, occs = tg.base, tg.occupancy
+    index = {occ: i for i, occ in enumerate(occs)}
+    gens = [[index[table[occ]] for occ in occs] for table in _tree_tables(g)]
+    if 2 * tg.k == g.n:
+        full = (1 << g.n) - 1
+        gens.append([index[full ^ occ] for occ in occs])
+    return gens
+
+
+# the units of one tree come one after another, so a few entries suffice
+@lru_cache(maxsize=4)
+def _tree_tables(g: Graph) -> tuple[list[int], ...]:
+    """For a tree, each generator of its automorphisms as its table of images of
+    all 2^n occupancy masks; nothing for other graphs.  A generator that does
+    not map the edges onto the edges raises, since folding by it would skip
+    pairs whose values differ."""
+    if not g.is_tree():
+        return ()
+    tables = []
+    for perm in tree_automorphism_generators(g):
+        image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
+        if sorted(perm) != list(range(g.n)) or image != set(g.edges):
+            raise ValueError(f"{list(perm)} is not an automorphism of the tree {emit_graph6(g)}")
+        table = [0]
+        for v in range(g.n):  # the masks with bit v set follow those below 1 << v
+            bit = 1 << perm[v]
+            table += [m | bit for m in table]
+        tables.append(table)
+    return tuple(tables)
 
 
 def _theorem_unit(arg: tuple[str, int]) -> dict:
@@ -93,29 +138,19 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
         return record
     delta = min_token_degree(tree, k)
     record["delta"] = delta
-    tables = _pair_symmetries(tree, k) if fold else []
-    masks = {cfg: config_mask(cfg) for cfg in tg.vertices} if tables else {}
-    seen: set[frozenset[int]] = set()
+    gens = _token_automorphisms(tg) if fold else []
+    first, index = orbit_walk(gens), tg.index
     pairs = 0
     min_size: int | None = None
     max_slack: dict[int, int | None] = {1: None, 2: None}
     for x_cfg, y_cfg in tg.distance2_pairs():
         pairs += 1
-        if tables:
-            todo = [frozenset((masks[x_cfg], masks[y_cfg]))]
-            if todo[0] in seen:
-                continue
-            seen.add(todo[0])
-            while todo:  # close the orbit under the generators
-                a, b = todo.pop()
-                for table in tables:
-                    if (image := frozenset((table[a], table[b]))) not in seen:
-                        seen.add(image)
-                        todo.append(image)
+        if gens and not first(index[x_cfg], index[y_cfg]):
+            continue
         try:
             result = build_family(tree, x_cfg, y_cfg, delta)
         except (FamilyConstructionError, ValueError) as exc:
-            if tables:
+            if gens:
                 return _paths_unit(arg, fold=False)
             record.update(
                 pairs=pairs,
@@ -136,20 +171,6 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
         status="confirmed",
     )
     return record
-
-
-def _pair_symmetries(tree: Graph, k: int) -> list[list[int]]:
-    """Generators of the automorphisms of F_k(tree) that come from the tree, and
-    from complementing when 2k = n, each as its table of images of all 2^n masks."""
-    full = (1 << tree.n) - 1
-    tables = [[full ^ m for m in range(full + 1)]] if 2 * k == tree.n else []
-    for perm in tree_automorphism_generators(tree):
-        table = [0]
-        for v in range(tree.n):  # the masks with bit v set follow those below 1 << v
-            bit = 1 << perm[v]
-            table += [m | bit for m in table]
-        tables.append(table)
-    return tables
 
 
 def _hfamily_unit(m: int) -> dict:
@@ -353,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", parents=[common],
                        help="check kappa = lambda = delta over all trees up to n-max")
-    p.add_argument("--n-max", type=_int_range(2, 11), default=7, metavar="N")
+    p.add_argument("--n-max", type=_int_range(2, 12), default=7, metavar="N")
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("paths", parents=[common],

@@ -1,14 +1,17 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
-Before any flow, one low-point DFS finds whether the graph is connected and
-whether it has a cut vertex or a bridge.  The DFS lives on the graph itself
-(`Graph.cut_flags` in `graphs.py`, with its proof) and is cached there, so
-`Graph.is_connected`, `vertex_connectivity` and `edge_connectivity` share one
-run per graph.  It settles kappa and lambda at 0 and 1, and at 2 when the
-minimum degree is 2.  Only graphs left over, with minimum degree at least 3,
-run flows.
+The oracles read a graph through `n`, `neighbor_masks`, `min_degree()` and
+`cut_flags`, which a `Graph` and a `TokenGraph` both provide, so a token
+graph is measured straight from its masks.
 
-All flows run on one unit-capacity augmenting-path kernel over the cached
+Before any flow, one low-point DFS finds whether the graph is connected and
+whether it has a cut vertex or a bridge.  The DFS (`graphs.mask_cut_flags`,
+with its proof) is cached on the graph, so `Graph.is_connected`,
+`vertex_connectivity` and `edge_connectivity` share one run per graph.  It
+settles kappa and lambda at 0 and 1, and at 2 when the minimum degree is 2.
+Only graphs left over, with minimum degree at least 3, run flows.
+
+All flows run on one unit-capacity augmenting-path kernel over the
 neighbour bitmasks.  Vertex connectivity uses the standard vertex-splitting
 reduction, with the in and out copies of each vertex kept implicit; each BFS
 level is one mask.  The global values take the minimum of local flows over a
@@ -22,16 +25,32 @@ pairs:
 - lambda: flows from the first vertex of a dominating set to each other
   member (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
 
-The proofs sit in the docstrings of `vertex_connectivity` and
-`edge_connectivity`.  The subset-removal oracle checks both independently.
+Given automorphisms of the graph, each scan runs one flow per orbit of its
+pairs.  Orbit exactness: the local connectivities kappa(s, t) and
+lambda(s, t) are symmetric in s and t, and an automorphism sigma maps the
+s-t paths onto the sigma(s)-sigma(t) paths, keeping them internally vertex
+(or edge) disjoint, so kappa(sigma s, sigma t) = kappa(s, t) and likewise
+lambda.  Every pair of an orbit of unordered pairs under the group the
+maps generate therefore has one value.  The scan walks its pairs in order
+and runs the first pair of each orbit it meets (`graphs.orbit_walk`); a
+skipped pair P has the value of the first pair R of its orbit, which ran
+earlier.  R's flow, capped at the best value c so far, left the best at
+min(c, kappa(R)) <= kappa(P), so P's flow could not have lowered it: the
+minimum, and the point where the scan stops, are unchanged.
+
+The proofs of the pair sets sit in the docstrings of `vertex_connectivity`
+and `edge_connectivity`.  The subset-removal oracle checks both
+independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, orbit_walk
+from .tokens import TokenGraph
 
 __all__ = [
     "ConnectivityReport",
@@ -56,7 +75,7 @@ class ConnectivityReport:
 
 
 def _unit_flow(
-    masks: tuple[int, ...], s: int, t: int, limit: int, split: bool
+    masks: Sequence[int], s: int, t: int, limit: int, split: bool
 ) -> tuple[int, list[int]]:
     """Unit s-t flow up to `limit`, augmented along shortest residual paths.
 
@@ -177,9 +196,9 @@ def _flow_routes(out: list[int], s: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(routes)
 
 
-def _dfs_settled(g: Graph, flag: int) -> int:
-    """kappa (flag 1, the cut-vertex entry of `Graph.cut_flags`) or lambda
-    (flag 2, the bridge entry) when at most 2, else the minimum degree."""
+def _dfs_settled(g: Graph | TokenGraph, flag: int) -> int:
+    """kappa (flag 1, the cut-vertex entry of `cut_flags`) or lambda (flag 2,
+    the bridge entry) when at most 2, else the minimum degree."""
     if g.n <= 1:
         return 0
     flags = g.cut_flags
@@ -213,12 +232,14 @@ def local_vertex_connectivity(
     return value, _flow_routes(out, s, t)
 
 
-def vertex_connectivity(g: Graph) -> int:
+def vertex_connectivity(
+    g: Graph | TokenGraph, generators: Sequence[Sequence[int]] = ()
+) -> int:
     """Vertex connectivity: a DFS decides kappa <= 2, flows the rest.
 
     Disconnected graphs and graphs with n <= 1 return 0, and a connected
     graph with minimum degree delta = 1 returns 1.  Otherwise the cached DFS
-    on `g` (`Graph.cut_flags`) says whether there is a cut vertex.
+    on `g` (`cut_flags`) says whether there is a cut vertex.
 
     DFS exactness: the graph is connected with delta >= 2, so n >= 3, and
     kappa >= 2 exactly when no single vertex separates it, that is when it
@@ -240,6 +261,16 @@ def vertex_connectivity(g: Graph) -> int:
     S - v would still separate), so two neighbours x, y of v in different
     components are non-adjacent and separated by S.  Either way some flow in
     the scan is at most |S| = kappa.
+
+    `generators` are automorphisms of g as vertex permutations (`perm[v]` is
+    the image of v).  With them only the first pair of each orbit of
+    unordered pairs, in the order above, runs a flow.  Orbit exactness: an
+    automorphism maps internally disjoint s-t paths onto internally disjoint
+    paths between the images, so kappa(s, t) = kappa(t, s) is the same on
+    every pair of an orbit.  A skipped pair shares it with the first pair of
+    its orbit, whose flow already brought the best value down to at most
+    that, so the minimum and the stop at 2 are unchanged.  Maps that are not
+    automorphisms give wrong values; callers check them first.
     """
     best = _dfs_settled(g, 1)
     if best <= 2:
@@ -249,7 +280,10 @@ def vertex_connectivity(g: Graph) -> int:
     pairs = [(v, w) for w in range(g.n) if w != v and not masks[v] >> w & 1]
     nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
+    first = orbit_walk(generators)
     for s, t in pairs:
+        if not first(s, t):
+            continue
         flow, _ = _unit_flow(masks, s, t, best, split=True)
         if flow < best:
             best = flow
@@ -258,12 +292,14 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def edge_connectivity(g: Graph) -> int:
+def edge_connectivity(
+    g: Graph | TokenGraph, generators: Sequence[Sequence[int]] = ()
+) -> int:
     """Edge connectivity: a DFS decides lambda <= 2, flows the rest.
 
     Disconnected graphs and graphs with n <= 1 return 0, and a connected
     graph with minimum degree delta = 1 returns 1.  Otherwise the cached DFS
-    on `g` (`Graph.cut_flags`) says whether there is a bridge.
+    on `g` (`cut_flags`) says whether there is a bridge.
 
     DFS exactness: the graph is connected, so lambda >= 2 exactly when no
     single edge disconnects it, that is when it has no bridge.  So a bridge
@@ -284,6 +320,14 @@ def edge_connectivity(g: Graph) -> int:
     missed D, each of its vertices would have a neighbour in D on the other
     side, giving more than delta crossing edges.  So D meets both sides, and
     the flow from D[0] to a member of D on the other side is at most lambda.
+
+    `generators` are automorphisms of g as vertex permutations, as for
+    `vertex_connectivity`: only the first pair (D[0], t) of each orbit of
+    unordered pairs runs a flow.  Orbit exactness: an automorphism maps
+    edge-disjoint s-t paths onto edge-disjoint paths between the images, so
+    lambda(s, t) = lambda(t, s) is the same on every pair of an orbit, and a
+    skipped pair cannot lower the best value below what the first pair of
+    its orbit already left.
     """
     best = _dfs_settled(g, 2)
     if best <= 2:
@@ -295,7 +339,10 @@ def edge_connectivity(g: Graph) -> int:
             dominating.append(v)
             dominated |= 1 << v | masks[v]
     source, *sinks = dominating
+    first = orbit_walk(generators)
     for t in sinks:
+        if not first(source, t):
+            continue
         flow, _ = _unit_flow(masks, source, t, best, split=False)
         if flow < best:
             best = flow

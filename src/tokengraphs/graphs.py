@@ -97,63 +97,8 @@ class Graph:
 
     @cached_property
     def cut_flags(self) -> tuple[bool, bool, bool]:
-        """(connected, has a cut vertex, has a bridge), from one low-point DFS.
-
-        One iterative DFS from vertex 0 computes discovery times and low points
-        (the earliest discovery time reachable from a subtree by one back edge;
-        Hopcroft and Tarjan, "Efficient algorithms for graph manipulation",
-        CACM 16, 1973).  The graph is connected exactly when the DFS reaches
-        every vertex.  In an undirected DFS every non-tree edge joins a vertex
-        to an ancestor, so the subtrees of a vertex's children are joined to
-        the rest of the graph only through their back edges:
-
-        - the root is a cut vertex exactly when it has two or more children;
-        - another vertex p is one exactly when some child c has low[c] >= disc[p];
-        - a tree edge (p, c) is a bridge exactly when low[c] > disc[p], and a
-          non-tree edge lies on a cycle, so it never is.
-
-        The cut-vertex and bridge flags describe the graph only when it is
-        connected (otherwise they describe the component of vertex 0).
-        """
-        n = self.n
-        if n == 0:
-            return True, False, False
-        disc = [0] * n
-        low = [0] * n
-        parent = [-1] * n
-        todo = list(self.neighbor_masks)
-        disc[0] = low[0] = clock = 1
-        root_children = 0
-        cut_vertex = bridge = False
-        stack = [0]
-        while stack:
-            v = stack[-1]
-            rest = todo[v]
-            if rest:
-                bit = rest & -rest
-                todo[v] = rest ^ bit
-                w = bit.bit_length() - 1
-                if not disc[w]:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    parent[w] = v
-                    stack.append(w)
-                elif w != parent[v] and disc[w] < low[v]:
-                    low[v] = disc[w]
-                continue
-            stack.pop()
-            p = parent[v]
-            if p < 0:
-                continue
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] > disc[p]:
-                bridge = True
-            if p == 0:
-                root_children += 1
-            elif low[v] >= disc[p]:
-                cut_vertex = True
-        return clock == n, cut_vertex or root_children > 1, bridge
+        """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on this graph."""
+        return mask_cut_flags(self.neighbor_masks)
 
     def is_connected(self) -> bool:
         return self.cut_flags[0]
@@ -163,6 +108,69 @@ class Graph:
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
+
+
+def mask_cut_flags(masks: Sequence[int]) -> tuple[bool, bool, bool]:
+    """(connected, has a cut vertex, has a bridge), from one low-point DFS.
+
+    `masks[v]` is the neighbour bitmask of vertex v.  `Graph.cut_flags` and
+    `TokenGraph.cut_flags` cache the answer per graph.
+
+    One iterative DFS from vertex 0 computes discovery times and low points
+    (the earliest discovery time reachable from a subtree by one back edge;
+    Hopcroft and Tarjan, "Efficient algorithms for graph manipulation",
+    CACM 16, 1973).  The graph is connected exactly when the DFS reaches
+    every vertex.  In an undirected DFS every non-tree edge joins a vertex
+    to an ancestor, so the subtrees of a vertex's children are joined to
+    the rest of the graph only through their back edges:
+
+    - the root is a cut vertex exactly when it has two or more children;
+    - another vertex p is one exactly when some child c has low[c] >= disc[p];
+    - a tree edge (p, c) is a bridge exactly when low[c] > disc[p], and a
+      non-tree edge lies on a cycle, so it never is.
+
+    The cut-vertex and bridge flags describe the graph only when it is
+    connected (otherwise they describe the component of vertex 0).
+    """
+    n = len(masks)
+    if n == 0:
+        return True, False, False
+    disc = [0] * n
+    low = [0] * n
+    parent = [-1] * n
+    todo = list(masks)
+    disc[0] = low[0] = clock = 1
+    root_children = 0
+    cut_vertex = bridge = False
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        rest = todo[v]
+        if rest:
+            bit = rest & -rest
+            todo[v] = rest ^ bit
+            w = bit.bit_length() - 1
+            if not disc[w]:
+                clock += 1
+                disc[w] = low[w] = clock
+                parent[w] = v
+                stack.append(w)
+            elif w != parent[v] and disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        stack.pop()
+        p = parent[v]
+        if p < 0:
+            continue
+        if low[v] < low[p]:
+            low[p] = low[v]
+        if low[v] > disc[p]:
+            bridge = True
+        if p == 0:
+            root_children += 1
+        elif low[v] >= disc[p]:
+            cut_vertex = True
+    return clock == n, cut_vertex or root_children > 1, bridge
 
 
 def girth(g: Graph) -> int | float:
@@ -331,6 +339,39 @@ def tree_automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
+def orbit_walk(maps: Sequence[Sequence[int]]) -> Callable[[int, int], bool]:
+    """A test that is true for a pair of points exactly when no pair of its orbit
+    was tested before.
+
+    Each map is a permutation of the points 0..N-1 (`table[x]` is the image of
+    x); together they generate a group that acts on unordered pairs.  A pair
+    that passes marks its whole orbit as seen, closing it under the maps.  Fed
+    pairs in some order, the test passes the first pair of each orbit met.
+    A pair is keyed by the ordered pair (lo, hi), packed as lo * N + hi.
+    """
+    if not maps:
+        return lambda a, b: True
+    size, seen = len(maps[0]), set()
+
+    def first(a: int, b: int) -> bool:
+        key = a * size + b if a < b else b * size + a
+        if key in seen:
+            return False
+        seen.add(key)
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            for table in maps:
+                x, y = table[a], table[b]
+                key = x * size + y if x < y else y * size + x
+                if key not in seen:
+                    seen.add(key)
+                    todo.append((x, y))
+        return True
+
+    return first
+
+
 def _canonical_relabel(g: Graph) -> Graph:
     """Relabel a tree so equal canonical forms give identical edge tuples."""
     adj = g.adjacency
@@ -352,21 +393,28 @@ def enumerate_trees(n: int) -> list[Graph]:
 
     Grown by leaf extension (every tree on s+1 vertices is a tree on s
     vertices plus a pendant vertex), deduplicated by the AHU canonical form,
-    returned in canonical-form order with deterministic labels.
+    returned in canonical-form order with deterministic labels.  Each level
+    is grown once per process, so a sweep over n = 2..N grows N levels.
     """
     if not 1 <= n <= _TREE_COUNT_MAX:
         raise ValueError(f"enumerate_trees supports 1 <= n <= {_TREE_COUNT_MAX}, got {n}")
-    level: dict[str, Graph] = {tree_canonical_form(Graph(1, ())): Graph(1, ())}
-    for size in range(2, n + 1):
-        grown: dict[str, Graph] = {}
-        for t in level.values():
-            for v in range(t.n):
-                cand = Graph(size, t.edges + ((v, size - 1),))
-                key = tree_canonical_form(cand)
-                if key not in grown:
-                    grown[key] = cand
-        level = grown
+    level = _tree_level(n)
     return [_canonical_relabel(level[key]) for key in sorted(level)]
+
+
+@cache
+def _tree_level(size: int) -> dict[str, Graph]:
+    """One tree per class on `size` vertices, keyed by canonical form; read-only."""
+    if size == 1:
+        return {tree_canonical_form(Graph(1, ())): Graph(1, ())}
+    grown: dict[str, Graph] = {}
+    for t in _tree_level(size - 1).values():
+        for v in range(t.n):
+            cand = Graph(size, t.edges + ((v, size - 1),))
+            key = tree_canonical_form(cand)
+            if key not in grown:
+                grown[key] = cand
+    return grown
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator
 
-from .graphs import Graph
+from .graphs import Graph, mask_cut_flags
 
 __all__ = [
     "Config",
@@ -119,14 +119,19 @@ def min_token_degree(g: Graph, k: int) -> int:
 class TokenGraph:
     """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
-    `vertices` lists the configurations in lexicographic order, and bit j of
-    `masks[i]` is set when vertices[i] and vertices[j] are adjacent.
+    `vertices` lists the configurations in lexicographic order, `occupancy`
+    their occupancy bitmasks, and bit j of `masks[i]` is set when vertices[i]
+    and vertices[j] are adjacent.  `n`, `neighbor_masks`, `min_degree` and
+    `cut_flags` read as on a `Graph` over the indices, so the connectivity
+    oracles take a token graph as it is.
     """
 
-    def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...], masks: list[int]):
+    def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
+                 occupancy: list[int], masks: list[int]):
         self.base = base
         self.k = k
         self.vertices = vertices
+        self.occupancy = occupancy
         self.masks = masks
 
     @property
@@ -134,10 +139,22 @@ class TokenGraph:
         return len(self.vertices)
 
     @property
+    def neighbor_masks(self) -> list[int]:
+        return self.masks
+
+    @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.masks) // 2
 
-    # the tuple index serves only the reference methods below
+    def min_degree(self) -> int:
+        return min(m.bit_count() for m in self.masks)
+
+    @cached_property
+    def cut_flags(self) -> tuple[bool, bool, bool]:
+        """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on F_k."""
+        return mask_cut_flags(self.masks)
+
+    # the tuple index serves the reference methods below and the paths orbit walk
     @cached_property
     def index(self) -> dict[Config, int]:
         return {cfg: i for i, cfg in enumerate(self.vertices)}
@@ -181,7 +198,7 @@ class TokenGraph:
                 yield cfg, vertices[low.bit_length() - 1]
 
     def as_graph(self) -> Graph:
-        """Flatten to a plain Graph over configuration indices."""
+        """Flatten to a plain Graph over configuration indices (a test reference)."""
         edges = []
         for i, m in enumerate(self.masks):
             m &= -(2 << i)  # each edge once, from its lower end
@@ -219,7 +236,7 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
                 free ^= w
                 adj |= 1 << index[occ ^ (1 << u | w)]
         masks.append(adj)
-    return TokenGraph(g, k, vertices, masks)
+    return TokenGraph(g, k, vertices, occs, masks)
 
 
 @dataclass(frozen=True)

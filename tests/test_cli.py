@@ -3,15 +3,18 @@
 import hashlib
 import json
 import multiprocessing
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from _catalog import girth5_catalog
-from tokengraphs import cli
+from tokengraphs import cli, connectivity
 from tokengraphs.cli import main
 from tokengraphs.graphs import emit_graph6, enumerate_trees
+from tokengraphs.tokens import build_token_graph
 
 # graph6 lines used by the conjecture tests
 C5 = "Dhc"
@@ -399,21 +402,22 @@ class TestMirroring:
         assert digest == "9b47c3292b92f24330db6a64bba43e2930035e9bd0d456d770ac1763165d5666"
 
 
+def unfolded(monkeypatch, unit, arg):
+    """The unit's record with no automorphisms to fold by."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_token_automorphisms", lambda tg: [])
+        return unit(arg)
+
+
 class TestOrbitFolding:
     """paths builds one family per symmetry orbit of distance-2 pairs."""
-
-    @staticmethod
-    def unfolded(monkeypatch, arg):
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_pair_symmetries", lambda tree, k: [])
-            return cli._paths_unit(arg)
 
     def test_folded_equals_unfolded(self, monkeypatch):
         trees = [t for n in range(2, 9) for t in enumerate_trees(n)]
         units = [(emit_graph6(t), k) for t in trees for k in range(1, t.n // 2 + 1)]
         assert len(units) == 155
         for arg in units:
-            assert cli._paths_unit(arg) == self.unfolded(monkeypatch, arg), arg
+            assert cli._paths_unit(arg) == unfolded(monkeypatch, cli._paths_unit, arg), arg
 
     def test_one_family_per_orbit(self, monkeypatch):
         built = []
@@ -445,7 +449,7 @@ class TestOrbitFolding:
 
         monkeypatch.setattr(cli, "build_family", fails)
         record = cli._paths_unit(arg)
-        assert record == self.unfolded(monkeypatch, arg)
+        assert record == unfolded(monkeypatch, cli._paths_unit, arg)
         assert record["status"] == "violated"
         assert record["pairs"] == pairs.index(skipped) + 1
         assert record["instance"] == {"x": list(skipped[0]), "y": list(skipped[1]),
@@ -458,13 +462,106 @@ class TestOrbitFolding:
         assert digest == "f02e16c2a1b641fe7536840db1cfb85ae0a1fa562328a997366ba62ce499dd86"
 
 
+class TestFlowFolding:
+    """theorem and conjecture run one flow per symmetry orbit of flow pairs."""
+
+    @staticmethod
+    def count_flows(monkeypatch):
+        real, calls = connectivity._unit_flow, []
+        monkeypatch.setattr(connectivity, "_unit_flow",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    @staticmethod
+    def flow_units(graphs, ks):
+        """(graph6, k) for each F_k with minimum degree 3 or more, where flows run."""
+        return [(emit_graph6(g), k) for g in graphs for k in ks(g)
+                if build_token_graph(g, k).min_degree() >= 3]
+
+    def folded_and_unfolded(self, monkeypatch, unit, args):
+        flows = self.count_flows(monkeypatch)
+        counts = []
+        for arg in args:
+            before = len(flows)
+            record = unit(arg)
+            middle = len(flows)
+            assert record == unfolded(monkeypatch, unit, arg), arg
+            counts.append((middle - before, len(flows) - middle))
+        return counts
+
+    def test_theorem_units_up_to_n10(self, monkeypatch):
+        trees = [t for n in range(2, 11) for t in enumerate_trees(n)]
+        args = self.flow_units(trees, lambda t: range(2, t.n // 2 + 1))
+        assert len(args) == 21
+        counts = self.folded_and_unfolded(monkeypatch, cli._theorem_unit, args)
+        assert all(folded < plain for folded, plain in counts)
+
+    def test_seeded_theorem_units_with_11_and_12_vertices(self, monkeypatch):
+        # many leaves make delta >= 3 likely; the seed picks trees among them
+        rng = random.Random(11)
+        trees = [t for n in (11, 12) for t in enumerate_trees(n)
+                 if sum(t.degree(v) == 1 for v in range(t.n)) >= t.n - 4]
+        args = self.flow_units(rng.sample(trees, 6), lambda t: range(3, t.n // 2 + 1))
+        assert len(args) == 3
+        counts = self.folded_and_unfolded(monkeypatch, cli._theorem_unit, args)
+        assert sum(folded for folded, _ in counts) < sum(plain for _, plain in counts)
+
+    def test_conjecture_units_with_2k_equal_n(self, monkeypatch):
+        graphs = [g for g in girth5_catalog(9) if g.n % 2 == 0 and g.n >= 4]
+        args = [(emit_graph6(g), g.n // 2) for g in graphs]
+        counts = self.folded_and_unfolded(monkeypatch, cli._conjecture_unit, args)
+        assert len(args) == 57  # trees included: they fold by their automorphisms too
+        assert sum(folded for folded, _ in counts) < sum(plain for _, plain in counts)
+
+    def test_theorem_digest_n11(self, capsys):
+        # sha256 of the records computed before flows folded
+        assert main(["theorem", "--n-max", "11", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a5d1040462540c33f4d5eee0a484e5eb600d9cdc11188fa62d4b5cb4c94c5260"
+
+
+class TestPlantedGenerator:
+    """A tree generator that is not an automorphism fails the unit, not a pair."""
+
+    @pytest.fixture
+    def bad_generator(self, monkeypatch):
+        def swap_leaf_and_inner(tree):
+            degrees = [tree.degree(v) for v in range(tree.n)]
+            if max(degrees) < 2:
+                return []
+            perm = list(range(tree.n))
+            leaf, inner = degrees.index(1), degrees.index(max(degrees))
+            perm[leaf], perm[inner] = inner, leaf
+            return [tuple(perm)]
+
+        monkeypatch.setattr(cli, "tree_automorphism_generators", swap_leaf_and_inner)
+        cli._tree_tables.cache_clear()
+        yield
+        cli._tree_tables.cache_clear()
+
+    def test_theorem(self, capsys, bad_generator):
+        # the star K_{1,5} with k = 3 is the one unit up to n = 6 that runs flows
+        code, records, _, _ = run(capsys, ["theorem", "--n-max", "6", "--json"])
+        assert code == 3
+        errors = [r for r in records if r["status"] == "error"]
+        assert [(r["graph_id"], r["k"]) for r in errors] == [("Esa?", 3)]
+        assert "is not an automorphism" in errors[0]["error"]
+
+    def test_paths(self, capsys, bad_generator):
+        code, records, _, _ = run(capsys, ["paths", "--n-max", "4", "--json"])
+        assert code == 3
+        # only the two-vertex tree has no leaf to swap with an inner vertex
+        assert [r["status"] for r in records] == ["confirmed"] + ["error"] * 8
+        assert all("is not an automorphism" in r["error"] for r in records[1:])
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
             [],
             ["frobnicate"],
-            ["theorem", "--n-max", "12"],
+            ["theorem", "--n-max", "13"],
             ["theorem", "--n-max", "1"],
             ["paths", "--n-max", "11"],
             ["hfamily", "--m-min", "7"],
@@ -485,6 +582,42 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+TRACED_SWEEP = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+from tokengraphs import cli
+tr = tracer.Tracer()
+tracer.install(tr)
+code = tr.full("cli.main", cli.main)(["theorem", "--n-max", "6", "--json"])
+print(json.dumps({"code": code, "metrics": tracer.layer_metrics(tr)}))
+"""
+
+
+class TestTracerSeams:
+    """The benchmark's tracer wraps module names in cli; a traced sweep must still
+    pass through them."""
+
+    def test_traced_theorem_sweep(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_SWEEP, str(root / "perfbench"), str(root / "src")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *records, last = proc.stdout.splitlines()
+        result = json.loads(last)
+        assert result["code"] == 0
+        assert main(["theorem", "--n-max", "6", "--json"]) == 0
+        assert records == capsys.readouterr().out.splitlines()
+        metrics = result["metrics"]
+        # one span per computed unit: the 30 units with k <= n - k
+        assert metrics["connectivity.vertex_connectivity_calls"] == 30
+        assert metrics["connectivity.edge_connectivity_calls"] == 30
+        assert metrics["tokens.build_token_graph_calls"] == 30
+        assert metrics["tokens.fk_vertices"] > 0
 
 
 class TestModuleEntryPoint:

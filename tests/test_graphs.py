@@ -1,6 +1,7 @@
 """Base graph layer: parsing, canonical trees, girth, generators."""
 
 import math
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -15,7 +16,10 @@ from tokengraphs.graphs import (
     cycle_graph,
     emit_graph6,
     enumerate_trees,
+    _canonical_relabel,
     girth,
+    mask_cut_flags,
+    orbit_walk,
     parse_graph6,
     path_graph,
     star_graph,
@@ -82,7 +86,8 @@ class TestGraphBasics:
 
 
 class TestOneDfs:
-    """`Graph.cut_flags` and the mask-based degree reads against networkx."""
+    """`mask_cut_flags`, which `Graph.cut_flags` caches, and the mask-based
+    degree reads against networkx."""
 
     @pytest.fixture(scope="class")
     def small_graphs(self):
@@ -94,7 +99,8 @@ class TestOneDfs:
     def test_flags_match_networkx(self, small_graphs):
         connected_count = 0
         for h, g in small_graphs:
-            connected, cut_vertex, bridge = g.cut_flags
+            connected, cut_vertex, bridge = mask_cut_flags(g.neighbor_masks)
+            assert g.cut_flags == (connected, cut_vertex, bridge)
             assert connected == nx.is_connected(h) == g.is_connected(), h.edges
             if connected:
                 connected_count += 1
@@ -103,6 +109,7 @@ class TestOneDfs:
         assert connected_count == 996 + 1  # the atlas for n = 1..7, then Graph(1, ())
 
     def test_null_graph_is_connected(self):
+        assert mask_cut_flags(()) == (True, False, False)
         assert Graph(0, ()).cut_flags == (True, False, False)
         assert Graph(0, ()).is_connected()
 
@@ -265,6 +272,20 @@ class TestTrees:
                 seen.add(tree_canonical_form(Graph(n, tuple(t.edges()))))
         assert seen == listed
 
+    def test_memoised_levels_match_a_fresh_regrowth(self):
+        # grown here from n = 1 for every n, as enumerate_trees did before its levels were kept
+        level = {tree_canonical_form(Graph(1, ())): Graph(1, ())}
+        for n in range(2, 11):
+            grown = {}
+            for t in level.values():
+                for v in range(t.n):
+                    cand = Graph(n, t.edges + ((v, n - 1),))
+                    grown.setdefault(tree_canonical_form(cand), cand)
+            level = grown
+            fresh = [_canonical_relabel(level[key]) for key in sorted(level)]
+            assert enumerate_trees(n) == fresh
+            assert enumerate_trees(n) is not enumerate_trees(n)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_trees(0)
@@ -323,6 +344,29 @@ class TestAutomorphismGenerators:
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
             tree_automorphism_generators(cycle_graph(4))
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_passes_the_first_pair_of_each_orbit(self, n):
+        for tree in enumerate_trees(n):
+            gens = tree_automorphism_generators(tree)
+            group = generated_group(gens, n)
+            pairs = list(combinations(range(n), 2))
+            # walked in lexicographic order, an orbit's first pair is its least
+            firsts = {min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs}
+            first = orbit_walk(gens)
+            assert [pair for pair in pairs if first(*pair)] == sorted(firsts)
+
+    def test_pairs_are_unordered(self):
+        first = orbit_walk([(1, 0, 2)])
+        assert first(2, 0)
+        assert not first(1, 2) and not first(0, 2)
+        assert first(1, 0)
+
+    def test_no_maps_passes_every_pair(self):
+        first = orbit_walk([])
+        assert all(first(0, 1) for _ in range(3))
 
 
 class TestGenerators:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.graphs import Graph, complete_graph, cycle_graph, enumerate_trees, path_graph, star_graph
 from tokengraphs.tokens import (
     Case1Pair,
@@ -144,6 +145,18 @@ class TestAgainstDefinition:
                     if j not in near[i] and near[i] & near[j]
                 ]
                 assert list(tg.distance2_pairs()) == expected, (g, k)
+
+    def test_connectivity_on_masks_matches_the_flattened_graph(self):
+        # the oracles read a TokenGraph as it is; as_graph() is the Graph reference
+        for g in self.GRAPHS:
+            for k in range(1, g.n):
+                tg = build_token_graph(g, k)
+                fk = tg.as_graph()
+                assert tg.neighbor_masks == list(fk.neighbor_masks)
+                assert tg.cut_flags == fk.cut_flags
+                assert tg.min_degree() == fk.min_degree(), (g, k)
+                assert vertex_connectivity(tg) == vertex_connectivity(fk), (g, k)
+                assert edge_connectivity(tg) == edge_connectivity(fk), (g, k)
 
 
 class TestDistance2Pairs:
