@@ -10,7 +10,7 @@ k > n - k whose unit for n - k came earlier is a mirror: that record is
 emitted again with only k rewritten, unless it is violated or errored, and
 then the mirror runs for real so that its own witness or traceback appears.
 Automorphisms of the tree, plus complementing when 2k = n, act on F_k
-(`_token_automorphisms`), and units fold by them.  A paths unit builds one
+(`TokenGraph.automorphisms`), and units fold by them.  A paths unit builds one
 family per orbit of distance-2 pairs: isomorphic pairs have isomorphic
 families, so every record field agrees on an orbit.  A theorem or conjecture
 unit runs one flow per orbit of the pairs its flow scans try.  Pairs are
@@ -31,7 +31,6 @@ import multiprocessing
 import sys
 import traceback
 from collections import Counter
-from functools import lru_cache
 
 from .connectivity import edge_connectivity, vertex_connectivity
 from .families import FamilyConstructionError, build_family
@@ -42,11 +41,9 @@ from .graphs import (
     emit_graph6,
     enumerate_trees,
     girth,
-    orbit_walk,
     parse_graph6,
-    tree_automorphism_generators,
 )
-from .tokens import TokenGraph, build_token_graph, min_token_degree
+from .tokens import build_token_graph, min_token_degree
 
 __all__ = ["main"]
 
@@ -58,52 +55,11 @@ def _measure(record: dict, g: Graph, k: int, with_lambda: bool = True) -> bool:
     except ValueError as exc:
         record.update(status="skipped", reason=str(exc))
         return False
-    delta = tg.min_degree()
-    # the DFS settles kappa and lambda when delta <= 2, so only flows use symmetries
-    gens = _token_automorphisms(tg) if delta >= 3 else []
-    record.update(delta=delta, kappa=vertex_connectivity(tg, gens))
+    record["delta"] = tg.min_degree()
+    record["kappa"] = vertex_connectivity(tg)
     if with_lambda:
-        record["lambda"] = edge_connectivity(tg, gens)
+        record["lambda"] = edge_connectivity(tg)
     return True
-
-
-def _token_automorphisms(tg: TokenGraph) -> list[list[int]]:
-    """Generators of automorphisms of F_k(g), as permutations of its vertex indices.
-
-    Each automorphism of g maps k-configurations onto k-configurations and
-    keeps slides along edges, so it acts on F_k(g); these come from
-    `tree_automorphism_generators` when g is a tree.  When 2k = n,
-    complementing maps F_k(g) onto itself for any g.
-    """
-    g, occs = tg.base, tg.occupancy
-    index = {occ: i for i, occ in enumerate(occs)}
-    gens = [[index[table[occ]] for occ in occs] for table in _tree_tables(g)]
-    if 2 * tg.k == g.n:
-        full = (1 << g.n) - 1
-        gens.append([index[full ^ occ] for occ in occs])
-    return gens
-
-
-# the units of one tree come one after another, so a few entries suffice
-@lru_cache(maxsize=4)
-def _tree_tables(g: Graph) -> tuple[list[int], ...]:
-    """For a tree, each generator of its automorphisms as its table of images of
-    all 2^n occupancy masks; nothing for other graphs.  A generator that does
-    not map the edges onto the edges raises, since folding by it would skip
-    pairs whose values differ."""
-    if not g.is_tree():
-        return ()
-    tables = []
-    for perm in tree_automorphism_generators(g):
-        image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
-        if sorted(perm) != list(range(g.n)) or image != set(g.edges):
-            raise ValueError(f"{list(perm)} is not an automorphism of the tree {emit_graph6(g)}")
-        table = [0]
-        for v in range(g.n):  # the masks with bit v set follow those below 1 << v
-            bit = 1 << perm[v]
-            table += [m | bit for m in table]
-        tables.append(table)
-    return tuple(tables)
 
 
 def _theorem_unit(arg: tuple[str, int]) -> dict:
@@ -138,8 +94,9 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
         return record
     delta = min_token_degree(tree, k)
     record["delta"] = delta
-    gens = _token_automorphisms(tg) if fold else []
-    first, index = orbit_walk(gens), tg.index
+    gens = tg.automorphisms if fold else []
+    if gens:
+        first, index = tg.pair_orbits.walk(), tg.index
     pairs = 0
     min_size: int | None = None
     max_slack: dict[int, int | None] = {1: None, 2: None}

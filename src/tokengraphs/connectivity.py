@@ -1,8 +1,8 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
-The oracles read a graph through `n`, `neighbor_masks`, `min_degree()` and
-`cut_flags`, which a `Graph` and a `TokenGraph` both provide, so a token
-graph is measured straight from its masks.
+The oracles read a graph through `n`, `neighbor_masks`, `min_degree()`,
+`cut_flags` and `pair_orbits`, which a `Graph` and a `TokenGraph` both
+provide, so a token graph is measured straight from its masks.
 
 Before any flow, one low-point DFS finds whether the graph is connected and
 whether it has a cut vertex or a bridge.  The DFS (`graphs.mask_cut_flags`,
@@ -25,18 +25,22 @@ pairs:
 - lambda: flows from the first vertex of a dominating set to each other
   member (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
 
-Given automorphisms of the graph, each scan runs one flow per orbit of its
-pairs.  Orbit exactness: the local connectivities kappa(s, t) and
-lambda(s, t) are symmetric in s and t, and an automorphism sigma maps the
-s-t paths onto the sigma(s)-sigma(t) paths, keeping them internally vertex
-(or edge) disjoint, so kappa(sigma s, sigma t) = kappa(s, t) and likewise
-lambda.  Every pair of an orbit of unordered pairs under the group the
-maps generate therefore has one value.  The scan walks its pairs in order
-and runs the first pair of each orbit it meets (`graphs.orbit_walk`); a
-skipped pair P has the value of the first pair R of its orbit, which ran
-earlier.  R's flow, capped at the best value c so far, left the best at
+Each scan runs one flow per orbit of its pairs under the automorphisms the
+graph knows (`pair_orbits`): none for a `Graph`, and for a `TokenGraph`
+those of its base tree plus complementing when 2k = n, checked where they
+are derived (`TokenGraph.automorphisms`).  Orbit exactness: the local
+connectivities kappa(s, t) and lambda(s, t) are symmetric in s and t, and
+an automorphism sigma maps the s-t paths onto the sigma(s)-sigma(t) paths,
+keeping them internally vertex (or edge) disjoint, so kappa(sigma s,
+sigma t) = kappa(s, t) and likewise lambda.  Every pair of an orbit of
+unordered pairs under the group the maps generate therefore has one value.
+The scan walks its pairs in order and skips a pair P only when P is filed
+under one orbit with a pair R that ran earlier in the scan
+(`PairOrbits.walk`; closing an orbit may stop early, and an unfiled pair
+runs).  R's flow, capped at the best value c so far, left the best at
 min(c, kappa(R)) <= kappa(P), so P's flow could not have lowered it: the
-minimum, and the point where the scan stops, are unchanged.
+minimum, and the point where the scan stops, are unchanged.  The vertex and edge scans
+on one graph share the orbits closed so far.
 
 The proofs of the pair sets sit in the docstrings of `vertex_connectivity`
 and `edge_connectivity`.  The subset-removal oracle checks both
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .graphs import Graph, orbit_walk
+from .graphs import Graph
 from .tokens import TokenGraph
 
 __all__ = [
@@ -232,9 +236,7 @@ def local_vertex_connectivity(
     return value, _flow_routes(out, s, t)
 
 
-def vertex_connectivity(
-    g: Graph | TokenGraph, generators: Sequence[Sequence[int]] = ()
-) -> int:
+def vertex_connectivity(g: Graph | TokenGraph) -> int:
     """Vertex connectivity: a DFS decides kappa <= 2, flows the rest.
 
     Disconnected graphs and graphs with n <= 1 return 0, and a connected
@@ -262,15 +264,14 @@ def vertex_connectivity(
     components are non-adjacent and separated by S.  Either way some flow in
     the scan is at most |S| = kappa.
 
-    `generators` are automorphisms of g as vertex permutations (`perm[v]` is
-    the image of v).  With them only the first pair of each orbit of
-    unordered pairs, in the order above, runs a flow.  Orbit exactness: an
-    automorphism maps internally disjoint s-t paths onto internally disjoint
-    paths between the images, so kappa(s, t) = kappa(t, s) is the same on
-    every pair of an orbit.  A skipped pair shares it with the first pair of
-    its orbit, whose flow already brought the best value down to at most
-    that, so the minimum and the stop at 2 are unchanged.  Maps that are not
-    automorphisms give wrong values; callers check them first.
+    Only the first pair of each orbit of unordered pairs under the known
+    automorphisms of g (`g.pair_orbits`), in the order above, runs a flow.
+    Orbit exactness: an automorphism maps internally disjoint s-t paths onto
+    internally disjoint paths between the images, so kappa(s, t) =
+    kappa(t, s) is the same on every pair of an orbit.  A skipped pair shares
+    it with the first pair of its orbit, whose flow already brought the best
+    value down to at most that, so the minimum and the stop at 2 are
+    unchanged.
     """
     best = _dfs_settled(g, 1)
     if best <= 2:
@@ -280,7 +281,7 @@ def vertex_connectivity(
     pairs = [(v, w) for w in range(g.n) if w != v and not masks[v] >> w & 1]
     nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
-    first = orbit_walk(generators)
+    first = g.pair_orbits.walk()
     for s, t in pairs:
         if not first(s, t):
             continue
@@ -292,9 +293,7 @@ def vertex_connectivity(
     return best
 
 
-def edge_connectivity(
-    g: Graph | TokenGraph, generators: Sequence[Sequence[int]] = ()
-) -> int:
+def edge_connectivity(g: Graph | TokenGraph) -> int:
     """Edge connectivity: a DFS decides lambda <= 2, flows the rest.
 
     Disconnected graphs and graphs with n <= 1 return 0, and a connected
@@ -321,9 +320,8 @@ def edge_connectivity(
     side, giving more than delta crossing edges.  So D meets both sides, and
     the flow from D[0] to a member of D on the other side is at most lambda.
 
-    `generators` are automorphisms of g as vertex permutations, as for
-    `vertex_connectivity`: only the first pair (D[0], t) of each orbit of
-    unordered pairs runs a flow.  Orbit exactness: an automorphism maps
+    As in `vertex_connectivity`, only the first pair (D[0], t) of each orbit
+    of unordered pairs under `g.pair_orbits` runs a flow.  Orbit exactness: an automorphism maps
     edge-disjoint s-t paths onto edge-disjoint paths between the images, so
     lambda(s, t) = lambda(t, s) is the same on every pair of an orbit, and a
     skipped pair cannot lower the best value below what the first pair of
@@ -339,7 +337,7 @@ def edge_connectivity(
             dominating.append(v)
             dominated |= 1 << v | masks[v]
     source, *sinks = dominating
-    first = orbit_walk(generators)
+    first = g.pair_orbits.walk()
     for t in sinks:
         if not first(source, t):
             continue

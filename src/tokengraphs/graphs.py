@@ -100,6 +100,12 @@ class Graph:
         """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on this graph."""
         return mask_cut_flags(self.neighbor_masks)
 
+    @cached_property
+    def pair_orbits(self) -> PairOrbits:
+        """Orbits of vertex pairs under the automorphisms known for this graph:
+        none, so every pair is its own orbit.  `TokenGraph.pair_orbits` knows more."""
+        return PairOrbits((), 0)
+
     def is_connected(self) -> bool:
         return self.cut_flags[0]
 
@@ -339,37 +345,66 @@ def tree_automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def orbit_walk(maps: Sequence[Sequence[int]]) -> Callable[[int, int], bool]:
-    """A test that is true for a pair of points exactly when no pair of its orbit
-    was tested before.
+class PairOrbits:
+    """Orbits of unordered pairs of the points 0..N-1 under the group some maps
+    generate, closed as they are met.
 
-    Each map is a permutation of the points 0..N-1 (`table[x]` is the image of
-    x); together they generate a group that acts on unordered pairs.  A pair
-    that passes marks its whole orbit as seen, closing it under the maps.  Fed
-    pairs in some order, the test passes the first pair of each orbit met.
-    A pair is keyed by the ordered pair (lo, hi), packed as lo * N + hi.
+    Each map is a permutation of the points (`table[x]` is the image of x).
+    The first lookup of a pair closes its orbit under the maps and files
+    every pair in it under that pair's key, so later lookups of any pair of
+    the orbit, from any walk, cost one dict read.  A pair is keyed by the
+    ordered pair (lo, hi), packed as lo * N + hi.
+
+    Closing takes at most `work` map images in all, since an orbit of pairs
+    can be far larger than the few pairs a scan looks up (under the full
+    symmetric group every pair with the same pattern is in one orbit).  Once
+    the work is spent, closing stops and a pair not filed yet is an orbit of
+    its own.  A walk then passes more pairs than it must, never fewer: every
+    filed pair was reached from its key by the maps, so it is in that key's
+    orbit.
     """
-    if not maps:
-        return lambda a, b: True
-    size, seen = len(maps[0]), set()
 
-    def first(a: int, b: int) -> bool:
-        key = a * size + b if a < b else b * size + a
-        if key in seen:
-            return False
-        seen.add(key)
+    def __init__(self, maps: Sequence[Sequence[int]], work: int):
+        self.maps = tuple(maps)
+        self._room = work
+        self._orbit: dict[int, int] = {}
+
+    def walk(self) -> Callable[[int, int], bool]:
+        """A test that is true for a pair exactly when no pair of its orbit was
+        tested before in this walk; fed pairs in some order, it passes the first
+        pair of each orbit met."""
+        if not self.maps:
+            return lambda a, b: True
+        size, orbit, seen = len(self.maps[0]), self._orbit, set()
+
+        def first(a: int, b: int) -> bool:
+            key = a * size + b if a < b else b * size + a
+            found = orbit.get(key)
+            if found is None:
+                found = self._close(a, b, key)
+            if found in seen:
+                return False
+            seen.add(found)
+            return True
+
+        return first
+
+    def _close(self, a: int, b: int, key: int) -> int:
+        maps, size, orbit, room = self.maps, len(self.maps[0]), self._orbit, self._room
+        if room > 0:
+            orbit[key] = key
         todo = [(a, b)]
-        while todo:
+        while todo and room > 0:
             a, b = todo.pop()
+            room -= len(maps)
             for table in maps:
                 x, y = table[a], table[b]
-                key = x * size + y if x < y else y * size + x
-                if key not in seen:
-                    seen.add(key)
+                image = x * size + y if x < y else y * size + x
+                if image not in orbit:
+                    orbit[image] = key
                     todo.append((x, y))
-        return True
-
-    return first
+        self._room = room
+        return key
 
 
 def _canonical_relabel(g: Graph) -> Graph:

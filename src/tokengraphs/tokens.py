@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator
 
-from .graphs import Graph, mask_cut_flags
+from .graphs import Graph, PairOrbits, emit_graph6, mask_cut_flags, tree_automorphism_generators
 
 __all__ = [
     "Config",
@@ -34,6 +34,9 @@ Config = tuple[int, ...]
 
 # refuse to materialise token graphs beyond this many configurations
 MATERIALIZE_LIMIT = 500_000
+
+# map images that closing pair orbits may take, per configuration of F_k
+ORBIT_WORK = 2048
 
 
 def make_config(vertices: Iterable[int]) -> Config:
@@ -120,39 +123,72 @@ class TokenGraph:
     """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
     `vertices` lists the configurations in lexicographic order, `occupancy`
-    their occupancy bitmasks, and bit j of `masks[i]` is set when vertices[i]
-    and vertices[j] are adjacent.  `n`, `neighbor_masks`, `min_degree` and
-    `cut_flags` read as on a `Graph` over the indices, so the connectivity
-    oracles take a token graph as it is.
+    their occupancy bitmasks, and bit j of `neighbor_masks[i]` is set when
+    vertices[i] and vertices[j] are adjacent.  `n`, `neighbor_masks`,
+    `min_degree`, `cut_flags` and `pair_orbits` read as on a `Graph` over the
+    indices, so the connectivity oracles take a token graph as it is.
     """
 
     def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
-                 occupancy: list[int], masks: list[int]):
+                 occupancy: list[int], neighbor_masks: list[int]):
         self.base = base
         self.k = k
         self.vertices = vertices
         self.occupancy = occupancy
-        self.masks = masks
+        self.neighbor_masks = neighbor_masks
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     @property
-    def neighbor_masks(self) -> list[int]:
-        return self.masks
-
-    @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
+        return sum(m.bit_count() for m in self.neighbor_masks) // 2
 
     def min_degree(self) -> int:
-        return min(m.bit_count() for m in self.masks)
+        return min(m.bit_count() for m in self.neighbor_masks)
 
     @cached_property
     def cut_flags(self) -> tuple[bool, bool, bool]:
         """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on F_k."""
-        return mask_cut_flags(self.masks)
+        return mask_cut_flags(self.neighbor_masks)
+
+    @cached_property
+    def automorphisms(self) -> list[list[int]]:
+        """Generators of automorphisms of F_k, as permutations of the vertex indices.
+
+        An automorphism of the base maps k-configurations onto k-configurations
+        and keeps slides along edges, so it acts on F_k.  When the base is a
+        tree these come from `tree_automorphism_generators`, each first checked
+        to map the base edges onto the base edges: folding by a map that is
+        not an automorphism would skip pairs whose values differ, so such a
+        map raises instead.  When 2k = n, complementing maps F_k onto itself
+        for any base.
+        """
+        g = self.base
+        index = {occ: i for i, occ in enumerate(self.occupancy)}
+        gens = []
+        for perm in tree_automorphism_generators(g) if g.is_tree() else ():
+            image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
+            if sorted(perm) != list(range(g.n)) or image != set(g.edges):
+                raise ValueError(
+                    f"{list(perm)} is not an automorphism of the tree {emit_graph6(g)}")
+            bits = [1 << w for w in perm]
+            gens.append([index[sum(bits[v] for v in cfg)] for cfg in self.vertices])
+        if 2 * self.k == g.n:
+            full = (1 << g.n) - 1
+            gens.append([index[full ^ occ] for occ in self.occupancy])
+        return gens
+
+    @cached_property
+    def pair_orbits(self) -> PairOrbits:
+        """Orbits of vertex pairs under `automorphisms`, shared by every scan on F_k.
+
+        Closing them takes at most ORBIT_WORK map images per configuration,
+        so a large group, whose orbits dwarf the pairs a scan tries, costs
+        time and memory in proportion to F_k, not to its pairs.
+        """
+        return PairOrbits(self.automorphisms, ORBIT_WORK * self.n)
 
     # the tuple index serves the reference methods below and the paths orbit walk
     @cached_property
@@ -160,10 +196,10 @@ class TokenGraph:
         return {cfg: i for i, cfg in enumerate(self.vertices)}
 
     def degree(self, cfg: Config) -> int:
-        return self.masks[self.index[cfg]].bit_count()
+        return self.neighbor_masks[self.index[cfg]].bit_count()
 
     def neighbors(self, cfg: Config) -> tuple[Config, ...]:
-        m = self.masks[self.index[cfg]]
+        m = self.neighbor_masks[self.index[cfg]]
         return tuple(self.vertices[j] for j in range(m.bit_length()) if m >> j & 1)
 
     def distance(self, a: Config, b: Config) -> int | float:
@@ -174,7 +210,7 @@ class TokenGraph:
             nxt = 0
             for j in range(frontier.bit_length()):
                 if frontier >> j & 1:
-                    nxt |= self.masks[j]
+                    nxt |= self.neighbor_masks[j]
             frontier = nxt & ~seen
             seen |= frontier
             dist += 1
@@ -182,7 +218,7 @@ class TokenGraph:
 
     def distance2_pairs(self) -> Iterator[tuple[Config, Config]]:
         """Unordered pairs at distance exactly 2, in lexicographic order."""
-        masks, vertices = self.masks, self.vertices
+        masks, vertices = self.neighbor_masks, self.vertices
         for i, cfg in enumerate(vertices):
             direct = m = masks[i]
             second = 0
@@ -200,7 +236,7 @@ class TokenGraph:
     def as_graph(self) -> Graph:
         """Flatten to a plain Graph over configuration indices (a test reference)."""
         edges = []
-        for i, m in enumerate(self.masks):
+        for i, m in enumerate(self.neighbor_masks):
             m &= -(2 << i)  # each edge once, from its lower end
             while m:
                 low = m & -m

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from _catalog import girth5_catalog
-from tokengraphs import cli, connectivity
+from tokengraphs import cli, connectivity, tokens
 from tokengraphs.cli import main
-from tokengraphs.graphs import emit_graph6, enumerate_trees
-from tokengraphs.tokens import build_token_graph
+from tokengraphs.graphs import emit_graph6, enumerate_trees, star_graph
+from tokengraphs.tokens import TokenGraph, build_token_graph
 
 # graph6 lines used by the conjecture tests
 C5 = "Dhc"
@@ -405,7 +406,7 @@ class TestMirroring:
 def unfolded(monkeypatch, unit, arg):
     """The unit's record with no automorphisms to fold by."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_token_automorphisms", lambda tg: [])
+        patch.setattr(TokenGraph, "automorphisms", property(lambda tg: []))
         return unit(arg)
 
 
@@ -513,6 +514,24 @@ class TestFlowFolding:
         assert len(args) == 57  # trees included: they fold by their automorphisms too
         assert sum(folded for folded, _ in counts) < sum(plain for _, plain in counts)
 
+    def test_large_symmetric_tree_stays_small(self, tmp_path):
+        # the star K_{1,29} has 29! automorphisms, so one orbit of pairs of
+        # 3-configurations can hold millions of pairs; closing orbits must stop
+        # early instead of filing them, and the scan must still finish exactly
+        (tmp_path / "star.g6").write_text(emit_graph6(star_graph(29)) + "\n")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "tokengraphs", "conjecture", "--input",
+             str(tmp_path / "star.g6"), "--k", "3", "--json"],
+            capture_output=True, text=True, timeout=300, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert (record["delta"], record["kappa"], record["status"]) == (3, 3, "confirmed")
+
     def test_theorem_digest_n11(self, capsys):
         # sha256 of the records computed before flows folded
         assert main(["theorem", "--n-max", "11", "--json"]) == 0
@@ -534,10 +553,7 @@ class TestPlantedGenerator:
             perm[leaf], perm[inner] = inner, leaf
             return [tuple(perm)]
 
-        monkeypatch.setattr(cli, "tree_automorphism_generators", swap_leaf_and_inner)
-        cli._tree_tables.cache_clear()
-        yield
-        cli._tree_tables.cache_clear()
+        monkeypatch.setattr(tokens, "tree_automorphism_generators", swap_leaf_and_inner)
 
     def test_theorem(self, capsys, bad_generator):
         # the star K_{1,5} with k = 3 is the one unit up to n = 6 that runs flows

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tokengraphs.graphs import (
     Graph,
     Graph6Error,
+    PairOrbits,
     bridged_cliques,
     complete_graph,
     cycle_graph,
@@ -19,7 +20,6 @@ from tokengraphs.graphs import (
     _canonical_relabel,
     girth,
     mask_cut_flags,
-    orbit_walk,
     parse_graph6,
     path_graph,
     star_graph,
@@ -346,7 +346,7 @@ class TestAutomorphismGenerators:
             tree_automorphism_generators(cycle_graph(4))
 
 
-class TestOrbitWalk:
+class TestPairOrbits:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_passes_the_first_pair_of_each_orbit(self, n):
         for tree in enumerate_trees(n):
@@ -355,18 +355,44 @@ class TestOrbitWalk:
             pairs = list(combinations(range(n), 2))
             # walked in lexicographic order, an orbit's first pair is its least
             firsts = {min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs}
-            first = orbit_walk(gens)
+            first = PairOrbits(gens, 10**6).walk()
             assert [pair for pair in pairs if first(*pair)] == sorted(firsts)
 
+    @pytest.mark.parametrize("work", [0, 1, 4, 16, 64])
+    def test_spent_work_only_passes_more_pairs(self, work):
+        for tree in enumerate_trees(7):
+            gens = tree_automorphism_generators(tree)
+            group = generated_group(gens, tree.n)
+            first = PairOrbits(gens, work).walk()
+            passed = []
+            for pair in combinations(range(tree.n), 2):
+                orbit = {tuple(sorted((p[pair[0]], p[pair[1]]))) for p in group}
+                if first(*pair):
+                    passed.append(pair)
+                else:  # a skipped pair shares its orbit with a pair that passed
+                    assert orbit & set(passed), (tree.edges, pair)
+            exact = PairOrbits(gens, 10**6).walk()
+            assert len(passed) >= sum(exact(*p) for p in combinations(range(tree.n), 2))
+
     def test_pairs_are_unordered(self):
-        first = orbit_walk([(1, 0, 2)])
+        first = PairOrbits([(1, 0, 2)], 100).walk()
         assert first(2, 0)
         assert not first(1, 2) and not first(0, 2)
         assert first(1, 0)
 
     def test_no_maps_passes_every_pair(self):
-        first = orbit_walk([])
+        first = PairOrbits([], 0).walk()
         assert all(first(0, 1) for _ in range(3))
+
+    def test_walks_share_closed_orbits(self):
+        orbits = PairOrbits([(1, 0, 3, 2)], 100)
+        first = orbits.walk()
+        assert first(0, 2) and not first(1, 3)
+        closed = dict(orbits._orbit)
+        # a second walk starts with nothing seen but closes no orbit again
+        second = orbits.walk()
+        assert second(1, 3) and not second(0, 2)
+        assert orbits._orbit == closed
 
 
 class TestGenerators:
