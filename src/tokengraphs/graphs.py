@@ -370,9 +370,10 @@ class PairOrbits:
         self._orbit: dict[int, int] = {}
 
     def walk(self) -> Callable[[int, int], bool]:
-        """A test that is true for a pair exactly when no pair of its orbit was
-        tested before in this walk; fed pairs in some order, it passes the first
-        pair of each orbit met."""
+        """A test that is false for a pair exactly when a pair filed under the
+        same orbit was tested before in this walk.  While work remains, every
+        orbit met is filed whole, so fed pairs in some order, the walk passes
+        the first pair of each orbit met."""
         if not self.maps:
             return lambda a, b: True
         size, orbit, seen = len(self.maps[0]), self._orbit, set()
