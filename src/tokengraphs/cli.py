@@ -9,16 +9,17 @@ maps F_k(G) onto F_{n-k}(G), so a theorem, paths or conjecture unit with
 k > n - k whose unit for n - k came earlier is a mirror: that record is
 emitted again with only k rewritten, unless it is violated or errored, and
 then the mirror runs for real so that its own witness or traceback appears.
-Automorphisms of the tree, plus complementing when 2k = n, act on F_k
-(`TokenGraph.automorphisms`), and units fold by them.  A paths unit builds one
-family per orbit of distance-2 pairs: isomorphic pairs have isomorphic
-families, so every record field agrees on an orbit.  A theorem or conjecture
-unit runs one flow per orbit of the pairs its flow scans try.  Pairs are
-walked in their usual order, and the first pair of an orbit marks the whole
-orbit as seen.  If a family fails, the paths unit reruns over every pair so
-that its record names the first failing pair and its index.  A unit that
-raises an unexpected exception yields a record with status "error" and the
-exception, and its traceback goes to stderr; the sweep goes on.  Exit code
+Automorphisms of a tree act on F_k (`TokenGraph.symmetries`), and units fold
+by them.  A paths unit labels its distance-2 pairs by orbit under the tree's
+automorphisms, plus complementing when 2k = n, and builds one family per
+orbit, for its first pair: isomorphic pairs have isomorphic families, so
+every record field agrees on an orbit.  If a family fails, the paths unit
+reruns over every pair so that its record names the first failing pair and
+its index.  Each flow scan of a theorem or conjecture unit has a fixed
+source and runs one flow per orbit of its sinks under the tree
+automorphisms that fix that source; a non-tree base does not fold.  A unit
+that raises an unexpected exception yields a record with status "error" and
+the exception, and its traceback goes to stderr; the sweep goes on.  Exit code
 1 flags a violated record in the theorem, paths or hfamily modes, 2 a usage
 or input error, and 3 a unit that errored, in any mode.
 """
@@ -41,9 +42,11 @@ from .graphs import (
     emit_graph6,
     enumerate_trees,
     girth,
+    orbit_labels,
     parse_graph6,
 )
-from .tokens import build_token_graph, min_token_degree
+# min_token_degree stays importable here: perfbench's tracer wraps cli.min_token_degree
+from .tokens import Config, TokenGraph, build_token_graph, min_token_degree
 
 __all__ = ["main"]
 
@@ -92,17 +95,15 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
     except ValueError as exc:
         record.update(status="skipped", reason=str(exc))
         return record
-    delta = min_token_degree(tree, k)
+    delta = tg.min_degree()
     record["delta"] = delta
-    gens = tg.automorphisms if fold else []
-    if gens:
-        first, index = tg.pair_orbits.walk(), tg.index
-    pairs = 0
+    gens = tg.symmetries() if fold else []
+    d2 = list(tg.distance2_pairs())
+    firsts = _first_pairs(tg, d2, gens) if gens else [True] * len(d2)
     min_size: int | None = None
     max_slack: dict[int, int | None] = {1: None, 2: None}
-    for x_cfg, y_cfg in tg.distance2_pairs():
-        pairs += 1
-        if gens and not first(index[x_cfg], index[y_cfg]):
+    for pairs, ((x_cfg, y_cfg), first) in enumerate(zip(d2, firsts), 1):
+        if not first:
             continue
         try:
             result = build_family(tree, x_cfg, y_cfg, delta)
@@ -121,13 +122,31 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
         prev = max_slack[case]
         max_slack[case] = slack if prev is None else max(prev, slack)
     record.update(
-        pairs=pairs,
+        pairs=len(d2),
         min_family_size=min_size,
         max_slack_case1=max_slack[1],
         max_slack_case2=max_slack[2],
         status="confirmed",
     )
     return record
+
+
+def _first_pairs(tg: TokenGraph, pairs: list[tuple[Config, Config]],
+                 gens: list[list[int]]) -> list[bool]:
+    """Per pair, whether it comes first in its orbit under the maps `gens` of F_k.
+
+    An unordered pair of vertex indices lo < hi is keyed lo * N + hi, so each
+    map becomes a permutation of the keys of the distance-2 pairs.
+    """
+    size, index = tg.n, tg.index
+    los, his = [index[x] for x, _ in pairs], [index[y] for _, y in pairs]
+    keys = [a * size + b for a, b in zip(los, his)]
+    maps = []
+    for perm in gens:
+        images = zip(map(perm.__getitem__, los), map(perm.__getitem__, his))
+        maps.append(dict(zip(keys, [a * size + b if a < b else b * size + a
+                                    for a, b in images])))
+    return [label == key for label, key in zip(orbit_labels(keys, maps), keys)]
 
 
 def _hfamily_unit(m: int) -> dict:

@@ -1,7 +1,7 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
 The oracles read a graph through `n`, `neighbor_masks`, `min_degree()`,
-`cut_flags` and `pair_orbits`, which a `Graph` and a `TokenGraph` both
+`cut_flags` and `orbits_fixing`, which a `Graph` and a `TokenGraph` both
 provide, so a token graph is measured straight from its masks.
 
 Before any flow, one low-point DFS finds whether the graph is connected and
@@ -25,22 +25,29 @@ pairs:
 - lambda: flows from the first vertex of a dominating set to each other
   member (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
 
-Each scan runs one flow per orbit of its pairs under the automorphisms the
-graph knows (`pair_orbits`): none for a `Graph`, and for a `TokenGraph`
-those of its base tree plus complementing when 2k = n, checked where they
-are derived (`TokenGraph.automorphisms`).  Orbit exactness: the local
-connectivities kappa(s, t) and lambda(s, t) are symmetric in s and t, and
-an automorphism sigma maps the s-t paths onto the sigma(s)-sigma(t) paths,
-keeping them internally vertex (or edge) disjoint, so kappa(sigma s,
-sigma t) = kappa(s, t) and likewise lambda.  Every pair of an orbit of
-unordered pairs under the group the maps generate therefore has one value.
-The scan walks its pairs in order and skips a pair P only when P is filed
-under one orbit with a pair R that ran earlier in the scan
-(`PairOrbits.walk`; closing an orbit may stop early, and an unfiled pair
-runs).  R's flow, capped at the best value c so far, left the best at
-min(c, kappa(R)) <= kappa(P), so P's flow could not have lowered it: the
-minimum, and the point where the scan stops, are unchanged.  The vertex and edge scans
-on one graph share the orbits closed so far.
+Both scans fix a source: v for kappa's first phase and D[0] for lambda.
+Each runs one flow per orbit of its sinks under the automorphisms the graph
+knows to fix that source (`orbits_fixing`): none for a `Graph`, and for a
+`TokenGraph` those of its base tree that map the source configuration onto
+itself, checked where they are derived (`TokenGraph.symmetries`).  Orbit
+exactness: an automorphism sigma maps the s-t paths onto the
+sigma(s)-sigma(t) paths, keeping them internally vertex (or edge) disjoint,
+so kappa(sigma s, sigma t) = kappa(s, t) and likewise lambda.  A sink t is
+skipped only when an earlier sink t' of the same scan has its label, and
+then some sigma fixing the source s maps t' to t, so (s, t) has the value of
+(s, t').  That flow, capped at the best value c so far, left the best at
+min(c, kappa(s, t')) <= kappa(s, t), so the flow of (s, t) could not have
+lowered it: the minimum, and the point where the scan stops, are unchanged.
+
+Complementing c (when 2k = n) is left out of the stabilisers, since it maps
+each configuration to one that shares no token with it, so it fixes no
+source.  Nor would it fold a scan on any base with n > 4 by mapping one pair
+of the scan onto another.  A neighbour x of v, with X_x = X_v - a + b, goes
+to a configuration that shares only the token a with v, while neighbours
+share k - 1 >= 2 tokens; and c v, sharing none, is neither v nor a
+neighbour of v.  So c maps no pair of neighbours of v onto a scan pair, and
+a pair (s, t) holding the source goes to a pair holding s only when
+c t = s, which makes it the pair itself.
 
 The proofs of the pair sets sit in the docstrings of `vertex_connectivity`
 and `edge_connectivity`.  The subset-removal oracle checks both
@@ -214,6 +221,14 @@ def _dfs_settled(g: Graph | TokenGraph, flag: int) -> int:
     return delta
 
 
+def _first_per_orbit(points: list[int], labels: Sequence[int]) -> list[int]:
+    """The points whose orbit label no earlier point carries, in order."""
+    first: dict[int, int] = {}
+    for p in points:
+        first.setdefault(labels[p], p)
+    return list(first.values())
+
+
 def local_vertex_connectivity(
     g: Graph, s: int, t: int, limit: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -264,27 +279,21 @@ def vertex_connectivity(g: Graph | TokenGraph) -> int:
     components are non-adjacent and separated by S.  Either way some flow in
     the scan is at most |S| = kappa.
 
-    Only the first pair of each orbit of unordered pairs under the known
-    automorphisms of g (`g.pair_orbits`), in the order above, runs a flow.
-    Orbit exactness: an automorphism maps internally disjoint s-t paths onto
-    internally disjoint paths between the images, so kappa(s, t) =
-    kappa(t, s) is the same on every pair of an orbit.  A skipped pair shares
-    it with the first pair of its orbit, whose flow already brought the best
-    value down to at most that, so the minimum and the stop at 2 are
-    unchanged.
+    The first phase runs only the first non-neighbour w of each orbit under
+    the automorphisms known to fix v (`g.orbits_fixing(v)`); the module
+    docstring proves this exact.  The second phase, with at most
+    C(delta, 2) pairs, runs them all.
     """
     best = _dfs_settled(g, 1)
     if best <= 2:
         return best
     masks = g.neighbor_masks
     v = next(u for u in range(g.n) if masks[u].bit_count() == best)
-    pairs = [(v, w) for w in range(g.n) if w != v and not masks[v] >> w & 1]
+    sinks = [w for w in range(g.n) if w != v and not masks[v] >> w & 1]
+    pairs = [(v, w) for w in _first_per_orbit(sinks, g.orbits_fixing(v))]
     nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
-    first = g.pair_orbits.walk()
     for s, t in pairs:
-        if not first(s, t):
-            continue
         flow, _ = _unit_flow(masks, s, t, best, split=True)
         if flow < best:
             best = flow
@@ -320,12 +329,9 @@ def edge_connectivity(g: Graph | TokenGraph) -> int:
     side, giving more than delta crossing edges.  So D meets both sides, and
     the flow from D[0] to a member of D on the other side is at most lambda.
 
-    As in `vertex_connectivity`, only the first pair (D[0], t) of each orbit
-    of unordered pairs under `g.pair_orbits` runs a flow.  Orbit exactness: an automorphism maps
-    edge-disjoint s-t paths onto edge-disjoint paths between the images, so
-    lambda(s, t) = lambda(t, s) is the same on every pair of an orbit, and a
-    skipped pair cannot lower the best value below what the first pair of
-    its orbit already left.
+    Only the first member t of each orbit under the automorphisms known to
+    fix D[0] (`g.orbits_fixing(D[0])`) runs a flow; the module docstring
+    proves this exact.
     """
     best = _dfs_settled(g, 2)
     if best <= 2:
@@ -337,10 +343,7 @@ def edge_connectivity(g: Graph | TokenGraph) -> int:
             dominating.append(v)
             dominated |= 1 << v | masks[v]
     source, *sinks = dominating
-    first = g.pair_orbits.walk()
-    for t in sinks:
-        if not first(source, t):
-            continue
+    for t in _first_per_orbit(sinks, g.orbits_fixing(source)):
         flow, _ = _unit_flow(masks, source, t, best, split=False)
         if flow < best:
             best = flow

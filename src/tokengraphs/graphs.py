@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Graph",
@@ -100,11 +100,10 @@ class Graph:
         """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on this graph."""
         return mask_cut_flags(self.neighbor_masks)
 
-    @cached_property
-    def pair_orbits(self) -> PairOrbits:
-        """Orbits of vertex pairs under the automorphisms known for this graph:
-        none, so every pair is its own orbit.  `TokenGraph.pair_orbits` knows more."""
-        return PairOrbits((), 0)
+    def orbits_fixing(self, v: int) -> Sequence[int]:
+        """Per vertex, the label of its orbit under the automorphisms known to fix
+        v: none, so every vertex labels itself.  `TokenGraph.orbits_fixing` knows more."""
+        return range(self.n)
 
     def is_connected(self) -> bool:
         return self.cut_flags[0]
@@ -274,12 +273,17 @@ def emit_graph6(g: Graph) -> str:
 _TREE_COUNT_MAX = 12
 
 
-def _rooted_codes(adj: Sequence[frozenset[int]]) -> Callable[[int, int], str]:
-    """code(u, p): AHU code of the subtree at u hanging from neighbour p (-1: all of it)."""
+def _rooted_codes(adj: Sequence[frozenset[int]], marked: int = 0) -> Callable[[int, int], str]:
+    """code(u, p): AHU code of the subtree at u hanging from neighbour p (-1: all of it).
+
+    A vertex in the bitmask `marked` opens its code with "[" instead of "(",
+    so equal codes mean isomorphic subtrees with the marks mapped onto marks.
+    """
 
     @cache
     def code(u: int, p: int) -> str:
-        return "(" + "".join(sorted(code(c, u) for c in adj[u] if c != p)) + ")"
+        kids = "".join(sorted(code(c, u) for c in adj[u] if c != p))
+        return ("[" if marked >> u & 1 else "(") + kids + ")"
 
     return code
 
@@ -309,16 +313,22 @@ def tree_canonical_form(g: Graph) -> str:
     return min(code(c, -1) for c in _centroids(g))
 
 
-def tree_automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Involutions, as vertex maps, that generate the automorphism group of a tree.
+def tree_automorphism_generators(g: Graph, marked: int = 0) -> list[tuple[int, ...]]:
+    """Involutions, as vertex maps, that generate the automorphisms of a tree
+    that map the vertex set with bitmask `marked` onto itself.
 
     Rooted at its centroid (at both, if two), the group is generated by swapping
     each two consecutive children of equal code at every vertex, pairing their
     children in code order, and the two centroids' halves when their codes agree.
+    Every automorphism fixes the centroid set, and the marked codes
+    (`_rooted_codes`) are equal exactly on subtrees that an automorphism keeping
+    the marks can exchange, so the same argument holds with marks (Aho, Hopcroft
+    and Ullman, "The Design and Analysis of Computer Algorithms", 1974, on
+    rooted trees with labelled vertices).
     """
     if not g.is_tree():
         raise ValueError("tree_automorphism_generators requires a tree")
-    adj, code, cents = g.adjacency, _rooted_codes(g.adjacency), _centroids(g)
+    adj, code, cents = g.adjacency, _rooted_codes(g.adjacency, marked), _centroids(g)
 
     def kids(u: int, p: int) -> list[int]:
         return sorted((c for c in adj[u] if c != p), key=lambda c: code(c, u))
@@ -345,67 +355,29 @@ def tree_automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-class PairOrbits:
-    """Orbits of unordered pairs of the points 0..N-1 under the group some maps
-    generate, closed as they are met.
+def orbit_labels(points: Sequence[int], maps: Sequence[Sequence[int] | Mapping[int, int]]
+                 ) -> list[int]:
+    """Per point, the first point of its orbit under the group the maps generate.
 
-    Each map is a permutation of the points (`table[x]` is the image of x).
-    The first lookup of a pair closes its orbit under the maps and files
-    every pair in it under that pair's key, so later lookups of any pair of
-    the orbit, from any walk, cost one dict read.  A pair is keyed by the
-    ordered pair (lo, hi), packed as lo * N + hi.
-
-    Closing takes at most `work` map images in all, since an orbit of pairs
-    can be far larger than the few pairs a scan looks up (under the full
-    symmetric group every pair with the same pattern is in one orbit).  Once
-    the work is spent, closing stops and a pair not filed yet is an orbit of
-    its own.  A walk then passes more pairs than it must, never fewer: every
-    filed pair was reached from its key by the maps, so it is in that key's
-    orbit.
+    Each map permutes the points (`table[x]` is the image of x, again a point);
+    "first" follows the order of `points`.  The first point not yet labelled
+    starts a new orbit and labels every point the maps reach from it.  Those
+    are exactly its orbit: the group is finite, so each map's inverse is a
+    power of that map.
     """
-
-    def __init__(self, maps: Sequence[Sequence[int]], work: int):
-        self.maps = tuple(maps)
-        self._room = work
-        self._orbit: dict[int, int] = {}
-
-    def walk(self) -> Callable[[int, int], bool]:
-        """A test that is false for a pair exactly when a pair filed under the
-        same orbit was tested before in this walk.  While work remains, every
-        orbit met is filed whole, so fed pairs in some order, the walk passes
-        the first pair of each orbit met."""
-        if not self.maps:
-            return lambda a, b: True
-        size, orbit, seen = len(self.maps[0]), self._orbit, set()
-
-        def first(a: int, b: int) -> bool:
-            key = a * size + b if a < b else b * size + a
-            found = orbit.get(key)
-            if found is None:
-                found = self._close(a, b, key)
-            if found in seen:
-                return False
-            seen.add(found)
-            return True
-
-        return first
-
-    def _close(self, a: int, b: int, key: int) -> int:
-        maps, size, orbit, room = self.maps, len(self.maps[0]), self._orbit, self._room
-        if room > 0:
-            orbit[key] = key
-        todo = [(a, b)]
-        while todo and room > 0:
-            a, b = todo.pop()
-            room -= len(maps)
+    label: dict[int, int] = {}
+    for x in points:
+        if x in label:
+            continue
+        label[x], todo = x, [x]
+        while todo:
+            y = todo.pop()
             for table in maps:
-                x, y = table[a], table[b]
-                image = x * size + y if x < y else y * size + x
-                if image not in orbit:
-                    orbit[image] = key
-                    todo.append((x, y))
-        self._room = room
-        return key
+                z = table[y]
+                if z not in label:
+                    label[z] = x
+                    todo.append(z)
+    return [label[x] for x in points]
 
 
 def _canonical_relabel(g: Graph) -> Graph:

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator
 
-from .graphs import Graph, PairOrbits, emit_graph6, mask_cut_flags, tree_automorphism_generators
+from .graphs import Graph, emit_graph6, mask_cut_flags, orbit_labels, tree_automorphism_generators
 
 __all__ = [
     "Config",
@@ -34,9 +34,6 @@ Config = tuple[int, ...]
 
 # refuse to materialise token graphs beyond this many configurations
 MATERIALIZE_LIMIT = 500_000
-
-# map images that closing pair orbits may take, per configuration of F_k
-ORBIT_WORK = 2048
 
 
 def make_config(vertices: Iterable[int]) -> Config:
@@ -125,8 +122,8 @@ class TokenGraph:
     `vertices` lists the configurations in lexicographic order, `occupancy`
     their occupancy bitmasks, and bit j of `neighbor_masks[i]` is set when
     vertices[i] and vertices[j] are adjacent.  `n`, `neighbor_masks`,
-    `min_degree`, `cut_flags` and `pair_orbits` read as on a `Graph` over the
-    indices, so the connectivity oracles take a token graph as it is.
+    `min_degree`, `cut_flags` and `orbits_fixing` read as on a `Graph` over
+    the indices, so the connectivity oracles take a token graph as it is.
     """
 
     def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
@@ -153,44 +150,44 @@ class TokenGraph:
         """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on F_k."""
         return mask_cut_flags(self.neighbor_masks)
 
-    @cached_property
-    def automorphisms(self) -> list[list[int]]:
-        """Generators of automorphisms of F_k, as permutations of the vertex indices.
+    def symmetries(self, fixing: int | None = None) -> list[list[int]]:
+        """Generators of automorphisms of F_k that fix the vertex index `fixing`
+        (with None, of all those known), as permutations of the vertex indices.
 
         An automorphism of the base maps k-configurations onto k-configurations
-        and keeps slides along edges, so it acts on F_k.  When the base is a
-        tree these come from `tree_automorphism_generators`, each first checked
-        to map the base edges onto the base edges: folding by a map that is
-        not an automorphism would skip pairs whose values differ, so such a
-        map raises instead.  When 2k = n, complementing maps F_k onto itself
-        for any base.
+        and keeps slides along edges, so it acts on F_k, and it fixes the
+        configuration X exactly when it maps X onto itself.  When the base is
+        a tree these come from `tree_automorphism_generators` with X marked,
+        each first checked to map the base edges onto the base edges and X
+        onto X: folding by a map that is not such an automorphism would skip
+        pairs whose values differ, so such a map raises instead.  When nothing
+        is fixed and 2k = n, complementing maps F_k onto itself for any base;
+        it never fixes a configuration, so it joins no stabiliser.
         """
         g = self.base
+        marked = 0 if fixing is None else self.occupancy[fixing]
+        perms = tree_automorphism_generators(g, marked) if g.is_tree() else []
         index = {occ: i for i, occ in enumerate(self.occupancy)}
         gens = []
-        for perm in tree_automorphism_generators(g) if g.is_tree() else ():
+        for perm in perms:
             image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
             if sorted(perm) != list(range(g.n)) or image != set(g.edges):
                 raise ValueError(
                     f"{list(perm)} is not an automorphism of the tree {emit_graph6(g)}")
             bits = [1 << w for w in perm]
             gens.append([index[sum(bits[v] for v in cfg)] for cfg in self.vertices])
-        if 2 * self.k == g.n:
+            if fixing is not None and gens[-1][fixing] != fixing:
+                raise ValueError(f"{list(perm)} moves {self.vertices[fixing]}")
+        if fixing is None and 2 * self.k == g.n:
             full = (1 << g.n) - 1
             gens.append([index[full ^ occ] for occ in self.occupancy])
         return gens
 
-    @cached_property
-    def pair_orbits(self) -> PairOrbits:
-        """Orbits of vertex pairs under `automorphisms`, shared by every scan on F_k.
+    def orbits_fixing(self, i: int) -> list[int]:
+        """Per vertex index, the first index of its orbit under `symmetries(i)`."""
+        return orbit_labels(range(self.n), self.symmetries(i))
 
-        Closing them takes at most ORBIT_WORK map images per configuration,
-        so a large group, whose orbits dwarf the pairs a scan tries, costs
-        time and memory in proportion to F_k, not to its pairs.
-        """
-        return PairOrbits(self.automorphisms, ORBIT_WORK * self.n)
-
-    # the tuple index serves the reference methods below and the paths orbit walk
+    # the tuple index serves the reference methods below and the paths pair keys
     @cached_property
     def index(self) -> dict[Config, int]:
         return {cfg: i for i, cfg in enumerate(self.vertices)}

@@ -406,7 +406,7 @@ class TestMirroring:
 def unfolded(monkeypatch, unit, arg):
     """The unit's record with no automorphisms to fold by."""
     with monkeypatch.context() as patch:
-        patch.setattr(TokenGraph, "automorphisms", property(lambda tg: []))
+        patch.setattr(TokenGraph, "symmetries", lambda tg, fixing=None: [])
         return unit(arg)
 
 
@@ -511,13 +511,27 @@ class TestFlowFolding:
         graphs = [g for g in girth5_catalog(9) if g.n % 2 == 0 and g.n >= 4]
         args = [(emit_graph6(g), g.n // 2) for g in graphs]
         counts = self.folded_and_unfolded(monkeypatch, cli._conjecture_unit, args)
-        assert len(args) == 57  # trees included: they fold by their automorphisms too
-        assert sum(folded for folded, _ in counts) < sum(plain for _, plain in counts)
+        assert len(args) == 57
+        # only the trees fold: complementing fixes no source and, with n > 4,
+        # maps no pair of a scan onto another pair of the same scan
+        trees = [g.is_tree() for g in graphs]
+        assert all(folded == plain for (folded, plain), tree in zip(counts, trees) if not tree)
+        assert sum(folded for (folded, _), tree in zip(counts, trees) if tree) < sum(
+            plain for (_, plain), tree in zip(counts, trees) if tree)
+
+    @pytest.mark.parametrize("leaves, k, most", [(29, 3, 20), (11, 6, 40)])
+    def test_star_units_run_few_flows(self, monkeypatch, leaves, k, most):
+        # the automorphisms that fix the source configuration leave a handful
+        # of sink orbits, however large the star's group
+        flows = self.count_flows(monkeypatch)
+        record = cli._conjecture_unit((emit_graph6(star_graph(leaves)), k))
+        assert record["status"] == "confirmed"
+        assert len(flows) <= most
 
     def test_large_symmetric_tree_stays_small(self, tmp_path):
-        # the star K_{1,29} has 29! automorphisms, so one orbit of pairs of
-        # 3-configurations can hold millions of pairs; closing orbits must stop
-        # early instead of filing them, and the scan must still finish exactly
+        # the star K_{1,29} has 29! automorphisms and 4,060 3-configurations;
+        # folding by the stabiliser of each scan's source must stay within
+        # 256 MiB, and the scan must still finish exactly
         (tmp_path / "star.g6").write_text(emit_graph6(star_graph(29)) + "\n")
 
         def cap_memory():
@@ -544,7 +558,7 @@ class TestPlantedGenerator:
 
     @pytest.fixture
     def bad_generator(self, monkeypatch):
-        def swap_leaf_and_inner(tree):
+        def swap_leaf_and_inner(tree, marked=0):
             degrees = [tree.degree(v) for v in range(tree.n)]
             if max(degrees) < 2:
                 return []
@@ -569,6 +583,17 @@ class TestPlantedGenerator:
         # only the two-vertex tree has no leaf to swap with an inner vertex
         assert [r["status"] for r in records] == ["confirmed"] + ["error"] * 8
         assert all("is not an automorphism" in r["error"] for r in records[1:])
+
+    def test_generator_that_moves_the_source(self, capsys, monkeypatch):
+        # automorphisms of the whole tree, ignoring the marked source configuration
+        real = tokens.tree_automorphism_generators
+        monkeypatch.setattr(tokens, "tree_automorphism_generators",
+                            lambda tree, marked=0: real(tree))
+        code, records, _, _ = run(capsys, ["theorem", "--n-max", "6", "--json"])
+        assert code == 3
+        errors = [r for r in records if r["status"] == "error"]
+        assert [(r["graph_id"], r["k"]) for r in errors] == [("Esa?", 3)]
+        assert "moves" in errors[0]["error"]
 
 
 class TestUsageErrors:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tokengraphs.graphs import (
     Graph,
     Graph6Error,
-    PairOrbits,
     bridged_cliques,
     complete_graph,
     cycle_graph,
@@ -20,6 +19,7 @@ from tokengraphs.graphs import (
     _canonical_relabel,
     girth,
     mask_cut_flags,
+    orbit_labels,
     parse_graph6,
     path_graph,
     star_graph,
@@ -341,58 +341,52 @@ class TestAutomorphismGenerators:
         assert group == self_isomorphisms(tree)
         assert len(group) == order
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_generate_every_automorphism_keeping_a_marked_set(self, n):
+        for tree in enumerate_trees(n):
+            isos = self_isomorphisms(tree)
+            for size in range(n // 2 + 1):
+                for marked in combinations(range(n), size):
+                    gens = tree_automorphism_generators(tree, sum(1 << v for v in marked))
+                    keeping = {p for p in isos if {p[v] for v in marked} == set(marked)}
+                    assert generated_group(gens, n) == keeping, (emit_graph6(tree), marked)
+
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
             tree_automorphism_generators(cycle_graph(4))
 
 
+def pair_key_maps(gens, n):
+    """Each vertex map as a map of the keys lo * n + hi of unordered pairs."""
+    def key(a, b):
+        return a * n + b if a < b else b * n + a
+
+    return [{key(a, b): key(p[a], p[b]) for a, b in combinations(range(n), 2)} for p in gens]
+
+
 class TestPairOrbits:
+    """`orbit_labels` on the keys of unordered vertex pairs, as `paths` labels its pairs."""
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_passes_the_first_pair_of_each_orbit(self, n):
         for tree in enumerate_trees(n):
             gens = tree_automorphism_generators(tree)
             group = generated_group(gens, n)
             pairs = list(combinations(range(n), 2))
-            # walked in lexicographic order, an orbit's first pair is its least
-            firsts = {min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs}
-            first = PairOrbits(gens, 10**6).walk()
-            assert [pair for pair in pairs if first(*pair)] == sorted(firsts)
-
-    @pytest.mark.parametrize("work", [0, 1, 4, 16, 64])
-    def test_spent_work_only_passes_more_pairs(self, work):
-        for tree in enumerate_trees(7):
-            gens = tree_automorphism_generators(tree)
-            group = generated_group(gens, tree.n)
-            first = PairOrbits(gens, work).walk()
-            passed = []
-            for pair in combinations(range(tree.n), 2):
-                orbit = {tuple(sorted((p[pair[0]], p[pair[1]]))) for p in group}
-                if first(*pair):
-                    passed.append(pair)
-                else:  # a skipped pair shares its orbit with a pair that passed
-                    assert orbit & set(passed), (tree.edges, pair)
-            exact = PairOrbits(gens, 10**6).walk()
-            assert len(passed) >= sum(exact(*p) for p in combinations(range(tree.n), 2))
+            # in lexicographic order, an orbit's first pair is its least
+            firsts = [min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs]
+            labels = orbit_labels([a * n + b for a, b in pairs], pair_key_maps(gens, n))
+            assert labels == [a * n + b for a, b in firsts], emit_graph6(tree)
 
     def test_pairs_are_unordered(self):
-        first = PairOrbits([(1, 0, 2)], 100).walk()
-        assert first(2, 0)
-        assert not first(1, 2) and not first(0, 2)
-        assert first(1, 0)
+        # swapping 0 and 1 keeps the pair {0, 1} and exchanges {0, 2} and {1, 2}
+        maps = pair_key_maps([(1, 0, 2)], 3)
+        assert maps == [{1: 1, 2: 5, 5: 2}]
+        # the first point of an orbit in the order given labels it
+        assert orbit_labels([5, 1, 2], maps) == [5, 1, 5]
 
     def test_no_maps_passes_every_pair(self):
-        first = PairOrbits([], 0).walk()
-        assert all(first(0, 1) for _ in range(3))
-
-    def test_walks_share_closed_orbits(self):
-        orbits = PairOrbits([(1, 0, 3, 2)], 100)
-        first = orbits.walk()
-        assert first(0, 2) and not first(1, 3)
-        closed = dict(orbits._orbit)
-        # a second walk starts with nothing seen but closes no orbit again
-        second = orbits.walk()
-        assert second(1, 3) and not second(0, 2)
-        assert orbits._orbit == closed
+        assert orbit_labels([3, 0, 1], []) == [3, 0, 1]
 
 
 class TestGenerators:
