@@ -44,12 +44,8 @@ from .moves import (
     trace_condition,
 )
 from .tokens import (
-    Case1Pair,
-    Case2Pair,
     TokenGraph,
     build_token_graph,
-    classify_distance2,
-    complement_iso,
     make_config,
     min_token_degree,
     token_degree,

@@ -46,7 +46,7 @@ from .graphs import (
     parse_graph6,
 )
 # min_token_degree stays importable here: perfbench's tracer wraps cli.min_token_degree
-from .tokens import Config, TokenGraph, build_token_graph, min_token_degree
+from .tokens import build_token_graph, min_token_degree
 
 __all__ = ["main"]
 
@@ -99,12 +99,13 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
     record["delta"] = delta
     gens = tg.symmetries() if fold else []
     d2 = list(tg.distance2_pairs())
-    firsts = _first_pairs(tg, d2, gens) if gens else [True] * len(d2)
+    firsts = _first_pairs(tg.n, d2, gens) if gens else [True] * len(d2)
     min_size: int | None = None
     max_slack: dict[int, int | None] = {1: None, 2: None}
-    for pairs, ((x_cfg, y_cfg), first) in enumerate(zip(d2, firsts), 1):
+    for pairs, ((i, j), first) in enumerate(zip(d2, firsts), 1):
         if not first:
             continue
+        x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
         try:
             result = build_family(tree, x_cfg, y_cfg, delta)
         except (FamilyConstructionError, ValueError) as exc:
@@ -131,16 +132,15 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
     return record
 
 
-def _first_pairs(tg: TokenGraph, pairs: list[tuple[Config, Config]],
+def _first_pairs(size: int, pairs: list[tuple[int, int]],
                  gens: list[list[int]]) -> list[bool]:
     """Per pair, whether it comes first in its orbit under the maps `gens` of F_k.
 
-    An unordered pair of vertex indices lo < hi is keyed lo * N + hi, so each
-    map becomes a permutation of the keys of the distance-2 pairs.
+    An unordered pair of vertex indices lo < hi is keyed lo * size + hi, so
+    each map becomes a permutation of the keys of the distance-2 pairs.
     """
-    size, index = tg.n, tg.index
-    los, his = [index[x] for x, _ in pairs], [index[y] for _, y in pairs]
-    keys = [a * size + b for a, b in zip(los, his)]
+    los, his = [i for i, _ in pairs], [j for _, j in pairs]
+    keys = [a * size + b for a, b in pairs]
     maps = []
     for perm in gens:
         images = zip(map(perm.__getitem__, los), map(perm.__getitem__, his))

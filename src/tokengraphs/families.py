@@ -6,11 +6,12 @@ X-Y token paths.  `normalize` brings each instance into one of two fixed
 shapes (complementing tokens with free vertices, swapping endpoint roles,
 relabelling the two moved-token indices) on int occupancy masks: the case-2
 dispatch permutes eight neighbour counts instead of rebuilding anything, and
-each pair gets one context.  A context stores Z, W and the neighbour sets as
-masks and the counts as ints; the sorted tuples and frozensets that the
-planner and callers read are derived on each read.  Every path the paper
-names (T1-T4, P and P' for one moved token; L1-L4*, P1-P4 for two) is one
-row of `_TEMPLATES`: a label, moves over slot names and trace-condition ids.
+each pair gets one context.  A context holds Z, W and the neighbour sets as
+occupancy masks and the counts as ints; sorted tuples appear only at the
+entry points and in what callers read out (`x_cfg`, `y_cfg`, the paths).
+Every path the paper names (T1-T4, P and P' for one moved token; L1-L4*,
+P1-P4 for two) is one row of `_TEMPLATES`: a label, moves over slot names
+and trace-condition ids.
 `plan_family` binds the slots from the context and its neighbour sets and
 emits each path's plan in the normalised frame.  `build_family` verifies
 each guarantee once, in the original frame: it folds the reductions into two
@@ -35,7 +36,6 @@ from .moves import (
     trace_condition,
 )
 from .tokens import (
-    Case1Pair,
     Config,
     checked_mask,
     classify_masks,
@@ -49,7 +49,6 @@ __all__ = [
     "FamilyConstructionError",
     "Case1Context",
     "Case2Context",
-    "REDUCTION_KINDS",
     "PathFamily",
     "FamilyResult",
     "normalize",
@@ -67,22 +66,11 @@ class FamilyConstructionError(RuntimeError):
 #   swap_xy                 exchange the roles of X and Y
 #   swap_indices_12         exchange the labels of the two moved-token pairs
 #   complement_with_relabel complement plus the induced role relabelling
-REDUCTION_KINDS = ("complement", "swap_xy", "swap_indices_12", "complement_with_relabel")
 
 
 def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], ...]:
     """Edges from a shared token to a free vertex, as sorted (z, w) pairs."""
     return tuple((u, t) for u in mask_config(z) for t in mask_config(nbrs[u] & w))
-
-
-def _side(i: int) -> property:
-    """The i-th neighbour set of a context, as an ascending tuple."""
-    return property(lambda self: mask_config(self.side_masks[i]))
-
-
-def _vertex_set(mask_name: str) -> property:
-    """The vertices of a context mask, as a frozenset."""
-    return property(lambda self: frozenset(mask_config(getattr(self, mask_name))))
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,9 @@ class Case1Context:
 
     The shared tokens are Z, the free vertices W; v is the common neighbour
     of x and y and is free.  side_masks holds the neighbours of x in W - v,
-    of y in Z, of x in Z and of y in W - v; their sizes are the counts a, b,
-    c, d, with deg(X) = a + b + eta + 1 and deg(Y) = c + d + eta + 1.
+    of y in Z, of x in Z and of y in W - v (region_mask); their sizes are the
+    counts a, b, c, d, with deg(X) = a + b + eta + 1 and deg(Y) = c + d + eta + 1
+    for eta = len(zw_edges).
     """
 
     tree: Graph
@@ -113,15 +102,9 @@ class Case1Context:
         m = min(self.a, self.c) + min(self.b, self.d) + len(self.zw_edges) + 1
         object.__setattr__(self, "m", m)
 
-    # views derived on each read
-    wx, zy, zx, wy = _side(0), _side(1), _side(2), _side(3)
-    z, w = _vertex_set("z_mask"), _vertex_set("w_mask")
-    w_region = _vertex_set("region_mask")
     region_mask = property(lambda self: self.w_mask & ~(1 << self.v))
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y))
-    k = property(lambda self: self.z_mask.bit_count() + 1)
-    eta = property(lambda self: len(self.zw_edges))
 
 
 @dataclass(frozen=True)
@@ -133,7 +116,8 @@ class Case2Context:
     (endpoint among x1/y1, endpoint among x2/y2).  side_masks holds the
     neighbour sets wx1 wx2 zy1 zy2 zx1 zx2 wy1 wy2 (neighbours of x_i or y_i
     in W or Z); their sizes are the counts a1 a2 b1 b2 c1 c2 d1 d2, with
-    deg(X) = a1 + a2 + b1 + b2 + eta + 2 (+1 with an x-to-y cross edge).
+    deg(X) = a1 + a2 + b1 + b2 + eta + 2 (+1 with an x-to-y cross edge) for
+    eta = len(zw_edges).  region_mask is all of W.
     """
 
     tree: Graph
@@ -164,16 +148,9 @@ class Case2Context:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "case_number", _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2))
 
-    # views derived on each read
-    wx1, wx2, zy1, zy2 = _side(0), _side(1), _side(2), _side(3)
-    zx1, zx2, wy1, wy2 = _side(4), _side(5), _side(6), _side(7)
-    z, w = _vertex_set("z_mask"), _vertex_set("w_mask")
-    w_region = w
     region_mask = property(lambda self: self.w_mask)
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x1 | 1 << self.x2))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y1 | 1 << self.y2))
-    k = property(lambda self: self.z_mask.bit_count() + 2)
-    eta = property(lambda self: len(self.zw_edges))
 
     @property
     def cross_kind(self) -> str | None:
@@ -308,7 +285,7 @@ def normalize(
 
     x_cfg and y_cfg must be configurations (sorted tuples, see make_config).
     Returns the construction-ready context together with the reductions
-    applied, as REDUCTION_KINDS strings in application order.  Case-1
+    applied, by the names listed above, in application order.  Case-1
     instances are complemented until the middle vertex is free, then
     endpoint-swapped so X has the smaller token degree.  Case-2 instances are
     endpoint-swapped the same way, then run through the count-comparison
@@ -324,8 +301,8 @@ def normalize(
     deg_x, deg_y = mask_degree(tree, x_mask), mask_degree(tree, y_mask)
     reductions: list[str] = []
 
-    if isinstance(pair, Case1Pair):
-        x, y, v = pair.x, pair.y, pair.v
+    if len(pair) == 3:
+        x, y, v = pair
         if (x_mask | y_mask) >> v & 1:
             full = (1 << tree.n) - 1
             x_mask, y_mask = x_mask ^ full, y_mask ^ full
@@ -338,10 +315,11 @@ def normalize(
         ctx = _case1_context(tree, x_mask, y_mask, x, y, v, deg_x, deg_y)
         return ctx, tuple(reductions)
 
-    labels = (pair.x1, pair.y1, pair.x2, pair.y2)
+    labels = pair
     if deg_x > deg_y:
+        x1, y1, x2, y2 = pair
         x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
-        labels = (pair.y1, pair.x1, pair.y2, pair.x2)
+        labels = (y1, x1, y2, x2)
         reductions.append("swap_xy")
     ctx = _case2_context(tree, x_mask, y_mask, labels, deg_x, deg_y, delta, reductions)
     return ctx, tuple(reductions)
@@ -404,14 +382,15 @@ _SIDE_ROWS = (
 )
 
 # the supplemental two-token path of delta = m + 1: its guard on the counts,
-# the guard's wording, and the neighbour sets whose last vertices fill its slots
+# the guard's wording, and the indices into side_masks of the neighbour sets
+# whose highest vertices fill its slots (wx1 = 0, zx1 = 4, zx2 = 5, wy2 = 7)
 _SUPPLEMENTS = {
-    "P1": (lambda c: c.a1 > c.c1 and c.d2 > c.b2, "a1 > c1 and d2 > b2", ("wx1", "wy2")),
-    "P2": (lambda c: c.a1 > c.c1 and c.c2 > c.a2, "a1 > c1 and c2 > a2", ("wx1", "zx2")),
+    "P1": (lambda c: c.a1 > c.c1 and c.d2 > c.b2, "a1 > c1 and d2 > b2", (0, 7)),
+    "P2": (lambda c: c.a1 > c.c1 and c.c2 > c.a2, "a1 > c1 and c2 > a2", (0, 5)),
     "P3": (lambda c: c.c1 > c.a1 and c.cross_kind == "x1y2",
-           "c1 > a1 and a cross edge x1-y2", ("zx1",)),
+           "c1 > a1 and a cross edge x1-y2", (4,)),
     "P4": (lambda c: c.d2 > c.b2 and c.cross_kind == "x1y2",
-           "d2 > b2 and a cross edge x1-y2", ("wy2",)),
+           "d2 > b2 and a cross edge x1-y2", (7,)),
 }
 
 
@@ -486,7 +465,7 @@ def _extension(ctx: Case1Context, extra: int) -> list[tuple[str, tuple[int, ...]
         raise FamilyConstructionError(
             f"delta = m + 2 requires b >= d+2 and c >= a+2, got a={a} b={b} c={c} d={d}"
         )
-    zy, zx = ctx.zy, ctx.zx
+    zy, zx = mask_config(ctx.side_masks[1]), mask_config(ctx.side_masks[2])
     return [(key, (zy[-1 - step], zx[-1 - step])) for step, key in zip(range(extra), ("P", "P'"))]
 
 
@@ -510,7 +489,7 @@ def _supplement(ctx: Case2Context, extra: int) -> tuple[str, tuple[int, ...]]:
     holds, needs, sides = _SUPPLEMENTS[key]
     if not holds(ctx):
         raise FamilyConstructionError(f"{key} needs {needs} in case {case}")
-    return key, tuple(getattr(ctx, side)[-1] for side in sides)
+    return key, tuple(ctx.side_masks[i].bit_length() - 1 for i in sides)
 
 
 # ---------------------------------------------------------------------------

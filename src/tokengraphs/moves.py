@@ -8,15 +8,15 @@ the disjointness check and the trace conditions work on int occupancy masks
 views of a path's configurations are built only when read.  Construction
 still validates every start and coerces every move, through two bounded
 memos: the start check keyed on the vertex count and the start, the move
-conversion keyed on the move.  `check_trace` reads the Z and W-region masks
-a family context carries, or builds them from frozensets.
+conversion keyed on the move.  `check_trace` reads only the Z and W-region
+masks a family context carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
 from .tokens import Config, checked_mask, config_mask, mask_config
@@ -158,12 +158,6 @@ def pairwise_internally_disjoint(
 # names resolved against per-path vertex bindings.
 
 
-class _TraceContext(Protocol):
-    # a family context also carries these as z_mask and region_mask
-    z: frozenset[int]
-    w_region: frozenset[int]
-
-
 @dataclass(frozen=True)
 class _ConditionShape:
     slots: tuple[str, ...]
@@ -252,19 +246,15 @@ def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
     return TraceCondition(cond_id, tuple(sorted(bindings.items())))
 
 
-def check_trace(
-    p: TokenPath | Iterable[int], cond: TraceCondition, ctx: _TraceContext
-) -> bool:
+def check_trace(p: TokenPath | Iterable[int], cond: TraceCondition, ctx) -> bool:
     """Evaluate cond on every configuration strictly inside p.
 
     p is a path, or the occupancy masks of the configurations strictly inside
     one, in any order: each predicate looks at one configuration at a time.
+    ctx gives the masks of Z and of the W region as `z_mask` and `region_mask`.
     """
     drops_allowed, w_allowed, forbid_trivial = cond._allowed
-    try:
-        z, region = ctx.z_mask, ctx.region_mask
-    except AttributeError:
-        z, region = config_mask(ctx.z), config_mask(ctx.w_region)
+    z, region = ctx.z_mask, ctx.region_mask
     for occupied in p.masks[1:-1] if isinstance(p, TokenPath) else p:
         dropped = z & ~occupied
         present = occupied & region

@@ -3,11 +3,12 @@
 A configuration is a sorted tuple of k distinct vertices (the occupied set).
 Two configurations are adjacent when their symmetric difference is an edge of
 the base graph, i.e. one token slides along an edge to a free vertex.
+Sorted tuples appear only at entry points and in records; inside, F_k is
+given in vertex indices, reached from occupancy bitmasks through one index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, inf
@@ -19,15 +20,10 @@ __all__ = [
     "Config",
     "MATERIALIZE_LIMIT",
     "make_config",
-    "check_config",
-    "complement_iso",
     "token_degree",
     "min_token_degree",
     "TokenGraph",
     "build_token_graph",
-    "Case1Pair",
-    "Case2Pair",
-    "classify_distance2",
 ]
 
 Config = tuple[int, ...]
@@ -43,11 +39,6 @@ def make_config(vertices: Iterable[int]) -> Config:
     return cfg
 
 
-def check_config(g: Graph, cfg: Config) -> None:
-    """Validate cfg as a k-token configuration of g (1 <= k <= n-1)."""
-    _check_config(g.n, cfg)
-
-
 def _check_config(n: int, cfg: Config) -> None:
     if tuple(sorted(set(cfg))) != cfg:
         raise ValueError(f"configuration {cfg} is not a sorted duplicate-free tuple")
@@ -58,9 +49,10 @@ def _check_config(n: int, cfg: Config) -> None:
 
 
 def checked_mask(g: Graph, cfg: Config) -> int:
-    """check_config, then the occupancy mask of cfg."""
+    """The occupancy mask of cfg; ValueError unless cfg is a sorted
+    duplicate-free tuple of 1 <= k <= n-1 vertices of g."""
     if type(cfg) is not tuple:
-        check_config(g, cfg)  # raises: a configuration is a tuple
+        _check_config(g.n, cfg)  # raises: a configuration is a tuple
     return _checked_mask(g.n, cfg)
 
 
@@ -99,11 +91,6 @@ def mask_degree(g: Graph, mask: int) -> int:
     return degree
 
 
-def complement_iso(cfg: Config, n: int) -> Config:
-    """Image of a configuration under occupied/free exchange on n vertices."""
-    return tuple(sorted(set(range(n)) - set(cfg)))
-
-
 def token_degree(g: Graph, cfg: Config) -> int:
     """Number of base edges with exactly one endpoint occupied by cfg."""
     return mask_degree(g, checked_mask(g, cfg))
@@ -120,18 +107,21 @@ class TokenGraph:
     """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
     `vertices` lists the configurations in lexicographic order, `occupancy`
-    their occupancy bitmasks, and bit j of `neighbor_masks[i]` is set when
-    vertices[i] and vertices[j] are adjacent.  `n`, `neighbor_masks`,
-    `min_degree`, `cut_flags` and `orbits_fixing` read as on a `Graph` over
-    the indices, so the connectivity oracles take a token graph as it is.
+    their occupancy bitmasks, `index` maps those back to vertex indices, and
+    bit j of `neighbor_masks[i]` is set when vertices[i] and vertices[j] are
+    adjacent.  `n`, `neighbor_masks`, `min_degree`, `cut_flags` and
+    `orbits_fixing` read as on a `Graph` over the indices, so the connectivity
+    oracles take a token graph as it is.  `degree`, `neighbors` and `distance`
+    raise ValueError on anything but a k-configuration of the base.
     """
 
     def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
-                 occupancy: list[int], neighbor_masks: list[int]):
+                 occupancy: list[int], index: dict[int, int], neighbor_masks: list[int]):
         self.base = base
         self.k = k
         self.vertices = vertices
         self.occupancy = occupancy
+        self.index = index
         self.neighbor_masks = neighbor_masks
 
     @property
@@ -164,10 +154,9 @@ class TokenGraph:
         is fixed and 2k = n, complementing maps F_k onto itself for any base;
         it never fixes a configuration, so it joins no stabiliser.
         """
-        g = self.base
+        g, index = self.base, self.index
         marked = 0 if fixing is None else self.occupancy[fixing]
         perms = tree_automorphism_generators(g, marked) if g.is_tree() else []
-        index = {occ: i for i, occ in enumerate(self.occupancy)}
         gens = []
         for perm in perms:
             image = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
@@ -187,21 +176,22 @@ class TokenGraph:
         """Per vertex index, the first index of its orbit under `symmetries(i)`."""
         return orbit_labels(range(self.n), self.symmetries(i))
 
-    # the tuple index serves the reference methods below and the paths pair keys
-    @cached_property
-    def index(self) -> dict[Config, int]:
-        return {cfg: i for i, cfg in enumerate(self.vertices)}
+    def _vertex_index(self, cfg: Config) -> int:
+        i = self.index.get(checked_mask(self.base, cfg))
+        if i is None:
+            raise ValueError(f"configuration {cfg} has {len(cfg)} tokens, not k={self.k}")
+        return i
 
     def degree(self, cfg: Config) -> int:
-        return self.neighbor_masks[self.index[cfg]].bit_count()
+        return self.neighbor_masks[self._vertex_index(cfg)].bit_count()
 
     def neighbors(self, cfg: Config) -> tuple[Config, ...]:
-        m = self.neighbor_masks[self.index[cfg]]
+        m = self.neighbor_masks[self._vertex_index(cfg)]
         return tuple(self.vertices[j] for j in range(m.bit_length()) if m >> j & 1)
 
     def distance(self, a: Config, b: Config) -> int | float:
-        goal = 1 << self.index[b]
-        seen = frontier = 1 << self.index[a]
+        goal = 1 << self._vertex_index(b)
+        seen = frontier = 1 << self._vertex_index(a)
         dist = 0
         while frontier and not frontier & goal:
             nxt = 0
@@ -213,22 +203,21 @@ class TokenGraph:
             dist += 1
         return dist if frontier else inf
 
-    def distance2_pairs(self) -> Iterator[tuple[Config, Config]]:
-        """Unordered pairs at distance exactly 2, in lexicographic order."""
-        masks, vertices = self.neighbor_masks, self.vertices
-        for i, cfg in enumerate(vertices):
-            direct = m = masks[i]
-            second = 0
+    def distance2_pairs(self) -> Iterator[tuple[int, int]]:
+        """Vertex-index pairs i < j at distance exactly 2, in lexicographic order."""
+        masks = self.neighbor_masks
+        for i, direct in enumerate(masks):
+            m, second = direct, 0
             while m:
                 low = m & -m
                 m ^= low
                 second |= masks[low.bit_length() - 1]
-            # keep the vertices after i: the pair (cfg, later) is unordered
+            # keep the vertices after i: the pair (i, j) is unordered
             second &= ~direct & -(2 << i)
             while second:
                 low = second & -second
                 second ^= low
-                yield cfg, vertices[low.bit_length() - 1]
+                yield i, low.bit_length() - 1
 
     def as_graph(self) -> Graph:
         """Flatten to a plain Graph over configuration indices (a test reference)."""
@@ -269,42 +258,18 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
                 free ^= w
                 adj |= 1 << index[occ ^ (1 << u | w)]
         masks.append(adj)
-    return TokenGraph(g, k, vertices, occs, masks)
+    return TokenGraph(g, k, vertices, occs, index, masks)
 
 
-@dataclass(frozen=True)
-class Case1Pair:
-    """Distance-2 pair differing in one token: x -> v -> y through a common neighbour."""
+def classify_masks(g: Graph, a_mask: int, b_mask: int) -> tuple[int, ...]:
+    """Classify the occupancy masks of two configurations at distance exactly 2.
 
-    x: int
-    y: int
-    v: int
-
-
-@dataclass(frozen=True)
-class Case2Pair:
-    """Distance-2 pair differing in two tokens along independent edges x_i y_i."""
-
-    x1: int
-    y1: int
-    x2: int
-    y2: int
-
-
-def classify_distance2(g: Graph, a: Config, b: Config) -> Case1Pair | Case2Pair:
-    """Classify an unordered configuration pair at distance exactly 2.
-
-    Pairs sharing k-1 tokens need the two leftover vertices to be
-    non-adjacent with a common neighbour (smallest such neighbour is
-    reported, whether or not it is occupied).  Pairs sharing k-2 tokens need
-    a perfect matching of base edges between the leftover pairs.  Anything
-    else is not at distance 2 and raises ValueError.
+    Pairs sharing k-1 tokens need the leftover vertices x (of a) and y (of b)
+    to be non-adjacent with a common neighbour v, and give (x, y, v) for the
+    smallest such v, occupied or not.  Pairs sharing k-2 tokens need a perfect
+    matching of base edges x1-y1, x2-y2 between the leftover pairs, and give
+    (x1, y1, x2, y2) with x1 < x2.  Anything else raises ValueError.
     """
-    return classify_masks(g, checked_mask(g, a), checked_mask(g, b))
-
-
-def classify_masks(g: Graph, a_mask: int, b_mask: int) -> Case1Pair | Case2Pair:
-    """classify_distance2 on the occupancy masks of two valid configurations."""
     if a_mask.bit_count() != b_mask.bit_count():
         raise ValueError(
             f"configurations have different sizes: {a_mask.bit_count()} vs {b_mask.bit_count()}"
@@ -321,14 +286,14 @@ def classify_masks(g: Graph, a_mask: int, b_mask: int) -> Case1Pair | Case2Pair:
         common = nbrs[x] & nbrs[y]
         if not common:
             raise ValueError(f"distance exceeds 2: vertices {x},{y} share no neighbour")
-        return Case1Pair(x, y, (common & -common).bit_length() - 1)
+        return x, y, (common & -common).bit_length() - 1
     if moved == 2:
         x1, r = (only_a & -only_a).bit_length() - 1, (only_b & -only_b).bit_length() - 1
         x2, s = only_a.bit_length() - 1, only_b.bit_length() - 1
         if nbrs[x1] >> r & 1 and nbrs[x2] >> s & 1:
-            return Case2Pair(x1, r, x2, s)
+            return x1, r, x2, s
         if nbrs[x1] >> s & 1 and nbrs[x2] >> r & 1:
-            return Case2Pair(x1, s, x2, r)
+            return x1, s, x2, r
         raise ValueError(
             f"distance exceeds 2: no matching of edges between {[x1, x2]} and {[r, s]}"
         )

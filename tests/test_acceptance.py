@@ -27,7 +27,7 @@ from tokengraphs.connectivity import (
 from tokengraphs.families import Case1Context, build_family
 from tokengraphs.graphs import Graph, emit_graph6, enumerate_trees, girth
 from tokengraphs.moves import check_trace, pairwise_internally_disjoint
-from tokengraphs.tokens import build_token_graph, complement_iso, min_token_degree
+from tokengraphs.tokens import build_token_graph, min_token_degree
 
 STEP1_LABELS = {"T1", "T2", "T3", "T4", "L1", "L2", "L3", "L4", "L3*", "L4*"}
 
@@ -64,7 +64,8 @@ def tree_sweep():
             for k in range(1, n):
                 tg = build_token_graph(tree, k)
                 delta = min_token_degree(tree, k)
-                for x_cfg, y_cfg in tg.distance2_pairs():
+                for i, j in tg.distance2_pairs():
+                    x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
                     stats["pairs"] += 1
                     where = (g6, k, x_cfg, y_cfg)
                     try:
@@ -180,6 +181,11 @@ def test_criterion_5_structural_invariants(atlas):
     for g in atlas:
         n = g.n
         token_graphs = {k: build_token_graph(g, k) for k in range(1, n)}
+
+        def complement(cfg):
+            # the occupied/free exchange on the n vertices of g
+            return tuple(sorted(set(range(n)) - set(cfg)))
+
         for k, tg in token_graphs.items():
             if len(tg.vertices) != math.comb(n, k):
                 bad.append((g, k, "vertex count"))
@@ -190,7 +196,7 @@ def test_criterion_5_structural_invariants(atlas):
             bad.append((g, 1, "one-token graph differs from the base"))
         for k in range(1, n // 2 + 1):
             mapped = {
-                frozenset((complement_iso(u, n), complement_iso(w, n)))
+                frozenset((complement(u), complement(w)))
                 for u, w in edge_set(token_graphs[k])
             }
             if mapped != edge_set(token_graphs[n - k]):

@@ -433,7 +433,8 @@ class TestOrbitFolding:
         arg = ("Eh_G", 3)
         tree = cli.parse_graph6(arg[0])
         assert tree.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (4, 5))
-        pairs = list(cli.build_token_graph(tree, 3).distance2_pairs())
+        tg = cli.build_token_graph(tree, 3)
+        pairs = [(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()]
         built = []
         real = cli.build_family
         monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a[1:3]) or real(*a))

@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 from math import comb
-from types import SimpleNamespace
 
 import networkx as nx
 
@@ -51,6 +50,11 @@ TREE_CASE4 = Graph(8, ((0, 1), (2, 3), (0, 2), (0, 4), (2, 5), (1, 6), (3, 7)))
 STEP1_LABELS = {"T1", "T2", "T3", "T4", "L1", "L2", "L3", "L4", "L3*", "L4*"}
 
 
+def config_pairs(tg):
+    """The distance-2 pairs of a token graph, as configuration pairs."""
+    return [(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()]
+
+
 def verify_result(tree, x_cfg, y_cfg, result):
     """Re-check every promise build_family makes, from the outside."""
     x_cfg, y_cfg = make_config(x_cfg), make_config(y_cfg)
@@ -78,10 +82,8 @@ class TestNormalize:
         assert reds == ()
         assert isinstance(ctx, Case1Context)
         assert (ctx.x, ctx.y, ctx.v) == (1, 3, 2)
-        assert ctx.z == frozenset({0})
-        assert ctx.w == frozenset({2})
-        assert ctx.w_region == frozenset()
-        assert (ctx.a, ctx.b, ctx.c, ctx.d, ctx.eta) == (0, 0, 1, 0, 0)
+        assert (ctx.z_mask, ctx.w_mask, ctx.region_mask) == (0b1, 0b100, 0)
+        assert (ctx.a, ctx.b, ctx.c, ctx.d, len(ctx.zw_edges)) == (0, 0, 1, 0, 0)
         assert ctx.m == 1
 
     def test_occupied_middle_complements(self):
@@ -89,7 +91,7 @@ class TestNormalize:
         assert list(reds) == ["complement"]
         assert isinstance(ctx, Case1Context)
         # tokens and holes traded places, so the instance lives at k = n - k
-        assert ctx.k == 2
+        assert len(ctx.x_cfg) == 2
         assert ctx.x_cfg == (2, 3) and ctx.y_cfg == (0, 3)
         assert (ctx.x, ctx.y, ctx.v) == (2, 0, 1)
         assert ctx.m == 1
@@ -104,7 +106,7 @@ class TestNormalize:
         assert reds == ()
         assert isinstance(ctx, Case2Context)
         assert (ctx.x1, ctx.y1, ctx.x2, ctx.y2) == (0, 1, 2, 3)
-        assert ctx.z == frozenset() and ctx.w == frozenset()
+        assert ctx.z_mask == 0 and ctx.w_mask == 0
         assert ctx.cross == (1, 2)
         assert ctx.cross_kind == "y1x2"
         assert ctx.case_number == 16
@@ -179,7 +181,7 @@ class TestSmallSweep:
             for tree in enumerate_trees(n):
                 for k in range(1, n):
                     tg = build_token_graph(tree, k)
-                    for x, y in tg.distance2_pairs():
+                    for x, y in config_pairs(tg):
                         result = build_family(tree, x, y)
                         verify_result(tree, x, y, result)
                         total += 1
@@ -241,7 +243,7 @@ class TestTristar:
         tg = build_token_graph(TRISTAR, 5)
         slack = {1: 0, 2: 0}
         hits = Counter()
-        for x, y in tg.distance2_pairs():
+        for x, y in config_pairs(tg):
             result = build_family(TRISTAR, x, y)
             verify_result(TRISTAR, x, y, result)
             slack[result.case] = max(slack[result.case], result.delta - result.m)
@@ -358,7 +360,7 @@ class TestBrokenBuilders:
     def test_inadmissible_move(self, instance, monkeypatch):
         _, tree, x, y, ctx = instance
         z = ctx.zw_edges[0][0]
-        far = min(w for w in ctx.w - {ctx.v} if not tree.has_edge(z, w))
+        far = min(w for w in range(tree.n) if ctx.region_mask >> w & 1 and not tree.has_edge(z, w))
         self.tamper_plan(
             monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges + ((z, far),))
         )
@@ -443,7 +445,7 @@ class TestSeededLargerTrees:
                 continue
             k = rng.choice([k for k, d in deltas.items() if d == max(deltas.values())])
             delta = deltas[k]
-            pairs = list(build_token_graph(tree, k).distance2_pairs())
+            pairs = config_pairs(build_token_graph(tree, k))
             # a uniform sample almost never holds a pair whose family needs
             # extension paths, so every such pair joins the sample
             sample = rng.sample(pairs, 40) + [
@@ -499,31 +501,34 @@ def expected_context(tree, x_cfg, y_cfg, ctx, reductions):
             x_set, y_set = y_set, x_set
     adj = {u: set(tree.neighbors(u)) for u in full}
     z, w = x_set & y_set, full - x_set - y_set
-    got = {"x_cfg": tuple(sorted(x_set)), "y_cfg": tuple(sorted(y_set)), "k": len(x_set),
-           "z": frozenset(z), "w": frozenset(w)}
+
+    def mask(vertices):
+        return sum(1 << v for v in vertices)
+
+    got = {"x_cfg": tuple(sorted(x_set)), "y_cfg": tuple(sorted(y_set)),
+           "z_mask": mask(z), "w_mask": mask(w)}
     got["zw_edges"] = tuple((u, t) for u in sorted(z) for t in sorted(adj[u] & w))
-    got["eta"] = len(got["zw_edges"])
+    eta = len(got["zw_edges"])
     if isinstance(ctx, Case1Context):
         assert x_set - y_set == {ctx.x} and y_set - x_set == {ctx.y}
         assert ctx.v in w and ctx.v in adj[ctx.x] & adj[ctx.y]
         region = w - {ctx.v}
-        got["w_region"] = frozenset(region)
-        for name, u, side in (("wx", ctx.x, region), ("wy", ctx.y, region),
-                              ("zx", ctx.x, z), ("zy", ctx.y, z)):
-            got[name] = tuple(sorted(adj[u] & side))
-        got.update(a=len(got["wx"]), b=len(got["zy"]), c=len(got["zx"]), d=len(got["wy"]))
-        got["m"] = min(got["a"], got["c"]) + min(got["b"], got["d"]) + got["eta"] + 1
+        got["region_mask"] = mask(region)
+        sides = (adj[ctx.x] & region, adj[ctx.y] & z, adj[ctx.x] & z, adj[ctx.y] & region)
+        got["side_masks"] = tuple(map(mask, sides))
+        got.update(zip("abcd", map(len, sides)))
+        got["m"] = min(got["a"], got["c"]) + min(got["b"], got["d"]) + eta + 1
         return got
     x1, y1, x2, y2 = ctx.x1, ctx.y1, ctx.x2, ctx.y2
     assert x_set - y_set == {x1, x2} and y_set - x_set == {y1, y2}
     assert y1 in adj[x1] and y2 in adj[x2]
-    got["w_region"] = frozenset(w)
-    for i, (xi, yi) in enumerate(((x1, y1), (x2, y2)), start=1):
-        for name, u, side in (("wx", xi, w), ("wy", yi, w), ("zx", xi, z), ("zy", yi, z)):
-            got[f"{name}{i}"] = tuple(sorted(adj[u] & side))
-        got.update({f"a{i}": len(got[f"wx{i}"]), f"b{i}": len(got[f"zy{i}"]),
-                    f"c{i}": len(got[f"zx{i}"]), f"d{i}": len(got[f"wy{i}"])})
-    got["m"] = got["eta"] + 2 + sum(
+    got["region_mask"] = mask(w)
+    # wx1 wx2 zy1 zy2 zx1 zx2 wy1 wy2, counted as a1 a2 b1 b2 c1 c2 d1 d2
+    sides = [adj[u] & side for u, side in (
+        (x1, w), (x2, w), (y1, z), (y2, z), (x1, z), (x2, z), (y1, w), (y2, w))]
+    got["side_masks"] = tuple(map(mask, sides))
+    got.update(zip(("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2"), map(len, sides)))
+    got["m"] = eta + 2 + sum(
         min(got[f"{p}{i}"], got[f"{q}{i}"]) for i in (1, 2) for p, q in (("a", "c"), ("b", "d"))
     )
     names = {x1: "x1", y1: "y1", x2: "x2", y2: "y2"}
@@ -543,7 +548,7 @@ def seeded_pairs(seed, trees_wanted, per_tree):
         n = rng.randint(9, 12)
         tree = hub_tree(rng, n)
         k = rng.randint(2, n - 2)
-        pairs = list(build_token_graph(tree, k).distance2_pairs())
+        pairs = config_pairs(build_token_graph(tree, k))
         for x, y in rng.sample(pairs, min(per_tree, len(pairs))):
             yield tree, x, y
 
@@ -556,14 +561,6 @@ class TestMaskContexts:
         ctx, reductions = normalize(tree, x, y)
         expect = expected_context(tree, x, y, ctx, reductions)
         assert {name: getattr(ctx, name) for name in expect} == expect
-        # every condition of the family against every one of its paths, so
-        # both answers occur; the stub exposes only the two frozensets
-        result = build_family(tree, x, y)
-        stub = SimpleNamespace(z=expect["z"], w_region=expect["w_region"])
-        conds = {cond for conds in result.family.traces for cond in conds}
-        for path in result.normalized.paths:
-            for cond in conds:
-                assert check_trace(path, cond, result.context) == check_trace(path, cond, stub)
         return type(ctx).__name__, reductions
 
     def test_every_pair_up_to_n7(self):
@@ -571,7 +568,7 @@ class TestMaskContexts:
         for n in range(2, 8):
             for tree in enumerate_trees(n):
                 for k in range(1, n):
-                    for x, y in build_token_graph(tree, k).distance2_pairs():
+                    for x, y in config_pairs(build_token_graph(tree, k)):
                         kinds[self.check_pair(tree, x, y)] += 1
         assert sum(kinds.values()) == 4972
         assert len(kinds) == 12  # both cases, every reduction chain that occurs
@@ -611,7 +608,7 @@ class TestPlanDigest:
         for n in range(2, 8):
             for tree in enumerate_trees(n):
                 for k in range(1, n):
-                    for x, y in build_token_graph(tree, k).distance2_pairs():
+                    for x, y in config_pairs(build_token_graph(tree, k)):
                         record = plan_record(build_family(tree, x, y))
                         digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
                         pairs += 1

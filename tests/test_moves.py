@@ -22,6 +22,11 @@ P5 = path_graph(5)
 C4 = cycle_graph(4)
 
 
+def mask_stub(z, region):
+    """A trace context holding only the occupancy masks of Z and the W region."""
+    return SimpleNamespace(z_mask=sum(1 << v for v in z), region_mask=sum(1 << v for v in region))
+
+
 class TestTokenPath:
     def test_replay_example(self):
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
@@ -197,18 +202,18 @@ class TestTraceConditions:
 
     def test_undisturbed_passage(self):
         # both tokens of Z stay put and the free region is never touched
-        ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset())
+        ctx = mask_stub(z={0}, region=set())
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
         assert check_trace(p, trace_condition("C1"), ctx)
 
     def test_undisturbed_fails_when_shared_token_moves(self):
-        ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset())
+        ctx = mask_stub(z={0}, region=set())
         p = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
         assert not check_trace(p, trace_condition("C1"), ctx)
 
     def test_single_displacement_condition(self):
         # every interior configuration must be missing exactly the bound token
-        ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset({3}))
+        ctx = mask_stub(z={0}, region={3})
         p = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
         assert check_trace(p, trace_condition("C2", z=0), ctx)
         assert not check_trace(p, trace_condition("C2", z=1), ctx)
@@ -218,31 +223,31 @@ class TestTraceConditions:
         moves = ((1, 4), (0, 1), (1, 2), (2, 3), (4, 1), (1, 0))
         p = TokenPath(EXCHANGE_TREE, (0, 1), moves)
         assert p.end == (0, 3)
-        ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset({4}))
+        ctx = mask_stub(z={0}, region={4})
         assert check_trace(p, trace_condition("C3", z=0, w=4), ctx)
 
     def test_exchange_condition_forbids_undisturbed_interior(self):
         # a plain slide never disturbs anything, which the exchange shape bans
-        ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset({4}))
+        ctx = mask_stub(z={0}, region={4})
         p = TokenPath(EXCHANGE_TREE, (0, 1), ((1, 2), (2, 3)))
         assert not check_trace(p, trace_condition("C3", z=0, w=4), ctx)
 
     def test_double_displacement_condition(self):
-        ctx = SimpleNamespace(z=frozenset({0, 1}), w_region=frozenset())
+        ctx = mask_stub(z={0, 1}, region=set())
         p = TokenPath(P4, (0, 1), ((1, 2), (0, 1), (2, 3)))
         assert p.inner == ((0, 2), (1, 2))
         assert check_trace(p, trace_condition("C5", z1=0, z2=1), ctx)
 
     def test_region_violation_detected(self):
         # an interior configuration parks a token on the watched free vertex
-        ctx = SimpleNamespace(z=frozenset({0, 1}), w_region=frozenset({3}))
+        ctx = mask_stub(z={0, 1}, region={3})
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3), (0, 1)))
         assert p.inner == ((0, 2), (0, 3))
         assert not check_trace(p, trace_condition("C5", z1=0, z2=1), ctx)
 
     def test_parked_interior_condition(self):
         # every interior configuration occupies exactly the bound free vertex
-        ctx = SimpleNamespace(z=frozenset({0}), w_region=frozenset({1}))
+        ctx = mask_stub(z={0}, region={1})
         p = TokenPath(P5, (0, 3), ((0, 1), (3, 4), (1, 0)))
         assert check_trace(p, trace_condition("C2.1", w=1), ctx)
         assert not check_trace(p, trace_condition("C1"), ctx)

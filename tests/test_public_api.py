@@ -19,8 +19,7 @@ PUBLIC_NAMES = {
     "TokenMove", "TokenPath", "TraceCondition", "check_trace",
     "pairwise_internally_disjoint", "trace_condition",
     # tokens
-    "Case1Pair", "Case2Pair", "TokenGraph", "build_token_graph", "classify_distance2",
-    "complement_iso", "make_config", "min_token_degree", "token_degree",
+    "TokenGraph", "build_token_graph", "make_config", "min_token_degree", "token_degree",
 }
 
 
@@ -30,4 +29,4 @@ def test_top_level_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 39
+    assert len(names) == 35

@@ -11,15 +11,22 @@ from hypothesis import strategies as st
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.graphs import Graph, complete_graph, cycle_graph, enumerate_trees, path_graph, star_graph
 from tokengraphs.tokens import (
-    Case1Pair,
-    Case2Pair,
     build_token_graph,
-    classify_distance2,
-    complement_iso,
+    checked_mask,
+    classify_masks,
     make_config,
     min_token_degree,
     token_degree,
 )
+
+
+def complement(cfg, n):
+    """Image of a configuration under occupied/free exchange on n vertices."""
+    return tuple(sorted(set(range(n)) - set(cfg)))
+
+
+def classify(g, a, b):
+    return classify_masks(g, checked_mask(g, a), checked_mask(g, b))
 
 
 @st.composite
@@ -38,10 +45,6 @@ class TestConfigs:
     def test_make_config_rejects_duplicates(self):
         with pytest.raises(ValueError):
             make_config([1, 1, 2])
-
-    def test_complement_involution(self):
-        cfg = (0, 2, 5)
-        assert complement_iso(complement_iso(cfg, 6), 6) == cfg
 
     def test_token_degree_star_center(self):
         g = star_graph(4)
@@ -92,7 +95,7 @@ class TestTokenGraphShape:
         a = build_token_graph(tree, k)
         b = build_token_graph(tree, n - k)
         mapped = {
-            tuple(sorted((complement_iso(u, n), complement_iso(v, n))))
+            tuple(sorted((complement(u, n), complement(v, n))))
             for u in a.vertices
             for v in a.neighbors(u)
         }
@@ -114,6 +117,18 @@ class TestTokenGraphShape:
         tg = build_token_graph(path_graph(4), 2)
         assert tg.distance((0, 1), (2, 3)) == 4
         assert tg.distance((0, 1), (0, 1)) == 0
+
+    def test_reference_methods_reject_bad_configurations(self):
+        # unsorted, wrong size for k, and not a tuple: each a ValueError
+        tg = build_token_graph(path_graph(4), 2)
+        for call, cfg in ((tg.degree, (1, 0)), (tg.neighbors, (0, 1, 2)), (tg.degree, [0, 1]),
+                          (tg.neighbors, (0, 4)), (tg.degree, (1,))):
+            with pytest.raises(ValueError):
+                call(cfg)
+        with pytest.raises(ValueError, match="3 tokens, not k=2"):
+            tg.distance((0, 1), (0, 1, 2))
+        with pytest.raises(ValueError, match="not a sorted"):
+            tg.distance((1, 0), (0, 1))
 
 
 class TestAgainstDefinition:
@@ -140,9 +155,7 @@ class TestAgainstDefinition:
                 edges = [(i, j) for i, j in combinations(order, 2) if j in near[i]]
                 assert tg.as_graph() == Graph(len(configs), tuple(edges))
                 expected = [
-                    (configs[i], configs[j])
-                    for i, j in combinations(order, 2)
-                    if j not in near[i] and near[i] & near[j]
+                    (i, j) for i, j in combinations(order, 2) if j not in near[i] and near[i] & near[j]
                 ]
                 assert list(tg.distance2_pairs()) == expected, (g, k)
 
@@ -169,65 +182,76 @@ class TestDistance2Pairs:
                 for u, v in combinations(tg.vertices, 2)
                 if tg.distance(u, v) == 2
             }
-            assert set(tg.distance2_pairs()) == expected
+            assert {(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()} == expected
 
     def test_pairs_are_lexicographic(self):
         tg = build_token_graph(path_graph(5), 2)
         pairs = list(tg.distance2_pairs())
         assert pairs == sorted(pairs)
-        assert all(u < v for u, v in pairs)
+        assert all(i < j for i, j in pairs)
+        configs = [(tg.vertices[i], tg.vertices[j]) for i, j in pairs]
+        assert configs == sorted(configs)
 
 
 class TestClassify:
     def test_one_token_case(self):
         g = path_graph(4)
-        pair = classify_distance2(g, (0, 1), (0, 3))
-        assert pair == Case1Pair(x=1, y=3, v=2)
+        assert classify(g, (0, 1), (0, 3)) == (1, 3, 2)
 
     def test_one_token_occupied_middle(self):
         # the common neighbour may carry a token; callers complement later
         g = path_graph(4)
-        pair = classify_distance2(g, (0, 1), (1, 2))
-        assert pair == Case1Pair(x=0, y=2, v=1)
+        assert classify(g, (0, 1), (1, 2)) == (0, 2, 1)
 
     def test_two_token_case(self):
         g = path_graph(4)
-        pair = classify_distance2(g, (0, 2), (1, 3))
-        assert pair == Case2Pair(x1=0, y1=1, x2=2, y2=3)
+        assert classify(g, (0, 2), (1, 3)) == (0, 1, 2, 3)
 
     def test_adjacent_rejected(self):
         g = path_graph(4)
         with pytest.raises(ValueError, match="adjacent"):
-            classify_distance2(g, (0, 1), (0, 2))
+            classify(g, (0, 1), (0, 2))
 
     def test_identical_rejected(self):
-        with pytest.raises(ValueError):
-            classify_distance2(path_graph(4), (0, 1), (0, 1))
+        with pytest.raises(ValueError, match="distance 0"):
+            classify(path_graph(4), (0, 1), (0, 1))
 
     def test_distance_exceeds_two(self):
         g = path_graph(6)
-        with pytest.raises(ValueError):
-            classify_distance2(g, (0, 1), (0, 4))
+        with pytest.raises(ValueError, match="share no neighbour"):
+            classify(g, (0, 1), (0, 4))
+        with pytest.raises(ValueError, match="larger than 4"):
+            classify(g, (0, 1, 2), (3, 4, 5))
 
     def test_no_matching_rejected(self):
         # second token needs two steps (3 to 5), so no slide matching exists
         g = path_graph(6)
-        with pytest.raises(ValueError):
-            classify_distance2(g, (0, 3), (1, 5))
+        with pytest.raises(ValueError, match="no matching"):
+            classify(g, (0, 3), (1, 5))
+
+    def test_different_sizes_rejected(self):
+        with pytest.raises(ValueError, match="different sizes"):
+            classify(path_graph(4), (0, 1), (0, 1, 2))
 
     @given(tree_and_k(max_n=7))
     @settings(max_examples=40)
     def test_classification_agrees_with_bfs(self, tk):
         tree, k = tk
         tg = build_token_graph(tree, k)
-        for x_cfg, y_cfg in tg.distance2_pairs():
-            pair = classify_distance2(tree, x_cfg, y_cfg)
+        for i, j in tg.distance2_pairs():
+            x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
+            pair = classify(tree, x_cfg, y_cfg)
             shared = len(set(x_cfg) & set(y_cfg))
-            if isinstance(pair, Case1Pair):
+            if len(pair) == 3:
+                x, y, v = pair
                 assert shared == k - 1
-                assert tree.has_edge(pair.x, pair.v)
-                assert tree.has_edge(pair.v, pair.y)
+                assert set(x_cfg) - set(y_cfg) == {x} and set(y_cfg) - set(x_cfg) == {y}
+                assert tree.has_edge(x, v)
+                assert tree.has_edge(v, y)
             else:
+                x1, y1, x2, y2 = pair
                 assert shared == k - 2
-                assert tree.has_edge(pair.x1, pair.y1)
-                assert tree.has_edge(pair.x2, pair.y2)
+                assert set(x_cfg) - set(y_cfg) == {x1, x2} and x1 < x2
+                assert set(y_cfg) - set(x_cfg) == {y1, y2}
+                assert tree.has_edge(x1, y1)
+                assert tree.has_edge(x2, y2)
