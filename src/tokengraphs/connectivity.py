@@ -1,15 +1,19 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
 The oracles read a graph through `n`, `neighbor_masks`, `min_degree()`,
-`cut_flags` and `orbits_fixing`, which a `Graph` and a `TokenGraph` both
-provide, so a token graph is measured straight from its masks.
+`connected`, `cut_flags` and `orbits_fixing`, which a `Graph` and a
+`TokenGraph` both provide, so a token graph is measured straight from its
+masks.
 
-Before any flow, one low-point DFS finds whether the graph is connected and
-whether it has a cut vertex or a bridge.  The DFS (`graphs.mask_cut_flags`,
-with its proof) is cached on the graph, so `Graph.is_connected`,
-`vertex_connectivity` and `edge_connectivity` share one run per graph.  It
-settles kappa and lambda at 0 and 1, and at 2 when the minimum degree is 2.
-Only graphs left over, with minimum degree at least 3, run flows.
+Before any flow, each oracle pays only for the test that settles it.  A
+bitset BFS (`graphs.mask_connected`, cached as `connected`) decides
+connectivity, which settles kappa and lambda at 0.  A connected graph with
+minimum degree delta = 1 has kappa = lambda = 1 exactly, since
+1 <= kappa <= lambda <= delta.  Only when delta >= 2 does one low-point DFS
+(`graphs.mask_cut_flags`, with its proof, cached as `cut_flags`) say
+whether there is a cut vertex or a bridge; both oracles share that run.  It
+settles kappa and lambda at 1, and at 2 when delta = 2.  Only graphs left
+over, with minimum degree at least 3, run flows.
 
 All flows run on one unit-capacity augmenting-path kernel over the
 neighbour bitmasks.  Vertex connectivity uses the standard vertex-splitting
@@ -209,14 +213,15 @@ def _flow_routes(out: list[int], s: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 def _dfs_settled(g: Graph | TokenGraph, flag: int) -> int:
     """kappa (flag 1, the cut-vertex entry of `cut_flags`) or lambda (flag 2,
-    the bridge entry) when at most 2, else the minimum degree."""
-    if g.n <= 1:
-        return 0
-    flags = g.cut_flags
-    if not flags[0]:
+    the bridge entry) when at most 2, else the minimum degree.
+
+    The BFS (`connected`) and the minimum degree settle 0 and delta = 1; the
+    DFS (`cut_flags`) runs only on a connected graph with delta >= 2.
+    """
+    if g.n <= 1 or not g.connected:
         return 0
     delta = g.min_degree()
-    if delta == 1 or flags[flag]:
+    if delta == 1 or g.cut_flags[flag]:
         return 1
     return delta
 
@@ -252,11 +257,12 @@ def local_vertex_connectivity(
 
 
 def vertex_connectivity(g: Graph | TokenGraph) -> int:
-    """Vertex connectivity: a DFS decides kappa <= 2, flows the rest.
+    """Vertex connectivity: a BFS and a DFS decide kappa <= 2, flows the rest.
 
-    Disconnected graphs and graphs with n <= 1 return 0, and a connected
-    graph with minimum degree delta = 1 returns 1.  Otherwise the cached DFS
-    on `g` (`cut_flags`) says whether there is a cut vertex.
+    Graphs with n <= 1 and graphs the cached BFS (`connected`) finds
+    disconnected return 0.  A connected graph with minimum degree delta = 1
+    returns 1, exact since 1 <= kappa <= delta, without the DFS.  Otherwise
+    the cached DFS on `g` (`cut_flags`) says whether there is a cut vertex.
 
     DFS exactness: the graph is connected with delta >= 2, so n >= 3, and
     kappa >= 2 exactly when no single vertex separates it, that is when it
@@ -303,11 +309,12 @@ def vertex_connectivity(g: Graph | TokenGraph) -> int:
 
 
 def edge_connectivity(g: Graph | TokenGraph) -> int:
-    """Edge connectivity: a DFS decides lambda <= 2, flows the rest.
+    """Edge connectivity: a BFS and a DFS decide lambda <= 2, flows the rest.
 
-    Disconnected graphs and graphs with n <= 1 return 0, and a connected
-    graph with minimum degree delta = 1 returns 1.  Otherwise the cached DFS
-    on `g` (`cut_flags`) says whether there is a bridge.
+    Graphs with n <= 1 and graphs the cached BFS (`connected`) finds
+    disconnected return 0.  A connected graph with minimum degree delta = 1
+    returns 1, exact since 1 <= lambda <= delta, without the DFS.  Otherwise
+    the cached DFS on `g` (`cut_flags`) says whether there is a bridge.
 
     DFS exactness: the graph is connected, so lambda >= 2 exactly when no
     single edge disconnects it, that is when it has no bridge.  So a bridge

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Graph",
@@ -96,6 +96,11 @@ class Graph:
         return bool(self.neighbor_masks[u] >> v & 1)
 
     @cached_property
+    def connected(self) -> bool:
+        """Whether the graph is connected: `mask_connected` on this graph."""
+        return mask_connected(self.neighbor_masks)
+
+    @cached_property
     def cut_flags(self) -> tuple[bool, bool, bool]:
         """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on this graph."""
         return mask_cut_flags(self.neighbor_masks)
@@ -106,13 +111,33 @@ class Graph:
         return range(self.n)
 
     def is_connected(self) -> bool:
-        return self.cut_flags[0]
+        return self.connected
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
+
+
+def mask_connected(masks: Sequence[int]) -> bool:
+    """Whether the graph with neighbour bitmasks `masks` is connected.
+
+    A breadth-first search from vertex 0 in which each level is one mask: the
+    OR of the frontier's neighbour masks, less the vertices already seen.
+    `Graph.connected` and `TokenGraph.connected` cache the answer per graph.
+    """
+    full = (1 << len(masks)) - 1
+    seen = frontier = 1 & full
+    while frontier and seen != full:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= masks[low.bit_length() - 1]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == full
 
 
 def mask_cut_flags(masks: Sequence[int]) -> tuple[bool, bool, bool]:
@@ -270,88 +295,115 @@ def emit_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # free trees
 
-_TREE_COUNT_MAX = 12
+_TREE_COUNT_MAX = 13
 
 
-def _rooted_codes(adj: Sequence[frozenset[int]], marked: int = 0) -> Callable[[int, int], str]:
-    """code(u, p): AHU code of the subtree at u hanging from neighbour p (-1: all of it).
+def _hang(adj: Sequence[Iterable[int]], marked: int
+          ) -> tuple[list[int], list[str], list[list[int]]]:
+    """A tree hung from its centroids, as (centroids, code, kids).
 
-    A vertex in the bitmask `marked` opens its code with "[" instead of "(",
-    so equal codes mean isomorphic subtrees with the marks mapped onto marks.
+    The centroids are the one or two vertices whose largest branch is
+    smallest, that is has at most n // 2 vertices; with two, each hangs from
+    the other across the central edge.  code[u] is the AHU code of the
+    subtree at u: "(", or "[" when u is in the bitmask `marked`, then its
+    children's codes in order, then ")".  kids[u] lists the children of u in
+    the order of their codes.  Equal codes mean isomorphic subtrees with the
+    marks mapped onto marks (Aho, Hopcroft and Ullman, "The Design and
+    Analysis of Computer Algorithms", 1974).
     """
-
-    @cache
-    def code(u: int, p: int) -> str:
-        kids = "".join(sorted(code(c, u) for c in adj[u] if c != p))
-        return ("[" if marked >> u & 1 else "(") + kids + ")"
-
-    return code
-
-
-def _centroids(g: Graph) -> list[int]:
-    """The one or two vertices of a tree whose largest branch is smallest."""
-    n, adj = g.n, g.adjacency
-    order, parent, size = [0], [-1] * n, [1] * n
+    n = len(adj)
+    order, parent = [0], [-1] * n
     for u in order:  # breadth-first from 0; order grows while it is read
         for w in adj[u]:
             if w != parent[u]:
                 parent[w] = u
                 order.append(w)
+    size, heaviest = [1] * n, [0] * n
     for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-    heaviest = [max([n - size[u]] + [size[w] for w in adj[u] if w != parent[u]])
-                for u in range(n)]
-    best = min(heaviest)
-    return [u for u in range(n) if heaviest[u] == best]
+        p = parent[u]
+        size[p] += size[u]
+        if size[u] > heaviest[p]:
+            heaviest[p] = size[u]
+    cents = [u for u in range(n) if heaviest[u] <= n // 2 and n - size[u] <= n // 2]
+    if len(cents) == 2:
+        parent[cents[0]], parent[cents[1]] = cents[1], cents[0]
+    else:
+        parent[cents[0]] = -1
+    order, kids = list(cents), [None] * n
+    for u in order:  # breadth-first from the centroids
+        kids[u] = below = [w for w in adj[u] if w != parent[u]]
+        for w in below:
+            parent[w] = u
+        order += below
+    code = [""] * n
+    for u in reversed(order):
+        below = kids[u]
+        below.sort(key=code.__getitem__)
+        code[u] = ("[" if marked >> u & 1 else "(") + "".join([code[w] for w in below]) + ")"
+    return cents, code, kids
+
+
+def _canonical(adj: Sequence[Iterable[int]]) -> tuple[str, list[int]]:
+    """The canonical form of a tree and its canonical labels.
+
+    The form is the least code (`_hang`) of the tree rooted at a centroid, so
+    equal forms mean isomorphic trees.  The labels number the vertices in
+    preorder from that centroid, children in code order.  Subtrees with equal
+    codes are equal once ordered that way, so equal forms give identical
+    labelled trees.
+    """
+    cents, code, kids = _hang(adj, 0)
+    root = cents[0]
+    if len(cents) == 2:
+        # each centroid's code leaves out the other's half: put it back
+        whole = []
+        for c, other in (cents, cents[::-1]):
+            below = sorted(kids[c] + [other], key=code.__getitem__)
+            whole.append(("(" + "".join([code[w] for w in below]) + ")", c, below))
+        form, root, below = min(whole)
+        code[root], kids[root] = form, below
+    label, stack = [0] * len(adj), [root]
+    for i in range(len(adj)):
+        u = stack.pop()
+        label[u] = i
+        stack += reversed(kids[u])
+    return code[root], label
 
 
 def tree_canonical_form(g: Graph) -> str:
     """Isomorphism-invariant string for a tree (rooted AHU at the centroid)."""
     if not g.is_tree():
         raise ValueError("tree_canonical_form requires a tree")
-    code = _rooted_codes(g.adjacency)
-    return min(code(c, -1) for c in _centroids(g))
+    return _canonical(g.adjacency)[0]
 
 
 def tree_automorphism_generators(g: Graph, marked: int = 0) -> list[tuple[int, ...]]:
     """Involutions, as vertex maps, that generate the automorphisms of a tree
     that map the vertex set with bitmask `marked` onto itself.
 
-    Rooted at its centroid (at both, if two), the group is generated by swapping
+    Hung from its centroids (`_hang`), the group is generated by swapping
     each two consecutive children of equal code at every vertex, pairing their
-    children in code order, and the two centroids' halves when their codes agree.
-    Every automorphism fixes the centroid set, and the marked codes
-    (`_rooted_codes`) are equal exactly on subtrees that an automorphism keeping
-    the marks can exchange, so the same argument holds with marks (Aho, Hopcroft
-    and Ullman, "The Design and Analysis of Computer Algorithms", 1974, on
-    rooted trees with labelled vertices).
+    children in code order, and the two centroids' halves when their codes
+    agree.  Every automorphism fixes the centroid set, and the marked codes
+    are equal exactly on subtrees that an automorphism keeping the marks can
+    exchange, so the same argument holds with marks (Aho, Hopcroft and
+    Ullman, 1974, on rooted trees with labelled vertices).
     """
     if not g.is_tree():
         raise ValueError("tree_automorphism_generators requires a tree")
-    adj, code, cents = g.adjacency, _rooted_codes(g.adjacency, marked), _centroids(g)
+    cents, code, kids = _hang(g.adjacency, marked)
 
-    def kids(u: int, p: int) -> list[int]:
-        return sorted((c for c in adj[u] if c != p), key=lambda c: code(c, u))
-
-    def swap(a: int, pa: int, b: int, pb: int) -> tuple[int, ...]:
-        perm, stack = list(range(g.n)), [(a, pa, b, pb)]
+    def swap(a: int, b: int) -> tuple[int, ...]:
+        perm, stack = list(range(g.n)), [(a, b)]
         while stack:
-            a, pa, b, pb = stack.pop()
+            a, b = stack.pop()
             perm[a], perm[b] = b, a
-            stack.extend((c, a, d, b) for c, d in zip(kids(a, pa), kids(b, pb)))
+            stack += zip(kids[a], kids[b])
         return tuple(perm)
 
-    if len(cents) == 1:
-        stack, gens = [(cents[0], -1)], []
-    else:  # rooted at the central edge: each centroid hangs from the other
-        stack = [(cents[0], cents[1]), (cents[1], cents[0])]
-        gens = [swap(*stack[0], *stack[1])] if code(*stack[0]) == code(*stack[1]) else []
-    while stack:
-        u, p = stack.pop()
-        children = kids(u, p)
-        gens += [swap(c, u, d, u) for c, d in zip(children, children[1:])
-                 if code(c, u) == code(d, u)]
-        stack.extend((c, u) for c in children)
+    gens = [swap(*cents)] if len(cents) == 2 and code[cents[0]] == code[cents[1]] else []
+    for below in kids:
+        gens += [swap(c, d) for c, d in zip(below, below[1:]) if code[c] == code[d]]
     return gens
 
 
@@ -380,49 +432,40 @@ def orbit_labels(points: Sequence[int], maps: Sequence[Sequence[int] | Mapping[i
     return [label[x] for x in points]
 
 
-def _canonical_relabel(g: Graph) -> Graph:
-    """Relabel a tree so equal canonical forms give identical edge tuples."""
-    adj = g.adjacency
-    canon = _rooted_codes(adj)
-    root = min(_centroids(g), key=lambda c: canon(c, -1))
-    new_id: dict[int, int] = {}
-
-    def visit(u: int, p: int) -> None:
-        new_id[u] = len(new_id)
-        for c in sorted((c for c in adj[u] if c != p), key=lambda c: canon(c, u)):
-            visit(c, u)
-
-    visit(root, -1)
-    return Graph(g.n, tuple((new_id[u], new_id[v]) for u, v in g.edges))
-
-
 def enumerate_trees(n: int) -> list[Graph]:
     """All free trees on n vertices, one canonical representative per class.
 
     Grown by leaf extension (every tree on s+1 vertices is a tree on s
     vertices plus a pendant vertex), deduplicated by the AHU canonical form,
-    returned in canonical-form order with deterministic labels.  Each level
-    is grown once per process, so a sweep over n = 2..N grows N levels.
+    returned in canonical-form order with canonical labels.  Each level is
+    grown once per process, so a sweep over n = 2..N grows N levels.
     """
     if not 1 <= n <= _TREE_COUNT_MAX:
         raise ValueError(f"enumerate_trees supports 1 <= n <= {_TREE_COUNT_MAX}, got {n}")
-    level = _tree_level(n)
-    return [_canonical_relabel(level[key]) for key in sorted(level)]
+    return list(_tree_level(n).values())
 
 
 @cache
 def _tree_level(size: int) -> dict[str, Graph]:
-    """One tree per class on `size` vertices, keyed by canonical form; read-only."""
+    """One canonically labelled tree per class on `size` vertices, keyed by
+    canonical form, in key order; read-only.
+
+    A pendant vertex added to a tree gives a tree, so each candidate is the
+    adjacency lists of a tree of the level below plus one leaf.
+    """
     if size == 1:
-        return {tree_canonical_form(Graph(1, ())): Graph(1, ())}
-    grown: dict[str, Graph] = {}
-    for t in _tree_level(size - 1).values():
-        for v in range(t.n):
-            cand = Graph(size, t.edges + ((v, size - 1),))
-            key = tree_canonical_form(cand)
+        return {"()": Graph(1, ())}
+    leaf, grown = size - 1, {}
+    for tree in _tree_level(size - 1).values():
+        adj = [list(a) for a in tree.adjacency]
+        for v in range(leaf):
+            cand = adj + [[v]]
+            cand[v] = adj[v] + [leaf]
+            key, label = _canonical(cand)
             if key not in grown:
-                grown[key] = cand
-    return grown
+                grown[key] = Graph(size, tuple((label[u], label[w]) for u in range(size)
+                                               for w in cand[u] if u < w))
+    return dict(sorted(grown.items()))
 
 
 # ---------------------------------------------------------------------------

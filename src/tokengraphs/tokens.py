@@ -14,7 +14,14 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator
 
-from .graphs import Graph, emit_graph6, mask_cut_flags, orbit_labels, tree_automorphism_generators
+from .graphs import (
+    Graph,
+    emit_graph6,
+    mask_connected,
+    mask_cut_flags,
+    orbit_labels,
+    tree_automorphism_generators,
+)
 
 __all__ = [
     "Config",
@@ -33,13 +40,19 @@ MATERIALIZE_LIMIT = 500_000
 
 
 def make_config(vertices: Iterable[int]) -> Config:
-    cfg = tuple(sorted(vertices))
-    if len(set(cfg)) != len(cfg):
+    try:
+        cfg = tuple(sorted(vertices))
+        repeated = len(set(cfg)) != len(cfg)
+    except TypeError:  # unorderable or unhashable entries
+        raise ValueError(f"configuration {vertices!r} is not a set of vertex ints") from None
+    if repeated:
         raise ValueError(f"repeated vertices in configuration {cfg}")
     return cfg
 
 
 def _check_config(n: int, cfg: Config) -> None:
+    if not all(isinstance(v, int) for v in cfg):
+        raise ValueError(f"configuration {cfg!r} holds entries that are not vertex ints")
     if tuple(sorted(set(cfg))) != cfg:
         raise ValueError(f"configuration {cfg} is not a sorted duplicate-free tuple")
     if not 1 <= len(cfg) <= n - 1:
@@ -53,10 +66,15 @@ def checked_mask(g: Graph, cfg: Config) -> int:
     duplicate-free tuple of 1 <= k <= n-1 vertices of g."""
     if type(cfg) is not tuple:
         _check_config(g.n, cfg)  # raises: a configuration is a tuple
-    return _checked_mask(g.n, cfg)
+    try:
+        return _checked_mask(g.n, cfg)
+    except TypeError:  # the memo could not hash an entry
+        raise ValueError(f"configuration {cfg!r} holds entries that are not vertex ints") from None
 
 
-# both steps are pure in (n, cfg), so a configuration seen before costs one lookup
+# both steps are pure in (n, cfg), so a configuration seen before costs one lookup;
+# the checks run on a miss only, so a tuple equal to one seen before, such as
+# (0.0, 1.0) after (0, 1), reads that one's mask
 @lru_cache(maxsize=1024)
 def _checked_mask(n: int, cfg: Config) -> int:
     _check_config(n, cfg)
@@ -109,10 +127,12 @@ class TokenGraph:
     `vertices` lists the configurations in lexicographic order, `occupancy`
     their occupancy bitmasks, `index` maps those back to vertex indices, and
     bit j of `neighbor_masks[i]` is set when vertices[i] and vertices[j] are
-    adjacent.  `n`, `neighbor_masks`, `min_degree`, `cut_flags` and
-    `orbits_fixing` read as on a `Graph` over the indices, so the connectivity
-    oracles take a token graph as it is.  `degree`, `neighbors` and `distance`
-    raise ValueError on anything but a k-configuration of the base.
+    adjacent.  `n`, `neighbor_masks`, `min_degree`, `connected`, `cut_flags`
+    and `orbits_fixing` read as on a `Graph` over the indices, so the
+    connectivity oracles take a token graph as it is; the minimum degree, the
+    BFS and the DFS are each computed at most once per token graph.
+    `degree`, `neighbors` and `distance` raise ValueError on anything but a
+    k-configuration of the base.
     """
 
     def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
@@ -133,7 +153,16 @@ class TokenGraph:
         return sum(m.bit_count() for m in self.neighbor_masks) // 2
 
     def min_degree(self) -> int:
-        return min(m.bit_count() for m in self.neighbor_masks)
+        return self._min_degree
+
+    @cached_property
+    def _min_degree(self) -> int:
+        return min(map(int.bit_count, self.neighbor_masks))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether F_k is connected: `mask_connected` on F_k."""
+        return mask_connected(self.neighbor_masks)
 
     @cached_property
     def cut_flags(self) -> tuple[bool, bool, bool]:
@@ -163,8 +192,9 @@ class TokenGraph:
             if sorted(perm) != list(range(g.n)) or image != set(g.edges):
                 raise ValueError(
                     f"{list(perm)} is not an automorphism of the tree {emit_graph6(g)}")
-            bits = [1 << w for w in perm]
-            gens.append([index[sum(bits[v] for v in cfg)] for cfg in self.vertices])
+            # the images of the configurations, in the order of `vertices`
+            images = map(sum, combinations([1 << w for w in perm], self.k))
+            gens.append(list(map(index.__getitem__, images)))
             if fixing is not None and gens[-1][fixing] != fixing:
                 raise ValueError(f"{list(perm)} moves {self.vertices[fixing]}")
         if fixing is None and 2 * self.k == g.n:
@@ -235,7 +265,9 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
     """Materialise the k-token graph of g (guarded by MATERIALIZE_LIMIT).
 
     Each configuration is keyed by its occupancy mask, so sliding a token
-    from u to a free neighbour w gives the mask occ ^ (1 << u | 1 << w).
+    from u to a free neighbour w gives the mask occ ^ (1 << u | 1 << w).  An
+    edge {S + u, S + w} with u < w is found once, from S + u, whose token
+    slides up: only upward slides are followed, and each sets both ends' bits.
     """
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={g.n}")
@@ -245,19 +277,25 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
             f"token graph would have {size} configurations, over the limit {MATERIALIZE_LIMIT}"
         )
     vertices = tuple(combinations(range(g.n), k))
-    occs = [config_mask(cfg) for cfg in vertices]
+    occs = list(map(sum, combinations([1 << v for v in range(g.n)], k)))
     index = {occ: i for i, occ in enumerate(occs)}
-    nbrs = g.neighbor_masks
-    masks = []
+    # upper[u]: the neighbours of u above it; bits[i]: vertex index i as a bit
+    upper = [m & -(2 << u) for u, m in enumerate(g.neighbor_masks)]
+    bits = [1 << i for i in range(size)]
+    masks = [0] * size
     for i, occ in enumerate(occs):
-        adj = 0
+        bit, adj, free = bits[i], 0, ~occ
         for u in vertices[i]:
-            free = nbrs[u] & ~occ
-            while free:
-                w = free & -free
-                free ^= w
-                adj |= 1 << index[occ ^ (1 << u | w)]
-        masks.append(adj)
+            up = upper[u] & free
+            if up:
+                rest = occ ^ (1 << u)
+                while up:
+                    w = up & -up
+                    up ^= w
+                    j = index[rest | w]
+                    adj |= bits[j]
+                    masks[j] |= bit
+        masks[i] |= adj
     return TokenGraph(g, k, vertices, occs, index, masks)
 
 

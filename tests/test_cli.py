@@ -603,7 +603,7 @@ class TestUsageErrors:
         [
             [],
             ["frobnicate"],
-            ["theorem", "--n-max", "13"],
+            ["theorem", "--n-max", "14"],
             ["theorem", "--n-max", "1"],
             ["paths", "--n-max", "11"],
             ["hfamily", "--m-min", "7"],

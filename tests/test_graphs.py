@@ -1,6 +1,7 @@
 """Base graph layer: parsing, canonical trees, girth, generators."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokengraphs import graphs as graphs_module
+from tokengraphs import tokens
+from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.graphs import (
     Graph,
     Graph6Error,
@@ -16,8 +20,8 @@ from tokengraphs.graphs import (
     cycle_graph,
     emit_graph6,
     enumerate_trees,
-    _canonical_relabel,
     girth,
+    mask_connected,
     mask_cut_flags,
     orbit_labels,
     parse_graph6,
@@ -26,6 +30,7 @@ from tokengraphs.graphs import (
     tree_automorphism_generators,
     tree_canonical_form,
 )
+from tokengraphs.tokens import build_token_graph
 
 # free trees per vertex count, n = 1..12
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -34,6 +39,32 @@ PETERSEN_EDGES = (
     (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7),
     (3, 4), (3, 8), (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9),
 )
+
+
+def canonical_relabel(g: Graph) -> Graph:
+    """Reference labels of a tree: preorder from the centroid of least AHU code,
+    children in code order; the centroids are found by deleting each vertex."""
+    adj = g.adjacency
+
+    def code(u: int, p: int) -> str:
+        return "(" + "".join(sorted(code(c, u) for c in adj[u] if c != p)) + ")"
+
+    def heaviest_branch(u: int) -> int:
+        h = nx_of(g)
+        h.remove_node(u)
+        return max((len(c) for c in nx.connected_components(h)), default=0)
+
+    branch = [heaviest_branch(u) for u in range(g.n)]
+    root = min((u for u in range(g.n) if branch[u] == min(branch)), key=lambda c: code(c, -1))
+    new_id: dict[int, int] = {}
+
+    def visit(u: int, p: int) -> None:
+        new_id[u] = len(new_id)
+        for c in sorted((c for c in adj[u] if c != p), key=lambda c: code(c, u)):
+            visit(c, u)
+
+    visit(root, -1)
+    return Graph(g.n, tuple((new_id[u], new_id[v]) for u, v in g.edges))
 
 
 def petersen() -> Graph:
@@ -86,8 +117,8 @@ class TestGraphBasics:
 
 
 class TestOneDfs:
-    """`mask_cut_flags`, which `Graph.cut_flags` caches, and the mask-based
-    degree reads against networkx."""
+    """`mask_connected` and `mask_cut_flags`, which `Graph.connected` and
+    `Graph.cut_flags` cache, and the mask-based degree reads against networkx."""
 
     @pytest.fixture(scope="class")
     def small_graphs(self):
@@ -102,6 +133,7 @@ class TestOneDfs:
             connected, cut_vertex, bridge = mask_cut_flags(g.neighbor_masks)
             assert g.cut_flags == (connected, cut_vertex, bridge)
             assert connected == nx.is_connected(h) == g.is_connected(), h.edges
+            assert mask_connected(g.neighbor_masks) == g.connected == connected, h.edges
             if connected:
                 connected_count += 1
                 assert cut_vertex == any(True for _ in nx.articulation_points(h)), h.edges
@@ -109,14 +141,40 @@ class TestOneDfs:
         assert connected_count == 996 + 1  # the atlas for n = 1..7, then Graph(1, ())
 
     def test_null_graph_is_connected(self):
+        assert mask_connected(()) is True
         assert mask_cut_flags(()) == (True, False, False)
         assert Graph(0, ()).cut_flags == (True, False, False)
         assert Graph(0, ()).is_connected()
 
-    def test_dfs_runs_once_per_graph(self):
+    def test_dfs_runs_once_per_graph(self, monkeypatch):
+        # the BFS decides connectivity and settles delta = 1; the DFS runs
+        # only when delta >= 2, and each cached answer is computed once
+        calls: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(masks):
+                calls[name] += 1
+                return fn(masks)
+            return wrapper
+
+        bfs, dfs = counted("bfs", mask_connected), counted("dfs", mask_cut_flags)
+        for module in (graphs_module, tokens):
+            monkeypatch.setattr(module, "mask_connected", bfs)
+            monkeypatch.setattr(module, "mask_cut_flags", dfs)
         g = cycle_graph(5)
-        assert g.cut_flags is g.cut_flags
-        assert g.is_connected() and "cut_flags" in vars(g)
+        assert g.is_connected() and g.is_connected()
+        assert "cut_flags" not in vars(g) and calls == {"bfs": 1}
+
+        tg = build_token_graph(path_graph(5), 2)
+        assert tg.min_degree() == 1
+        assert vertex_connectivity(tg) == edge_connectivity(tg) == 1
+        assert "cut_flags" not in vars(tg) and "_min_degree" in vars(tg)
+        assert calls == {"bfs": 2}
+
+        fk = build_token_graph(cycle_graph(5), 2)
+        assert vertex_connectivity(fk) == edge_connectivity(fk) == fk.min_degree() == 2
+        assert fk.cut_flags is fk.cut_flags
+        assert calls == {"bfs": 3, "dfs": 1}
 
     def test_mask_reads_match_adjacency(self, small_graphs):
         for _, g in small_graphs:
@@ -273,16 +331,16 @@ class TestTrees:
         assert seen == listed
 
     def test_memoised_levels_match_a_fresh_regrowth(self):
-        # grown here from n = 1 for every n, as enumerate_trees did before its levels were kept
+        # grown here from n = 1 for every n, from first-seen labels, then relabelled
         level = {tree_canonical_form(Graph(1, ())): Graph(1, ())}
-        for n in range(2, 11):
+        for n in range(2, 12):
             grown = {}
             for t in level.values():
                 for v in range(t.n):
                     cand = Graph(n, t.edges + ((v, n - 1),))
                     grown.setdefault(tree_canonical_form(cand), cand)
             level = grown
-            fresh = [_canonical_relabel(level[key]) for key in sorted(level)]
+            fresh = [canonical_relabel(level[key]) for key in sorted(level)]
             assert enumerate_trees(n) == fresh
             assert enumerate_trees(n) is not enumerate_trees(n)
 
@@ -290,7 +348,7 @@ class TestTrees:
         with pytest.raises(ValueError):
             enumerate_trees(0)
         with pytest.raises(ValueError):
-            enumerate_trees(13)
+            enumerate_trees(14)
 
     @given(st.integers(min_value=2, max_value=8), st.randoms(use_true_random=False))
     @settings(max_examples=40)

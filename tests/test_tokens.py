@@ -8,8 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _catalog import girth5_catalog
+from tokengraphs import tokens
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
-from tokengraphs.graphs import Graph, complete_graph, cycle_graph, enumerate_trees, path_graph, star_graph
+from tokengraphs.families import build_family
+from tokengraphs.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    enumerate_trees,
+    mask_connected,
+    mask_cut_flags,
+    path_graph,
+    star_graph,
+)
 from tokengraphs.tokens import (
     build_token_graph,
     checked_mask,
@@ -130,12 +142,24 @@ class TestTokenGraphShape:
         with pytest.raises(ValueError, match="not a sorted"):
             tg.distance((1, 0), (0, 1))
 
+    @pytest.mark.parametrize("cfg", [([0], [1]), (0.0, 1.0), ("a", "b")])
+    def test_non_int_entries_raise_value_error(self, cfg):
+        # the memo treats (0.0, 1.0) as the equal key (0, 1), so start from
+        # an empty one: the checks run on a miss
+        tokens._checked_mask.cache_clear()
+        tree = path_graph(4)
+        tg = build_token_graph(tree, 2)
+        for call in (tg.degree, lambda c: token_degree(tree, c),
+                     lambda c: build_family(tree, c, (2, 3))):
+            with pytest.raises(ValueError):
+                call(cfg)
+
 
 class TestAgainstDefinition:
     """F_k rebuilt from sets: configurations are adjacent when their
     symmetric difference is a base edge."""
 
-    GRAPHS = [t for n in range(2, 8) for t in enumerate_trees(n)]
+    GRAPHS = [t for n in range(2, 9) for t in enumerate_trees(n)]
     GRAPHS += [cycle_graph(5), cycle_graph(6), complete_graph(5)]
 
     def test_token_graph_matches_definition(self):
@@ -170,6 +194,29 @@ class TestAgainstDefinition:
                 assert tg.min_degree() == fk.min_degree(), (g, k)
                 assert vertex_connectivity(tg) == vertex_connectivity(fk), (g, k)
                 assert edge_connectivity(tg) == edge_connectivity(fk), (g, k)
+
+
+class TestBfsConnectivity:
+    """`mask_connected`, which `TokenGraph.connected` caches, against the DFS
+    and networkx on token graphs."""
+
+    def test_every_fk_of_small_trees_and_girth5_graphs(self):
+        bases = [t for n in range(2, 10) for t in enumerate_trees(n)]
+        bases += [g for g in girth5_catalog(9) if g.edge_count >= g.n]  # the non-trees
+        for g in bases:
+            for k in range(1, g.n):
+                tg = build_token_graph(g, k)
+                h = nx.Graph(tg.as_graph().edges)
+                h.add_nodes_from(range(tg.n))
+                connected = mask_connected(tg.neighbor_masks)
+                assert connected == mask_cut_flags(tg.neighbor_masks)[0] == nx.is_connected(h)
+                assert tg.connected == connected, (g, k)
+
+    def test_disconnected_token_graph(self):
+        tg = build_token_graph(Graph(4, ((0, 1), (2, 3))), 2)
+        assert mask_connected(tg.neighbor_masks) is False
+        assert tg.connected is False
+        assert vertex_connectivity(tg) == edge_connectivity(tg) == 0
 
 
 class TestDistance2Pairs:
