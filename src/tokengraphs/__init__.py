@@ -9,7 +9,6 @@ from .connectivity import (
     ConnectivityReport,
     brute_force_connectivity,
     edge_connectivity,
-    local_vertex_connectivity,
     vertex_connectivity,
 )
 from .families import (

@@ -21,7 +21,8 @@ automorphisms that fix that source; a non-tree base does not fold.  A unit
 that raises an unexpected exception yields a record with status "error" and
 the exception, and its traceback goes to stderr; the sweep goes on.  Exit code
 1 flags a violated record in the theorem, paths or hfamily modes, 2 a usage
-or input error, and 3 a unit that errored, in any mode.
+or input error, 3 a unit that errored, in any mode, and 141 (128 + SIGPIPE)
+a reader that closed stdout before the sweep ended.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 import traceback
 from collections import Counter
@@ -390,7 +392,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "m_min", None) is not None and args.m_min > args.m_max:
         print("error: --m-min above --m-max", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the shutdown flush
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit stays quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -69,7 +69,6 @@ from .tokens import TokenGraph
 
 __all__ = [
     "ConnectivityReport",
-    "local_vertex_connectivity",
     "vertex_connectivity",
     "edge_connectivity",
     "brute_force_connectivity",
@@ -89,9 +88,7 @@ class ConnectivityReport:
     edge_cut: tuple[tuple[int, int], ...] | None
 
 
-def _unit_flow(
-    masks: Sequence[int], s: int, t: int, limit: int, split: bool
-) -> tuple[int, list[int]]:
+def _unit_flow(masks: Sequence[int], s: int, t: int, limit: int, split: bool) -> int:
     """Unit s-t flow up to `limit`, augmented along shortest residual paths.
 
     Every edge carries one unit in either direction.  With `split` every
@@ -109,12 +106,13 @@ def _unit_flow(
 
     Every residual arc joins an out copy to an in copy or the reverse, so
     the BFS levels alternate out, in, out, ... from s_out, each level one
-    mask.  Without `split` a
-    vertex is one node and each level a vertex mask; an augmentation against
-    the flow on an edge cancels it, so flow never runs both ways.  The path
-    is recovered by walking back from t through the levels, each step taking
-    the lowest vertex of the previous level with a residual arc into the
-    current node.  Returns the flow value and `out`.
+    mask.  Without `split` a vertex is one node and each level a vertex mask;
+    an augmentation against the flow on an edge cancels it, so flow never
+    runs both ways.  The path is recovered by walking back from t through the
+    levels, each step taking the lowest vertex of the previous level with a
+    residual arc into the current node.  Returns the flow value alone, at
+    most `limit`; below it, that is the local vertex (with `split`, for
+    non-adjacent s and t) or edge connectivity of s and t.
     """
     n = len(masks)
     out = [0] * n
@@ -191,24 +189,7 @@ def _unit_flow(
                 out[w] ^= 1 << u
                 into[u] ^= 1 << w
         flow += 1
-    return flow, out
-
-
-def _flow_routes(out: list[int], s: int, t: int) -> tuple[tuple[int, ...], ...]:
-    # every vertex inside a route carries one unit, so its out mask has one bit
-    routes = []
-    first = out[s]
-    while first:
-        low = first & -first
-        first ^= low
-        route = [s]
-        v = low.bit_length() - 1
-        while v != t:
-            route.append(v)
-            v = out[v].bit_length() - 1
-        route.append(t)
-        routes.append(tuple(route))
-    return tuple(routes)
+    return flow
 
 
 def _dfs_settled(g: Graph | TokenGraph, flag: int) -> int:
@@ -232,28 +213,6 @@ def _first_per_orbit(points: list[int], labels: Sequence[int]) -> list[int]:
     for p in points:
         first.setdefault(labels[p], p)
     return list(first.values())
-
-
-def local_vertex_connectivity(
-    g: Graph, s: int, t: int, limit: int | None = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Maximum number of internally disjoint s-t paths, with a path witness.
-
-    Requires s != t non-adjacent vertices of g.  With `limit` the flow stops
-    early at that value and the witness holds `limit` paths (used to cap
-    minimum scans).
-    """
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"endpoints {s},{t} out of range for n={g.n}")
-    if s == t:
-        raise ValueError("endpoints must differ")
-    if g.has_edge(s, t):
-        raise ValueError(f"endpoints {s},{t} are adjacent; local connectivity undefined")
-    cap = min(g.degree(s), g.degree(t))
-    if limit is not None:
-        cap = min(cap, limit)
-    value, out = _unit_flow(g.neighbor_masks, s, t, cap, split=True)
-    return value, _flow_routes(out, s, t)
 
 
 def vertex_connectivity(g: Graph | TokenGraph) -> int:
@@ -300,7 +259,7 @@ def vertex_connectivity(g: Graph | TokenGraph) -> int:
     nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
     for s, t in pairs:
-        flow, _ = _unit_flow(masks, s, t, best, split=True)
+        flow = _unit_flow(masks, s, t, best, split=True)
         if flow < best:
             best = flow
             if best == 2:
@@ -351,7 +310,7 @@ def edge_connectivity(g: Graph | TokenGraph) -> int:
             dominated |= 1 << v | masks[v]
     source, *sinks = dominating
     for t in _first_per_orbit(sinks, g.orbits_fixing(source)):
-        flow, _ = _unit_flow(masks, source, t, best, split=False)
+        flow = _unit_flow(masks, source, t, best, split=False)
         if flow < best:
             best = flow
             if best == 2:

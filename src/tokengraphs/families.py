@@ -23,7 +23,7 @@ the final family's disjointness and size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 
 from .graphs import Graph
@@ -190,12 +190,6 @@ def _case1_context(
     nbrs = tree.neighbor_masks
     z = x_mask & y_mask
     w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
-    if not (x_mask & ~y_mask) >> x & 1 or not (y_mask & ~x_mask) >> y & 1:
-        raise ValueError("x/y must be the moved tokens of X and Y")
-    if not w >> v & 1:
-        raise ValueError(f"middle vertex {v} must be free")
-    if not (nbrs[v] >> x & 1 and nbrs[v] >> y & 1):
-        raise ValueError(f"{v} is not a common neighbour of {x} and {y}")
     region = w & ~(1 << v)
     sides = (nbrs[x] & region, nbrs[y] & z, nbrs[x] & z, nbrs[y] & region)
     a, b, c, d = map(int.bit_count, sides)
@@ -226,14 +220,8 @@ def _case2_context(
     """
     nbrs = tree.neighbor_masks
     x1, y1, x2, y2 = labels
-    if 1 << x1 | 1 << x2 != x_mask & ~y_mask or 1 << y1 | 1 << y2 != y_mask & ~x_mask:
-        raise ValueError("x_i/y_i must be the moved tokens of X and Y")
-    if not (nbrs[x1] >> y1 & 1 and nbrs[x2] >> y2 & 1):
-        raise ValueError("slide edges x1-y1 and x2-y2 must exist")
-    crosses = [(p, q) for p in (x1, y1) for q in (x2, y2) if nbrs[p] >> q & 1]
-    if len(crosses) > 1:
-        raise ValueError("multiple cross edges form a cycle; base graph is not a tree")
-    cross = crosses[0] if crosses else None
+    # a tree has at most one: two cross edges close a cycle with x1-y1 and x2-y2
+    cross = next(((p, q) for p in (x1, y1) for q in (x2, y2) if nbrs[p] >> q & 1), None)
     z = x_mask & y_mask
     w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
     sides = (nbrs[x1] & w, nbrs[x2] & w, nbrs[y1] & z, nbrs[y2] & z,
@@ -504,8 +492,8 @@ _flipped = itemgetter(1, 0)
 class FamilyResult:
     """A verified family plus the normalisation data that produced it.
 
-    `normalized` is the same family in the normalised frame, where the trace
-    certificates speak; it is replayed from `normalized_moves` on first use.
+    The trace certificates speak in the normalised frame, where
+    `plan_family(context, delta)` gives each path's moves.
     """
 
     family: PathFamily
@@ -513,17 +501,10 @@ class FamilyResult:
     reductions: tuple[str, ...]
     delta: int
     m: int
-    normalized_moves: tuple[Moves, ...] = field(repr=False)
 
     @property
     def case(self) -> int:
         return 1 if isinstance(self.context, Case1Context) else 2
-
-    @cached_property
-    def normalized(self) -> PathFamily:
-        ctx, fam = self.context, self.family
-        paths = tuple(TokenPath(ctx.tree, ctx.x_cfg, moves) for moves in self.normalized_moves)
-        return PathFamily(ctx.x_cfg, ctx.y_cfg, paths, fam.labels, fam.traces)
 
 
 def build_family(
@@ -567,7 +548,7 @@ def build_family(
                 raise FamilyConstructionError(f"path {label} violates trace condition {cond.id}")
         paths.append(path)
 
-    labels, planned_moves, traces = zip(*plans)
+    labels, _, traces = zip(*plans)
     ok, clash = pairwise_internally_disjoint(paths)
     if not ok:
         i, j = clash
@@ -579,5 +560,5 @@ def build_family(
             f"family of {len(paths)} paths is below delta = {delta}"
         )
     family = PathFamily(x_cfg, y_cfg, tuple(paths), labels, traces)
-    return FamilyResult(family, ctx, reductions, delta, ctx.m, planned_moves)
+    return FamilyResult(family, ctx, reductions, delta, ctx.m)
 

@@ -47,11 +47,13 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"vertex count must be a non-negative int, got {self.n!r}")
         seen = set()
         for e in self.edges:
             u, v = e
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge {e!r} has an endpoint that is not a vertex int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):

@@ -4,14 +4,14 @@ A configuration is a sorted tuple of k distinct vertices (the occupied set).
 Two configurations are adjacent when their symmetric difference is an edge of
 the base graph, i.e. one token slides along an edge to a free vertex.
 Sorted tuples appear only at entry points and in records; inside, F_k is
-given in vertex indices, reached from occupancy bitmasks through one index.
+read by vertex index alone, reached from occupancy bitmasks through one index.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, inf
+from math import comb
 from typing import Iterable, Iterator
 
 from .graphs import (
@@ -64,17 +64,19 @@ def _check_config(n: int, cfg: Config) -> None:
 def checked_mask(g: Graph, cfg: Config) -> int:
     """The occupancy mask of cfg; ValueError unless cfg is a sorted
     duplicate-free tuple of 1 <= k <= n-1 vertices of g."""
-    if type(cfg) is not tuple:
-        _check_config(g.n, cfg)  # raises: a configuration is a tuple
+    # the memo takes (0.0, 1.0) for its equal key (0, 1), so only a tuple whose
+    # entries sum to an int may reach it unchecked: a float entry makes the sum
+    # a float, and a list or string entry makes it raise
     try:
-        return _checked_mask(g.n, cfg)
-    except TypeError:  # the memo could not hash an entry
-        raise ValueError(f"configuration {cfg!r} holds entries that are not vertex ints") from None
+        memo = type(cfg) is tuple and type(sum(cfg)) is int
+    except TypeError:
+        memo = False
+    if not memo:
+        _check_config(g.n, cfg)
+    return _checked_mask(g.n, cfg)
 
 
-# both steps are pure in (n, cfg), so a configuration seen before costs one lookup;
-# the checks run on a miss only, so a tuple equal to one seen before, such as
-# (0.0, 1.0) after (0, 1), reads that one's mask
+# both steps are pure in (n, cfg), so a configuration seen before costs one lookup
 @lru_cache(maxsize=1024)
 def _checked_mask(n: int, cfg: Config) -> int:
     _check_config(n, cfg)
@@ -127,12 +129,11 @@ class TokenGraph:
     `vertices` lists the configurations in lexicographic order, `occupancy`
     their occupancy bitmasks, `index` maps those back to vertex indices, and
     bit j of `neighbor_masks[i]` is set when vertices[i] and vertices[j] are
-    adjacent.  `n`, `neighbor_masks`, `min_degree`, `connected`, `cut_flags`
+    adjacent, so the neighbours of the configuration with occupancy mask occ
+    are the bits of `neighbor_masks[index[occ]]`.  `n`, `neighbor_masks`, `min_degree`, `connected`, `cut_flags`
     and `orbits_fixing` read as on a `Graph` over the indices, so the
     connectivity oracles take a token graph as it is; the minimum degree, the
     BFS and the DFS are each computed at most once per token graph.
-    `degree`, `neighbors` and `distance` raise ValueError on anything but a
-    k-configuration of the base.
     """
 
     def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
@@ -205,33 +206,6 @@ class TokenGraph:
     def orbits_fixing(self, i: int) -> list[int]:
         """Per vertex index, the first index of its orbit under `symmetries(i)`."""
         return orbit_labels(range(self.n), self.symmetries(i))
-
-    def _vertex_index(self, cfg: Config) -> int:
-        i = self.index.get(checked_mask(self.base, cfg))
-        if i is None:
-            raise ValueError(f"configuration {cfg} has {len(cfg)} tokens, not k={self.k}")
-        return i
-
-    def degree(self, cfg: Config) -> int:
-        return self.neighbor_masks[self._vertex_index(cfg)].bit_count()
-
-    def neighbors(self, cfg: Config) -> tuple[Config, ...]:
-        m = self.neighbor_masks[self._vertex_index(cfg)]
-        return tuple(self.vertices[j] for j in range(m.bit_length()) if m >> j & 1)
-
-    def distance(self, a: Config, b: Config) -> int | float:
-        goal = 1 << self._vertex_index(b)
-        seen = frontier = 1 << self._vertex_index(a)
-        dist = 0
-        while frontier and not frontier & goal:
-            nxt = 0
-            for j in range(frontier.bit_length()):
-                if frontier >> j & 1:
-                    nxt |= self.neighbor_masks[j]
-            frontier = nxt & ~seen
-            seen |= frontier
-            dist += 1
-        return dist if frontier else inf
 
     def distance2_pairs(self) -> Iterator[tuple[int, int]]:
         """Vertex-index pairs i < j at distance exactly 2, in lexicographic order."""

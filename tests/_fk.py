@@ -1,0 +1,37 @@
+"""Test-side readers of token graphs and families by configuration.
+
+A `TokenGraph` is read by vertex index; these helpers reach a configuration
+through its occupancy mask and `index`, and replay a verified family in the
+normalised frame, where its trace certificates speak.
+"""
+
+import networkx as nx
+
+from tokengraphs.families import plan_family
+from tokengraphs.moves import TokenPath
+from tokengraphs.tokens import config_mask
+
+
+def fk_neighbors(tg, cfg):
+    """The configurations adjacent to cfg in F_k, in lexicographic order."""
+    m = tg.neighbor_masks[tg.index[config_mask(cfg)]]
+    return tuple(tg.vertices[j] for j in range(m.bit_length()) if m >> j & 1)
+
+
+def fk_distances(tg):
+    """Per vertex index, the networkx BFS distances in F_k (unreachable indices absent)."""
+    h = nx.Graph(tg.as_graph().edges)
+    h.add_nodes_from(range(tg.n))
+    return dict(nx.all_pairs_shortest_path_length(h))
+
+
+def planned_moves(result):
+    """Each path's moves in the normalised frame, as `build_family` planned them."""
+    return [moves for _, moves, _ in plan_family(result.context, result.delta)]
+
+
+def normalized_paths(result):
+    """The paths of a verified family in the normalised frame, replayed from
+    the context's X."""
+    ctx = result.context
+    return [TokenPath(ctx.tree, ctx.x_cfg, moves) for moves in planned_moves(result)]

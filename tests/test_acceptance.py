@@ -17,11 +17,12 @@ import networkx as nx
 import pytest
 
 from _catalog import girth5_catalog
+from _fk import fk_neighbors, normalized_paths
 from tokengraphs.cli import main
 from tokengraphs.connectivity import (
+    _unit_flow,
     brute_force_connectivity,
     edge_connectivity,
-    local_vertex_connectivity,
     vertex_connectivity,
 )
 from tokengraphs.families import Case1Context, build_family
@@ -88,7 +89,7 @@ def tree_sweep():
                         stats["step1_mismatch"].append((*where, step1, result.m))
                     case = 1 if isinstance(result.context, Case1Context) else 2
                     stats["slack"][case].add(result.delta - result.m)
-                    for path, conds in zip(result.normalized.paths, result.normalized.traces):
+                    for path, conds in zip(normalized_paths(result), fam.traces):
                         for cond in conds:
                             if not check_trace(path, cond, result.context):
                                 stats["trace_failures"].append((*where, cond.id))
@@ -174,7 +175,7 @@ def test_criterion_4_bridged_cliques(capsys):
 
 def test_criterion_5_structural_invariants(atlas):
     def edge_set(tg):
-        return {frozenset((u, w)) for u in tg.vertices for w in tg.neighbors(u)}
+        return {frozenset((u, w)) for u in tg.vertices for w in fk_neighbors(tg, u)}
 
     checked = 0
     bad = []
@@ -232,7 +233,7 @@ def test_criterion_6_oracle_equivalence(atlas):
         if not g.is_connected() or g.is_complete():
             continue
         by_definition = min(
-            local_vertex_connectivity(g, s, t)[0]
+            _unit_flow(g.neighbor_masks, s, t, g.n, split=True)
             for s, t in combinations(range(g.n), 2)
             if not g.has_edge(s, t)
         )

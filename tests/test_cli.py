@@ -3,6 +3,7 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import random
 import resource
 import subprocess
@@ -660,6 +661,29 @@ class TestTracerSeams:
         assert metrics["connectivity.edge_connectivity_calls"] == 30
         assert metrics["tokens.build_token_graph_calls"] == 30
         assert metrics["tokens.fk_vertices"] > 0
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the sweep quietly with 141."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_closed_pipe_exits_141_without_traceback(self, jobs):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        # 149 kB of records: more than the pipe and stdout buffers hold, so a
+        # write must meet the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tokengraphs", "theorem", "--n-max", "10", "--json",
+             "--jobs", jobs],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert json.loads(proc.stdout.readline())["graph_id"] == "A_"
+        proc.stdout.close()
+        # stderr ends only when every process holding it, workers included, has exited
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141, err.decode()
+        assert b"Traceback" not in err
 
 
 class TestModuleEntryPoint:

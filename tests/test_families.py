@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fk import fk_neighbors, normalized_paths, planned_moves
 from tokengraphs import families
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import (
@@ -69,9 +70,11 @@ def verify_result(tree, x_cfg, y_cfg, result):
     step1 = sum(1 for lab in fam.labels if lab in STEP1_LABELS)
     assert step1 == result.m
     # the trace certificates speak about the normalised paths
-    norm = result.normalized
-    assert norm.labels == fam.labels
-    for path, conds in zip(norm.paths, norm.traces):
+    norm = normalized_paths(result)
+    assert len(norm) == len(fam.paths)
+    ctx = result.context
+    for path, conds in zip(norm, fam.traces):
+        assert path.start == ctx.x_cfg and path.end == ctx.y_cfg
         for cond in conds:
             assert check_trace(path, cond, result.context), cond
 
@@ -587,7 +590,7 @@ def plan_record(result):
     return [
         list(fam.labels),
         [[list(map(int, move)) for move in path.moves] for path in fam.paths],
-        [[list(move) for move in moves] for moves in result.normalized_moves],
+        [[list(move) for move in moves] for moves in planned_moves(result)],
         [[[cond.id, [list(b) for b in cond.bound]] for cond in conds] for conds in fam.traces],
         list(result.reductions),
         result.m,
@@ -623,10 +626,10 @@ class TestPlanDigest:
         tree = Graph(8, ((0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7)))
         result = build_family(tree, (0, 1, 2, 6), (1, 3, 5, 6))
         assert result.family.labels == ("L1", "L1", "L4", "L3*")
-        assert result.normalized_moves[2:] == (
+        assert planned_moves(result)[2:] == [
             ((6, 5), (5, 7), (2, 3), (0, 5), (5, 6), (7, 5)),
             ((2, 4), (1, 2), (2, 3), (0, 5), (4, 2), (2, 1)),
-        )
+        ]
         assert [cond.bound for (cond,) in result.family.traces[2:]] == [
             (("w", 7), ("z", 6)), (("w", 4), ("z", 1)),
         ]
@@ -639,10 +642,10 @@ def tree_distance2_instance(draw):
     k = draw(st.integers(min_value=1, max_value=n - 1))
     tg = build_token_graph(tree, k)
     x = tg.vertices[draw(st.integers(min_value=0, max_value=len(tg.vertices) - 1))]
-    mids = tg.neighbors(x)
+    mids = fk_neighbors(tg, x)
     mid = mids[draw(st.integers(min_value=0, max_value=len(mids) - 1))]
-    adj = set(tg.neighbors(x)) | {x}
-    options = [y for y in tg.neighbors(mid) if y not in adj]
+    adj = set(mids) | {x}
+    options = [y for y in fk_neighbors(tg, mid) if y not in adj]
     if not options:
         return None
     y = options[draw(st.integers(min_value=0, max_value=len(options) - 1))]

@@ -101,6 +101,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, ((0, 3),))
 
+    @pytest.mark.parametrize("n,edges", [
+        (3, ((0.0, 1),)), (3, ((0, 1.0),)), (3.0, ((0, 1),)), ("3", ()), (3, (("0", 1),)),
+    ], ids=["float-u", "float-v", "float-n", "str-n", "str-u"])
+    def test_rejects_non_int_input(self, n, edges):
+        with pytest.raises(ValueError, match="int"):
+            Graph(n, edges)
+
     def test_degrees(self):
         g = star_graph(3)
         assert g.degree(0) == 3

@@ -7,7 +7,7 @@ import tokengraphs
 PUBLIC_NAMES = {
     # connectivity
     "ConnectivityReport", "brute_force_connectivity", "edge_connectivity",
-    "local_vertex_connectivity", "vertex_connectivity",
+    "vertex_connectivity",
     # families
     "Case1Context", "Case2Context", "FamilyConstructionError", "FamilyResult",
     "PathFamily", "build_family", "normalize",
@@ -29,4 +29,4 @@ def test_top_level_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 35
+    assert len(names) == 34

@@ -1,7 +1,7 @@
 """Token graph construction, degrees, the complement map, classification."""
 
 from itertools import combinations
-from math import comb, inf
+from math import comb
 
 import networkx as nx
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _catalog import girth5_catalog
-from tokengraphs import tokens
+from _fk import fk_distances, fk_neighbors
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import build_family
 from tokengraphs.graphs import (
@@ -22,6 +22,7 @@ from tokengraphs.graphs import (
     path_graph,
     star_graph,
 )
+from tokengraphs.moves import TokenPath
 from tokengraphs.tokens import (
     build_token_graph,
     checked_mask,
@@ -71,11 +72,11 @@ class TestTokenGraphShape:
         tg = build_token_graph(path_graph(3), 2)
         assert tg.vertices == ((0, 1), (0, 2), (1, 2))
         assert tg.edge_count == 2
-        assert tg.neighbors((0, 1)) == ((0, 2),)
+        assert fk_neighbors(tg, (0, 1)) == ((0, 2),)
 
     def test_degree_sequence_p4(self):
         tg = build_token_graph(path_graph(4), 2)
-        seq = sorted(tg.degree(v) for v in tg.vertices)
+        seq = sorted(m.bit_count() for m in tg.neighbor_masks)
         assert seq == [1, 1, 2, 2, 3, 3]
 
     def test_f1_is_the_base_graph(self):
@@ -96,8 +97,8 @@ class TestTokenGraphShape:
     def test_degree_equals_boundary_count(self, tk):
         tree, k = tk
         tg = build_token_graph(tree, k)
-        for cfg in tg.vertices:
-            assert tg.degree(cfg) == token_degree(tree, cfg)
+        for cfg, m in zip(tg.vertices, tg.neighbor_masks):
+            assert m.bit_count() == len(fk_neighbors(tg, cfg)) == token_degree(tree, cfg)
 
     @given(tree_and_k(max_n=7))
     @settings(max_examples=40)
@@ -109,17 +110,17 @@ class TestTokenGraphShape:
         mapped = {
             tuple(sorted((complement(u, n), complement(v, n))))
             for u in a.vertices
-            for v in a.neighbors(u)
+            for v in fk_neighbors(a, u)
         }
         actual = {
-            tuple(sorted((u, v))) for u in b.vertices for v in b.neighbors(u)
+            tuple(sorted((u, v))) for u in b.vertices for v in fk_neighbors(b, u)
         }
         assert mapped == actual
 
     def test_min_token_degree(self):
         tree = path_graph(5)
         tg = build_token_graph(tree, 2)
-        assert min_token_degree(tree, 2) == min(tg.degree(v) for v in tg.vertices)
+        assert min_token_degree(tree, 2) == min(len(fk_neighbors(tg, v)) for v in tg.vertices)
 
     def test_materialization_guard(self):
         with pytest.raises(ValueError):
@@ -127,31 +128,29 @@ class TestTokenGraphShape:
 
     def test_distance_bfs(self):
         tg = build_token_graph(path_graph(4), 2)
-        assert tg.distance((0, 1), (2, 3)) == 4
-        assert tg.distance((0, 1), (0, 1)) == 0
+        dist = fk_distances(tg)
+        assert dist[tg.vertices.index((0, 1))][tg.vertices.index((2, 3))] == 4
+        assert dist[0][0] == 0
 
-    def test_reference_methods_reject_bad_configurations(self):
-        # unsorted, wrong size for k, and not a tuple: each a ValueError
-        tg = build_token_graph(path_graph(4), 2)
-        for call, cfg in ((tg.degree, (1, 0)), (tg.neighbors, (0, 1, 2)), (tg.degree, [0, 1]),
-                          (tg.neighbors, (0, 4)), (tg.degree, (1,))):
+    def test_token_degree_rejects_bad_configurations(self):
+        # unsorted, not a tuple, out of range, and k = n: each a ValueError
+        tree = path_graph(4)
+        for cfg in ((1, 0), [0, 1], (0, 4), (-1, 0), (0, 1, 2, 3)):
             with pytest.raises(ValueError):
-                call(cfg)
-        with pytest.raises(ValueError, match="3 tokens, not k=2"):
-            tg.distance((0, 1), (0, 1, 2))
+                token_degree(tree, cfg)
         with pytest.raises(ValueError, match="not a sorted"):
-            tg.distance((1, 0), (0, 1))
+            token_degree(tree, (1, 0))
 
     @pytest.mark.parametrize("cfg", [([0], [1]), (0.0, 1.0), ("a", "b")])
     def test_non_int_entries_raise_value_error(self, cfg):
-        # the memo treats (0.0, 1.0) as the equal key (0, 1), so start from
-        # an empty one: the checks run on a miss
-        tokens._checked_mask.cache_clear()
+        # (0, 1) is seen first: the memo holds it, and (0.0, 1.0) is its
+        # equal key, so a memo hit must not skip the entry check
         tree = path_graph(4)
-        tg = build_token_graph(tree, 2)
-        for call in (tg.degree, lambda c: token_degree(tree, c),
+        assert token_degree(tree, (0, 1)) == 1
+        assert TokenPath(tree, (0, 1), ()).masks == (0b11,)
+        for call in (lambda c: token_degree(tree, c), lambda c: TokenPath(tree, c, ()),
                      lambda c: build_family(tree, c, (2, 3))):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="vertex ints"):
                 call(cfg)
 
 
@@ -175,7 +174,7 @@ class TestAgainstDefinition:
                 ]
                 assert tg.vertices == tuple(configs)
                 for i, cfg in enumerate(configs):
-                    assert tg.neighbors(cfg) == tuple(configs[j] for j in sorted(near[i]))
+                    assert fk_neighbors(tg, cfg) == tuple(configs[j] for j in sorted(near[i]))
                 edges = [(i, j) for i, j in combinations(order, 2) if j in near[i]]
                 assert tg.as_graph() == Graph(len(configs), tuple(edges))
                 expected = [
@@ -224,10 +223,11 @@ class TestDistance2Pairs:
     def test_pairs_match_bfs(self, n, k):
         for tree in enumerate_trees(n):
             tg = build_token_graph(tree, k)
+            dist = fk_distances(tg)
             expected = {
-                (u, v)
-                for u, v in combinations(tg.vertices, 2)
-                if tg.distance(u, v) == 2
+                (tg.vertices[i], tg.vertices[j])
+                for i, j in combinations(range(tg.n), 2)
+                if dist[i].get(j) == 2
             }
             assert {(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()} == expected
 
