@@ -35,7 +35,6 @@ from .graphs import (
     tree_canonical_form,
 )
 from .moves import (
-    TokenMove,
     TokenPath,
     TraceCondition,
     check_trace,

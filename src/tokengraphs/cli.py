@@ -316,7 +316,7 @@ def cmd_conjecture(args) -> int:
             print(f"error: {line!r}: {exc}", file=sys.stderr)
             return 2
         g6 = emit_graph6(g)
-        if not g.is_connected():
+        if not g.connected:
             skip(g6, None, "not connected")
         elif girth(g) < 5:
             skip(g6, None, "girth<5")

@@ -39,6 +39,7 @@ from .tokens import (
     Config,
     checked_mask,
     classify_masks,
+    config_mask,
     make_config,
     mask_config,
     mask_degree,
@@ -527,7 +528,7 @@ def build_family(
             flip, complemented = not flip, not complemented
     # XOR with this mask takes an original-frame configuration to the normalised one
     to_normalized = (1 << tree.n) - 1 if complemented else 0
-    y_mask = checked_mask(tree, y_cfg)
+    y_mask = config_mask(y_cfg)  # normalize has checked y_cfg
     paths = []
     for label, moves, conds in plans:
         if reverse:

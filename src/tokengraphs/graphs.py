@@ -83,19 +83,10 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return self.neighbor_masks[v].bit_count()
-
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("empty graph has no degrees")
         return min(m.bit_count() for m in self.neighbor_masks)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.neighbor_masks[u] >> v & 1)
 
     @cached_property
     def connected(self) -> bool:
@@ -112,11 +103,8 @@ class Graph:
         v: none, so every vertex labels itself.  `TokenGraph.orbits_fixing` knows more."""
         return range(self.n)
 
-    def is_connected(self) -> bool:
-        return self.connected
-
     def is_tree(self) -> bool:
-        return self.n >= 1 and self.edge_count == self.n - 1 and self.is_connected()
+        return self.n >= 1 and self.edge_count == self.n - 1 and self.connected
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2

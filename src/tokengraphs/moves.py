@@ -1,28 +1,26 @@
 """Token paths as move sequences, with validity enforced at construction.
 
-A move slides one token along a base edge to a free vertex.  A TokenPath
-replays its moves from the start configuration when built, so any admissible
-TokenPath is a simple path in the token graph by construction.  The replay,
+A move slides one token along a base edge to a free vertex, and is a pair
+(src, dst) of vertex ints.  A TokenPath replays its moves from the start
+configuration when built, so any admissible TokenPath is a simple path in the
+token graph by construction.  The replay checks each value where it enters:
+`checked_mask` the start, the replay loop each move's two ends.  The replay,
 the disjointness check and the trace conditions work on int occupancy masks
 (bit v set when v holds a token; a move XORs two bits), and the sorted-tuple
-views of a path's configurations are built only when read.  Construction
-still validates every start and coerces every move, through two bounded
-memos: the start check keyed on the vertex count and the start, the move
-conversion keyed on the move.  `check_trace` reads only the Z and W-region
-masks a family context carries.
+views of a path's configurations are built only when read.  `check_trace`
+reads only the Z and W-region masks a family context carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 from .tokens import Config, checked_mask, config_mask, mask_config
 
 __all__ = [
-    "TokenMove",
     "TokenPath",
     "pairwise_internally_disjoint",
     "TraceCondition",
@@ -30,31 +28,6 @@ __all__ = [
     "trace_condition",
     "check_trace",
 ]
-
-
-class TokenMove(NamedTuple):
-    """One token slide from src to dst along a base edge."""
-
-    src: int
-    dst: int
-
-
-MoveLike = TokenMove | tuple[int, int]
-
-
-def _as_moves(moves: Iterable[MoveLike]) -> tuple[TokenMove, ...]:
-    moves = tuple(moves)
-    try:
-        return tuple(map(_as_move, moves))
-    except TypeError:  # an unhashable move, such as a list, skips the memo
-        return tuple(TokenMove(int(s), int(d)) for s, d in moves)
-
-
-# equal moves convert to equal int moves, so one TokenMove per pair is shared
-@lru_cache(maxsize=4096)
-def _as_move(move: MoveLike) -> TokenMove:
-    src, dst = move
-    return TokenMove(int(src), int(dst))
 
 
 @dataclass(frozen=True)
@@ -68,19 +41,23 @@ class TokenPath:
 
     graph: Graph
     start: Config
-    moves: tuple[TokenMove, ...]
+    moves: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        moves = _as_moves(self.moves)
-        object.__setattr__(self, "moves", moves)
         nbrs = self.graph.neighbor_masks
         occupied = checked_mask(self.graph, self.start)
         masks = [occupied]
         seen = {occupied}
-        for src, dst in moves:
+        moves = []
+        for src, dst in self.moves:
+            if not (isinstance(src, int) and isinstance(dst, int)):
+                raise ValueError(
+                    f"move {len(masks) - 1}: ends {src!r}, {dst!r} are not both vertex ints"
+                )
             # one test admits a move: a token at src, and dst a free base neighbour of src
             if (src | dst) < 0 or not occupied >> src & 1 or (occupied | ~nbrs[src]) >> dst & 1:
                 raise _inadmissible(len(masks) - 1, src, dst, occupied)
+            moves.append((src, dst))
             occupied ^= 1 << src | 1 << dst
             if occupied in seen:
                 cfg = mask_config(occupied)
@@ -88,6 +65,7 @@ class TokenPath:
                 raise ValueError(f"move {step}: configuration {cfg} repeats, path not simple")
             seen.add(occupied)
             masks.append(occupied)
+        object.__setattr__(self, "moves", tuple(moves))
         object.__setattr__(self, "masks", tuple(masks))
 
     @cached_property
@@ -233,8 +211,9 @@ class TraceCondition:
         return masks(shape.z_drops), masks(shape.w_vals), shape.forbid_trivial
 
 
-# conditions are immutable, so equal requests share one object and its masks
-@lru_cache(maxsize=4096)
+# conditions are immutable, so equal requests share one object and its masks;
+# typed, so that z=1.0 or z=True never reuses the condition checked for z=1
+@lru_cache(maxsize=4096, typed=True)
 def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
     if cond_id not in _SHAPES:
         raise ValueError(f"unknown trace condition {cond_id!r}")
@@ -243,6 +222,9 @@ def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
         raise ValueError(
             f"condition {cond_id} needs slots {shape.slots}, got {tuple(sorted(bindings))}"
         )
+    for slot, vert in bindings.items():
+        if not (isinstance(vert, int) and vert >= 0):
+            raise ValueError(f"condition {cond_id} slot {slot!r} is {vert!r}, not a vertex int")
     return TraceCondition(cond_id, tuple(sorted(bindings.items())))
 
 

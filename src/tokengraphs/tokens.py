@@ -5,6 +5,8 @@ Two configurations are adjacent when their symmetric difference is an edge of
 the base graph, i.e. one token slides along an edge to a free vertex.
 Sorted tuples appear only at entry points and in records; inside, F_k is
 read by vertex index alone, reached from occupancy bitmasks through one index.
+A configuration is checked where it enters, by `checked_mask`: one pass over
+its entries both checks them and builds the occupancy bitmask.
 """
 
 from __future__ import annotations
@@ -50,37 +52,33 @@ def make_config(vertices: Iterable[int]) -> Config:
     return cfg
 
 
-def _check_config(n: int, cfg: Config) -> None:
+def _check_config(n: int, cfg: Config) -> ValueError:
+    """The error for a configuration `checked_mask` rejected, worded by its first broken rule."""
     if not all(isinstance(v, int) for v in cfg):
-        raise ValueError(f"configuration {cfg!r} holds entries that are not vertex ints")
+        return ValueError(f"configuration {cfg!r} holds entries that are not vertex ints")
     if tuple(sorted(set(cfg))) != cfg:
-        raise ValueError(f"configuration {cfg} is not a sorted duplicate-free tuple")
+        return ValueError(f"configuration {cfg} is not a sorted duplicate-free tuple")
     if not 1 <= len(cfg) <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1 tokens, got k={len(cfg)} with n={n}")
-    if cfg and not (0 <= cfg[0] and cfg[-1] < n):
-        raise ValueError(f"configuration {cfg} out of range for n={n}")
+        return ValueError(f"need 1 <= k <= n-1 tokens, got k={len(cfg)} with n={n}")
+    return ValueError(f"configuration {cfg} out of range for n={n}")
 
 
 def checked_mask(g: Graph, cfg: Config) -> int:
-    """The occupancy mask of cfg; ValueError unless cfg is a sorted
-    duplicate-free tuple of 1 <= k <= n-1 vertices of g."""
-    # the memo takes (0.0, 1.0) for its equal key (0, 1), so only a tuple whose
-    # entries sum to an int may reach it unchecked: a float entry makes the sum
-    # a float, and a list or string entry makes it raise
-    try:
-        memo = type(cfg) is tuple and type(sum(cfg)) is int
-    except TypeError:
-        memo = False
-    if not memo:
-        _check_config(g.n, cfg)
-    return _checked_mask(g.n, cfg)
-
-
-# both steps are pure in (n, cfg), so a configuration seen before costs one lookup
-@lru_cache(maxsize=1024)
-def _checked_mask(n: int, cfg: Config) -> int:
-    _check_config(n, cfg)
-    return config_mask(cfg)
+    """The occupancy mask of cfg, built in the one pass that checks it;
+    ValueError unless cfg is a sorted duplicate-free tuple of 1 <= k <= n-1
+    vertices of g."""
+    n = g.n
+    if isinstance(cfg, tuple) and 0 < len(cfg) < n:
+        mask, last = 0, -1
+        for v in cfg:
+            # an int above the entry before it and below n: no shift is ever negative or huge
+            if not (isinstance(v, int) and last < v < n):
+                break
+            mask |= 1 << v
+            last = v
+        else:
+            return mask
+    raise _check_config(n, cfg)
 
 
 def config_mask(cfg: Iterable[int]) -> int:

@@ -33,7 +33,7 @@ def _distances(g: Graph) -> list[list[int]]:
             d += 1
             nxt = []
             for u in frontier:
-                for w in g.neighbors(u):
+                for w in g.adjacency[u]:
                     if table[s][w] > d:
                         table[s][w] = d
                         nxt.append(w)

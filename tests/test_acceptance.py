@@ -230,12 +230,12 @@ def test_criterion_6_oracle_equivalence(atlas):
     scan = list(atlas) + randoms + list(enumerate_trees(8))
     compared = 0
     for g in scan:
-        if not g.is_connected() or g.is_complete():
+        if not g.connected or g.is_complete():
             continue
         by_definition = min(
             _unit_flow(g.neighbor_masks, s, t, g.n, split=True)
             for s, t in combinations(range(g.n), 2)
-            if not g.has_edge(s, t)
+            if t not in g.adjacency[s]
         )
         if vertex_connectivity(g) != by_definition:
             disagreements.append((g, "pair set vs every non-adjacent pair"))
@@ -262,7 +262,7 @@ def test_criterion_8_girth5_scan(capsys, tmp_path, atlas):
     catalog = girth5_catalog(8)
     by_n = Counter(g.n for g in catalog)
     atlas_counts = Counter(
-        g.n for g in atlas if g.is_connected() and girth(g) >= 5
+        g.n for g in atlas if g.connected and girth(g) >= 5
     )
     assert all(by_n[n] == atlas_counts[n] for n in range(1, 8)), (by_n, atlas_counts)
     assert by_n[8] == 47

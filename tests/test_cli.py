@@ -503,7 +503,7 @@ class TestFlowFolding:
         # many leaves make delta >= 3 likely; the seed picks trees among them
         rng = random.Random(11)
         trees = [t for n in (11, 12) for t in enumerate_trees(n)
-                 if sum(t.degree(v) == 1 for v in range(t.n)) >= t.n - 4]
+                 if sum(len(a) == 1 for a in t.adjacency) >= t.n - 4]
         args = self.flow_units(rng.sample(trees, 6), lambda t: range(3, t.n // 2 + 1))
         assert len(args) == 3
         counts = self.folded_and_unfolded(monkeypatch, cli._theorem_unit, args)
@@ -561,7 +561,7 @@ class TestPlantedGenerator:
     @pytest.fixture
     def bad_generator(self, monkeypatch):
         def swap_leaf_and_inner(tree, marked=0):
-            degrees = [tree.degree(v) for v in range(tree.n)]
+            degrees = [len(a) for a in tree.adjacency]
             if max(degrees) < 2:
                 return []
             perm = list(range(tree.n))

@@ -363,7 +363,7 @@ class TestBrokenBuilders:
     def test_inadmissible_move(self, instance, monkeypatch):
         _, tree, x, y, ctx = instance
         z = ctx.zw_edges[0][0]
-        far = min(w for w in range(tree.n) if ctx.region_mask >> w & 1 and not tree.has_edge(z, w))
+        far = min(w for w in range(tree.n) if ctx.region_mask >> w & 1 and w not in tree.adjacency[z])
         self.tamper_plan(
             monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges + ((z, far),))
         )
@@ -373,7 +373,7 @@ class TestBrokenBuilders:
     def test_wrong_end(self, instance, monkeypatch):
         kind, tree, x, y, ctx = instance
         taken = {ctx.x, ctx.y} | set(ctx.x_cfg) | set(ctx.y_cfg)
-        other = min(tree.neighbors(ctx.v) - taken)
+        other = min(tree.adjacency[ctx.v] - taken)
         self.tamper_plan(monkeypatch, lambda c: replace(c, y=other))
         # after an endpoint swap the path runs backwards from the original X,
         # so its wrong end can surface as a first move that does not replay
@@ -502,7 +502,7 @@ def expected_context(tree, x_cfg, y_cfg, ctx, reductions):
             x_set, y_set = full - x_set, full - y_set
         elif red == "swap_xy":
             x_set, y_set = y_set, x_set
-    adj = {u: set(tree.neighbors(u)) for u in full}
+    adj = {u: set(tree.adjacency[u]) for u in full}
     z, w = x_set & y_set, full - x_set - y_set
 
     def mask(vertices):

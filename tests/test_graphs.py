@@ -110,13 +110,13 @@ class TestGraphBasics:
 
     def test_degrees(self):
         g = star_graph(3)
-        assert g.degree(0) == 3
+        assert g.neighbor_masks[0] == 0b1110
         assert g.min_degree() == 1
-        assert sorted(g.neighbors(0)) == [1, 2, 3]
+        assert sorted(g.adjacency[0]) == [1, 2, 3]
 
     def test_connectivity_flags(self):
-        assert path_graph(4).is_connected()
-        assert not Graph(4, ((0, 1), (2, 3))).is_connected()
+        assert path_graph(4).connected
+        assert not Graph(4, ((0, 1), (2, 3))).connected
         assert path_graph(4).is_tree()
         assert not cycle_graph(4).is_tree()
         assert complete_graph(4).is_complete()
@@ -139,8 +139,8 @@ class TestOneDfs:
         for h, g in small_graphs:
             connected, cut_vertex, bridge = mask_cut_flags(g.neighbor_masks)
             assert g.cut_flags == (connected, cut_vertex, bridge)
-            assert connected == nx.is_connected(h) == g.is_connected(), h.edges
-            assert mask_connected(g.neighbor_masks) == g.connected == connected, h.edges
+            assert connected == nx.is_connected(h) == g.connected, h.edges
+            assert mask_connected(g.neighbor_masks) == connected, h.edges
             if connected:
                 connected_count += 1
                 assert cut_vertex == any(True for _ in nx.articulation_points(h)), h.edges
@@ -151,7 +151,7 @@ class TestOneDfs:
         assert mask_connected(()) is True
         assert mask_cut_flags(()) == (True, False, False)
         assert Graph(0, ()).cut_flags == (True, False, False)
-        assert Graph(0, ()).is_connected()
+        assert Graph(0, ()).connected
 
     def test_dfs_runs_once_per_graph(self, monkeypatch):
         # the BFS decides connectivity and settles delta = 1; the DFS runs
@@ -169,7 +169,7 @@ class TestOneDfs:
             monkeypatch.setattr(module, "mask_connected", bfs)
             monkeypatch.setattr(module, "mask_cut_flags", dfs)
         g = cycle_graph(5)
-        assert g.is_connected() and g.is_connected()
+        assert g.connected and g.connected
         assert "cut_flags" not in vars(g) and calls == {"bfs": 1}
 
         tg = build_token_graph(path_graph(5), 2)
@@ -188,9 +188,9 @@ class TestOneDfs:
             adj = g.adjacency
             assert g.min_degree() == min(len(a) for a in adj)
             for v in range(g.n):
-                assert g.degree(v) == len(adj[v])
+                assert g.neighbor_masks[v].bit_count() == len(adj[v])
                 for w in range(g.n):
-                    assert g.has_edge(v, w) is (w in adj[v])
+                    assert bool(g.neighbor_masks[v] >> w & 1) is (w in adj[v])
 
 
 class TestGraph6:
@@ -465,5 +465,5 @@ class TestGenerators:
         h = bridged_cliques(4)
         assert h.n == 8
         assert h.edge_count == 2 * 6 + 1
-        assert h.has_edge(0, 4)
-        assert h.is_connected()
+        assert 4 in h.adjacency[0]
+        assert h.connected

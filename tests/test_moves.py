@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph
 from tokengraphs.moves import (
     CONDITION_IDS,
-    TokenMove,
     TokenPath,
     check_trace,
     pairwise_internally_disjoint,
@@ -37,10 +36,10 @@ class TestTokenPath:
         assert p.length == 2
         assert p.k == 2
 
-    def test_moves_coerced_to_tokenmove(self):
-        p = TokenPath(P4, (0, 1), ((1, 2),))
-        assert p.moves == (TokenMove(1, 2),)
-        assert isinstance(p.moves[0], TokenMove)
+    def test_moves_stored_as_pairs(self):
+        p = TokenPath(P4, (0, 1), [[1, 2]])
+        assert p.moves == ((1, 2),)
+        assert type(p.moves[0]) is tuple
 
     def test_empty_path(self):
         p = TokenPath(P4, (1, 2), ())
@@ -69,9 +68,16 @@ class TestTokenPath:
         ((2, -1), "move 1: 2--1 is not a base edge"),
         ((2, 4), "move 1: 2-4 is not a base edge"),
         ((0, 3), "move 1: 0-3 is not a base edge"),
+        ((1.5, 2.9), "move 1: ends 1.5, 2.9 are not both vertex ints"),
+        (("1", "2"), "move 1: ends '1', '2' are not both vertex ints"),
+        ((1, 2.7), "move 1: ends 1, 2.7 are not both vertex ints"),
+        ((2.0, 3), "move 1: ends 2.0, 3 are not both vertex ints"),
+        ((2, None), "move 1: ends 2, None are not both vertex ints"),
     ])
     def test_rejected_move_is_worded_by_its_first_failed_check(self, move, message):
-        # negative and out-of-range vertices are rejected before any shift or lookup
+        # negative and out-of-range vertices are rejected before any shift or
+        # lookup, and ends that are not ints are never truncated to a vertex:
+        # (2.0, 3) would replay as the admissible move (2, 3)
         with pytest.raises(ValueError) as info:
             TokenPath(P4, (0, 1), ((1, 2), move))
         assert str(info.value) == message
@@ -99,7 +105,7 @@ class Side(IntEnum):
 
 
 class TestConstructionContract:
-    """Starts are checked per graph size and moves always come out as int TokenMoves."""
+    """Starts are checked per graph size, and moves are vertex-int pairs, stored as tuples."""
 
     def test_start_accepted_on_a_larger_graph_is_rejected_on_a_smaller_one(self):
         P8 = path_graph(8)
@@ -119,23 +125,23 @@ class TestConstructionContract:
         with pytest.raises(ValueError, match=r"configuration \[0, 1\] is not a sorted"):
             TokenPath(P4, [0, 1], ())
         p = TokenPath(P4, (0, 1), [[1, 2], [2, 3]])
-        assert p.moves == (TokenMove(1, 2), TokenMove(2, 3))
+        assert p.moves == ((1, 2), (2, 3))
 
     @pytest.mark.parametrize(
         "moves",
         [
             ((1, 2), (2, 3)),
-            (TokenMove(1, 2), TokenMove(2, 3)),
+            [[1, 2], [2, 3]],
             ((True, Side.RIGHT), (Side.RIGHT, 3)),
-            (TokenMove(Side.LEFT, 2), (2, 3)),
+            ((Side.LEFT, 2), [2, 3]),
             iter([(1, 2), (2, 3)]),
         ],
     )
     def test_move_spellings_give_equal_paths(self, moves):
         p = TokenPath(P4, (0, 1), moves)
         assert p == TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
-        assert all(type(m) is TokenMove for m in p.moves)
-        assert all(type(v) is int for m in p.moves for v in m)
+        assert p.moves == ((1, 2), (2, 3))
+        assert all(type(m) is tuple for m in p.moves)
         assert p.configs == ((0, 1), (0, 2), (0, 3))
 
 
@@ -192,6 +198,14 @@ class TestTraceConditions:
             trace_condition("C3", z=0)
         with pytest.raises(ValueError, match="needs slots"):
             trace_condition("C1", z=0)
+
+    @pytest.mark.parametrize("z", [1.5, "1", -1, None, 1.0])
+    def test_non_vertex_binding_rejected(self, z):
+        # z=1 is bound first, and 1.0 compares equal to it: the memo must not
+        # hand its condition to a binding that was never checked
+        assert trace_condition("C2", z=1).vertex("z") == 1
+        with pytest.raises(ValueError, match="slot 'z'"):
+            trace_condition("C2", z=z)
 
     def test_vertex_lookup(self):
         cond = trace_condition("D2", z=5, w=7)
@@ -267,7 +281,7 @@ def tree_route_start(draw):
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 if w not in parent:
                     parent[w] = u
                     nxt.append(w)
@@ -303,7 +317,7 @@ class TestLiftProperties:
     def test_reversed_moves_walk_the_path_backwards(self, case):
         g, route, start = case
         p = TokenPath(g, start, tuple(zip(route, route[1:])))
-        back = TokenPath(g, p.end, tuple(TokenMove(d, s) for s, d in reversed(p.moves)))
+        back = TokenPath(g, p.end, tuple((d, s) for s, d in reversed(p.moves)))
         assert back.configs == p.configs[::-1]
 
 
@@ -338,7 +352,7 @@ def tree_start_moves(draw):
     seen = {start}
     moves = []
     for _ in range(draw(st.integers(min_value=0, max_value=10))):
-        slides = sorted((u, w) for u in occupied for w in g.neighbors(u) if w not in occupied)
+        slides = sorted((u, w) for u in occupied for w in g.adjacency[u] if w not in occupied)
         fresh = [(u, w) for u, w in slides if tuple(sorted(occupied - {u} | {w})) not in seen]
         kind = draw(st.integers(0, 4))  # 0: any pair, 1: any slide, else an unseen one
         pool = slides if kind == 1 else fresh

@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "emit_graph6", "enumerate_trees", "girth", "parse_graph6", "path_graph",
     "star_graph", "tree_canonical_form",
     # moves
-    "TokenMove", "TokenPath", "TraceCondition", "check_trace",
+    "TokenPath", "TraceCondition", "check_trace",
     "pairwise_internally_disjoint", "trace_condition",
     # tokens
     "TokenGraph", "build_token_graph", "make_config", "min_token_degree", "token_degree",
@@ -29,4 +29,4 @@ def test_top_level_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 34
+    assert len(names) == 33

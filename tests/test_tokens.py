@@ -143,8 +143,8 @@ class TestTokenGraphShape:
 
     @pytest.mark.parametrize("cfg", [([0], [1]), (0.0, 1.0), ("a", "b")])
     def test_non_int_entries_raise_value_error(self, cfg):
-        # (0, 1) is seen first: the memo holds it, and (0.0, 1.0) is its
-        # equal key, so a memo hit must not skip the entry check
+        # (0, 1) is checked first, and (0.0, 1.0) compares equal to it: no
+        # earlier check may stand in for the check of a value that equals it
         tree = path_graph(4)
         assert token_degree(tree, (0, 1)) == 1
         assert TokenPath(tree, (0, 1), ()).masks == (0b11,)
@@ -293,12 +293,12 @@ class TestClassify:
                 x, y, v = pair
                 assert shared == k - 1
                 assert set(x_cfg) - set(y_cfg) == {x} and set(y_cfg) - set(x_cfg) == {y}
-                assert tree.has_edge(x, v)
-                assert tree.has_edge(v, y)
+                assert v in tree.adjacency[x]
+                assert y in tree.adjacency[v]
             else:
                 x1, y1, x2, y2 = pair
                 assert shared == k - 2
                 assert set(x_cfg) - set(y_cfg) == {x1, x2} and x1 < x2
                 assert set(y_cfg) - set(x_cfg) == {y1, y2}
-                assert tree.has_edge(x1, y1)
-                assert tree.has_edge(x2, y2)
+                assert y1 in tree.adjacency[x1]
+                assert y2 in tree.adjacency[x2]
