@@ -127,7 +127,7 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
                 instance={"x": list(x_cfg), "y": list(y_cfg), "error": str(exc)},
             )
             return record
-        size = len(result.family)
+        size = result.size
         min_size = size if min_size is None else min(min_size, size)
         slack, case = result.delta - result.m, result.case
         prev = max_slack[case]

@@ -14,10 +14,13 @@ P1-P4 for two) is one row of `_TEMPLATES`: a label, moves over slot names
 and trace-condition ids.
 `plan_family` binds the slots from the context and its neighbour sets and
 emits each path's plan in the normalised frame.  `build_family` verifies
-each guarantee once, in the original frame: it folds the reductions into two
-flags (reverse each move list, flip each move), maps every plan with them,
-replays it once from X, checks its end and its trace conditions, then checks
-the final family's disjointness and size.
+each guarantee once, in the original frame and on occupancy masks: it
+folds the reductions into two flags (reverse each move list, flip each
+move), maps every plan with them, replays it once from X's mask with
+`moves.replay`, checks its end and its trace conditions on that walk, then
+checks the walks' disjointness and the family's size.  The verified family
+is a `FamilyResult` of moves and walks; its TokenPath and PathFamily objects
+are built only when `family` is read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .moves import (
     TraceCondition,
     check_trace,
     pairwise_internally_disjoint,
+    replay,
     trace_condition,
 )
 from .tokens import (
@@ -71,10 +75,20 @@ class FamilyConstructionError(RuntimeError):
 
 def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], ...]:
     """Edges from a shared token to a free vertex, as sorted (z, w) pairs."""
-    return tuple((u, t) for u in mask_config(z) for t in mask_config(nbrs[u] & w))
+    edges = []
+    while z:
+        low = z & -z
+        z ^= low
+        u = low.bit_length() - 1
+        free = nbrs[u] & w
+        while free:
+            t = free & -free
+            free ^= t
+            edges.append((u, t.bit_length() - 1))
+    return tuple(edges)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Case1Context:
     """Normalised instance where X and Y differ in a single token x vs y.
 
@@ -98,17 +112,17 @@ class Case1Context:
     d: int
     zw_edges: tuple[tuple[int, int], ...]
     m: int = field(init=False)
+    region_mask: int = field(init=False)
 
     def __post_init__(self):
-        m = min(self.a, self.c) + min(self.b, self.d) + len(self.zw_edges) + 1
-        object.__setattr__(self, "m", m)
+        self.m = min(self.a, self.c) + min(self.b, self.d) + len(self.zw_edges) + 1
+        self.region_mask = self.w_mask & ~(1 << self.v)
 
-    region_mask = property(lambda self: self.w_mask & ~(1 << self.v))
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Case2Context:
     """Normalised instance where X and Y differ in two tokens x_i -> y_i.
 
@@ -141,15 +155,15 @@ class Case2Context:
     cross: tuple[int, int] | None
     m: int = field(init=False)
     case_number: int = field(init=False)
+    region_mask: int = field(init=False)
 
     def __post_init__(self):
         a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
         c1, c2, d1, d2 = self.c1, self.c2, self.d1, self.d2
-        m = min(a1, c1) + min(a2, c2) + min(b1, d1) + min(b2, d2) + len(self.zw_edges) + 2
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "case_number", _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2))
+        self.m = min(a1, c1) + min(a2, c2) + min(b1, d1) + min(b2, d2) + len(self.zw_edges) + 2
+        self.case_number = _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2)
+        self.region_mask = self.w_mask
 
-    region_mask = property(lambda self: self.w_mask)
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x1 | 1 << self.x2))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y1 | 1 << self.y2))
 
@@ -179,9 +193,9 @@ _TERMINAL_CASES = frozenset({2, 4, 6, 7, 8, 16})
 # both in the order a1 a2 b1 b2 c1 c2 d1 d2: swapping the indices exchanges
 # the 1 and 2 entries; complementing trades Z and W, so x_i's neighbours in
 # W become y_i's in Z (a_i <-> b_i) and x_i's in Z become y_i's in W (c_i <-> d_i)
-_RELABELLINGS: dict[str, tuple[int, ...]] = {
-    "swap_indices_12": (1, 0, 3, 2, 5, 4, 7, 6),
-    "complement_with_relabel": (2, 3, 0, 1, 6, 7, 4, 5),
+_RELABELLINGS: dict[str, itemgetter] = {
+    "swap_indices_12": itemgetter(1, 0, 3, 2, 5, 4, 7, 6),
+    "complement_with_relabel": itemgetter(2, 3, 0, 1, 6, 7, 4, 5),
 }
 
 
@@ -233,7 +247,7 @@ def _case2_context(
         nonlocal labels, z, w, sides, counts, cross
         x1, y1, x2, y2 = labels
         perm = _RELABELLINGS[kind]
-        sides, counts = tuple(sides[i] for i in perm), tuple(counts[i] for i in perm)
+        sides, counts = perm(sides), perm(counts)
         if kind == "swap_indices_12":
             labels, cross = (x2, y2, x1, y1), cross[::-1] if cross else None
         else:
@@ -255,11 +269,12 @@ def _case2_context(
         raise FamilyConstructionError(
             f"dispatch failed to reach a terminal case (stuck at {ctx.case_number})"
         )
-    if delta == ctx.m + 1 and ctx.case_number == 16 and ctx.cross_kind == "y1x2":
+    cross_kind = ctx.cross_kind
+    if delta == ctx.m + 1 and ctx.case_number == 16 and cross_kind == "y1x2":
         relabel("swap_indices_12")
         ctx = Case2Context(tree, *labels, z, w, sides, *counts, zw_edges, cross)
     # the relabellings permute the counts and keep the cross-edge bonus
-    bonus = 1 if ctx.cross_kind in ("x1y2", "y1x2") else 0
+    bonus = 1 if cross_kind in ("x1y2", "y1x2") else 0
     if sum(counts[:4]) + len(zw_edges) + 2 + bonus != deg_x:
         raise FamilyConstructionError("case-2 degree bookkeeping failed for X")
     if sum(counts[4:]) + len(zw_edges) + 2 + bonus != deg_y:
@@ -400,13 +415,13 @@ _COMPILED = {key: _compile(*row) for key, row in _TEMPLATES.items()}
 
 # a plan is pure in its template and slot values, and the families of one
 # tree repeat them, so most paths cost one lookup
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4096)
 def _bind(key: str, values: tuple[int, ...]) -> PathPlan:
     label, steps, checks = _COMPILED[key]
-    moves = tuple((values[i], values[j]) for i, j in steps)
-    return label, moves, tuple(
+    moves = tuple([(values[i], values[j]) for i, j in steps])
+    return label, moves, tuple([
         trace_condition(cid, **{slot: values[i] for slot, i in slots}) for cid, slots in checks
-    )
+    ])
 
 
 def plan_family(ctx: Case1Context | Case2Context, delta: int) -> list[PathPlan]:
@@ -485,27 +500,56 @@ def _supplement(ctx: Case2Context, extra: int) -> tuple[str, tuple[int, ...]]:
 # verification
 
 
-# a complement or an endpoint swap turns each move (src, dst) into (dst, src)
-_flipped = itemgetter(1, 0)
+# a complement or an endpoint swap turns each move (src, dst) into (dst, src);
+# plans repeat across the families of a tree, so each orientation of one is built once
+@lru_cache(maxsize=4096)
+def _orient(moves: Moves, reverse: bool, flip: bool) -> Moves:
+    if reverse:
+        moves = moves[::-1]
+    if flip:
+        moves = tuple([(dst, src) for src, dst in moves])
+    return moves
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FamilyResult:
     """A verified family plus the normalisation data that produced it.
 
-    The trace certificates speak in the normalised frame, where
-    `plan_family(context, delta)` gives each path's moves.
+    The family was verified on occupancy masks: `moves` holds each path's
+    moves in the original frame, from x_cfg, and `walks` the masks they
+    visit.  `family`, the TokenPath and PathFamily objects, is built on
+    first read.  The trace certificates speak in the normalised frame,
+    where `plan_family(context, delta)` gives each path's moves.
     """
 
-    family: PathFamily
     context: Case1Context | Case2Context
     reductions: tuple[str, ...]
     delta: int
     m: int
+    x_cfg: Config
+    y_cfg: Config
+    plans: list[PathPlan]
+    moves: tuple[Moves, ...]
+    walks: tuple[tuple[int, ...], ...]
+    _family: PathFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def case(self) -> int:
         return 1 if isinstance(self.context, Case1Context) else 2
+
+    @property
+    def size(self) -> int:
+        return len(self.walks)
+
+    @property
+    def family(self) -> PathFamily:
+        """The verified paths as TokenPath objects, built on the first read."""
+        if self._family is None:
+            tree = self.context.tree
+            paths = tuple(TokenPath(tree, self.x_cfg, moves) for moves in self.moves)
+            labels, _, traces = zip(*self.plans)
+            self._family = PathFamily(self.x_cfg, self.y_cfg, paths, labels, traces)
+        return self._family
 
 
 def build_family(
@@ -528,38 +572,37 @@ def build_family(
             flip, complemented = not flip, not complemented
     # XOR with this mask takes an original-frame configuration to the normalised one
     to_normalized = (1 << tree.n) - 1 if complemented else 0
-    y_mask = config_mask(y_cfg)  # normalize has checked y_cfg
-    paths = []
+    # normalize has checked both configurations
+    x_mask, y_mask = config_mask(x_cfg), config_mask(y_cfg)
+    oriented, walks = [], []
     for label, moves, conds in plans:
-        if reverse:
-            moves = moves[::-1]
-        if flip:
-            moves = tuple(map(_flipped, moves))
+        if reverse or flip:
+            moves = _orient(moves, reverse, flip)
         try:
-            path = TokenPath(tree, x_cfg, moves)
+            walk = replay(tree, x_mask, moves)
         except ValueError as exc:
             raise FamilyConstructionError(f"path {label} does not replay: {exc}") from exc
-        if path.masks[-1] != y_mask:
-            raise FamilyConstructionError(f"path {label} ends at {path.end}, not {y_cfg}")
-        inner = path.masks[1:-1]
+        if walk[-1] != y_mask:
+            end = mask_config(walk[-1])
+            raise FamilyConstructionError(f"path {label} ends at {end}, not {y_cfg}")
+        inner = walk[1:-1]
         if to_normalized:
             inner = [m ^ to_normalized for m in inner]
         for cond in conds:
             if not check_trace(inner, cond, ctx):
                 raise FamilyConstructionError(f"path {label} violates trace condition {cond.id}")
-        paths.append(path)
+        oriented.append(moves)
+        walks.append(walk)
 
-    labels, _, traces = zip(*plans)
-    ok, clash = pairwise_internally_disjoint(paths)
+    ok, clash = pairwise_internally_disjoint(walks)
     if not ok:
         i, j = clash
         raise FamilyConstructionError(
-            f"paths {labels[i]} and {labels[j]} share an inner configuration"
+            f"paths {plans[i][0]} and {plans[j][0]} share an inner configuration"
         )
-    if len(paths) < delta:
+    if len(walks) < delta:
         raise FamilyConstructionError(
-            f"family of {len(paths)} paths is below delta = {delta}"
+            f"family of {len(walks)} paths is below delta = {delta}"
         )
-    family = PathFamily(x_cfg, y_cfg, tuple(paths), labels, traces)
-    return FamilyResult(family, ctx, reductions, delta, ctx.m)
-
+    return FamilyResult(ctx, reductions, delta, ctx.m, x_cfg, y_cfg, plans,
+                        tuple(oriented), tuple(walks))

@@ -1,14 +1,16 @@
 """Token paths as move sequences, with validity enforced at construction.
 
 A move slides one token along a base edge to a free vertex, and is a pair
-(src, dst) of vertex ints.  A TokenPath replays its moves from the start
-configuration when built, so any admissible TokenPath is a simple path in the
-token graph by construction.  The replay checks each value where it enters:
-`checked_mask` the start, the replay loop each move's two ends.  The replay,
-the disjointness check and the trace conditions work on int occupancy masks
-(bit v set when v holds a token; a move XORs two bits), and the sorted-tuple
-views of a path's configurations are built only when read.  `check_trace`
-reads only the Z and W-region masks a family context carries.
+(src, dst) of vertex ints.  `replay` walks a move sequence from a start
+occupancy mask (bit v set when v holds a token; a move XORs two bits) and
+returns the mask of every configuration it visits, admitting each move with
+one test; it is the one replay, run by the family engine on planned moves
+and by TokenPath.  A TokenPath checks each value where it enters
+(`checked_mask` the start, one pass each move's two ends) and then replays,
+so any TokenPath is a simple path in the token graph; its sorted-tuple
+configurations are built only when read.  The disjointness check takes
+paths or the mask walks of paths, and `check_trace` reads inner masks and
+only the Z and W-region masks a family context carries.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .tokens import Config, checked_mask, config_mask, mask_config
 
 __all__ = [
     "TokenPath",
+    "replay",
     "pairwise_internally_disjoint",
     "TraceCondition",
     "CONDITION_IDS",
@@ -44,29 +47,15 @@ class TokenPath:
     moves: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        nbrs = self.graph.neighbor_masks
-        occupied = checked_mask(self.graph, self.start)
-        masks = [occupied]
-        seen = {occupied}
-        moves = []
-        for src, dst in self.moves:
+        graph = self.graph
+        occupied = checked_mask(graph, self.start)
+        moves = tuple([(src, dst) for src, dst in self.moves])
+        object.__setattr__(self, "moves", moves)
+        for step, (src, dst) in enumerate(moves):
             if not (isinstance(src, int) and isinstance(dst, int)):
-                raise ValueError(
-                    f"move {len(masks) - 1}: ends {src!r}, {dst!r} are not both vertex ints"
-                )
-            # one test admits a move: a token at src, and dst a free base neighbour of src
-            if (src | dst) < 0 or not occupied >> src & 1 or (occupied | ~nbrs[src]) >> dst & 1:
-                raise _inadmissible(len(masks) - 1, src, dst, occupied)
-            moves.append((src, dst))
-            occupied ^= 1 << src | 1 << dst
-            if occupied in seen:
-                cfg = mask_config(occupied)
-                step = len(masks) - 1
-                raise ValueError(f"move {step}: configuration {cfg} repeats, path not simple")
-            seen.add(occupied)
-            masks.append(occupied)
-        object.__setattr__(self, "moves", tuple(moves))
-        object.__setattr__(self, "masks", tuple(masks))
+                replay(graph, occupied, moves[:step])  # an earlier bad move is named first
+                raise ValueError(f"move {step}: ends {src!r}, {dst!r} are not both vertex ints")
+        object.__setattr__(self, "masks", replay(graph, occupied, moves))
 
     @cached_property
     def configs(self) -> tuple[Config, ...]:
@@ -89,6 +78,32 @@ class TokenPath:
         return len(self.start)
 
 
+def replay(graph: Graph, start: int, moves: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The occupancy masks of the walk that moves takes from the start mask.
+
+    The start mask and the int type of each move's ends are the caller's to
+    check.  A move is admitted only when a token sits at src and dst is a
+    free base neighbour of src; ValueError names the first move that fails,
+    or that repeats a configuration.
+    """
+    nbrs = graph.neighbor_masks
+    occupied = start
+    masks = [occupied]
+    seen = {occupied}
+    for step, (src, dst) in enumerate(moves):
+        # one test admits a move: a token at src, and dst a free base neighbour of src
+        if (src | dst) < 0 or not occupied >> src & 1 or (occupied | ~nbrs[src]) >> dst & 1:
+            raise _inadmissible(step, src, dst, occupied)
+        occupied ^= 1 << src | 1 << dst
+        if occupied in seen:
+            raise ValueError(
+                f"move {step}: configuration {mask_config(occupied)} repeats, path not simple"
+            )
+        seen.add(occupied)
+        masks.append(occupied)
+    return tuple(masks)
+
+
 def _inadmissible(step: int, src: int, dst: int, occupied: int) -> ValueError:
     """The error for a move that failed the admission test, worded by its first failed check."""
     if src < 0 or not occupied >> src & 1:
@@ -99,29 +114,31 @@ def _inadmissible(step: int, src: int, dst: int, occupied: int) -> ValueError:
 
 
 def pairwise_internally_disjoint(
-    paths: Sequence[TokenPath],
+    paths: Sequence[TokenPath | Sequence[int]],
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check that no configuration other than the shared endpoints repeats.
 
-    All paths must run between the same two configurations; returns
-    (True, None) or (False, (i, j)) for the first offending pair.
+    Each path is a TokenPath or the occupancy masks of its walk, start and
+    end included.  All paths must run between the same two configurations;
+    returns (True, None) or (False, (i, j)) for the first offending pair.
     """
-    if not paths:
+    walks = [p.masks if isinstance(p, TokenPath) else p for p in paths]
+    if not walks:
         return True, None
-    first = paths[0].masks
-    for p in paths[1:]:
-        if p.masks[0] != first[0] or p.masks[-1] != first[-1]:
+    start, end = walks[0][0], walks[0][-1]
+    for walk in walks[1:]:
+        if walk[0] != start or walk[-1] != end:
             raise ValueError(
-                f"endpoint mismatch: expected {paths[0].start}->{paths[0].end}, "
-                f"got {p.start}->{p.end}"
+                f"endpoint mismatch: expected {mask_config(start)}->{mask_config(end)}, "
+                f"got {mask_config(walk[0])}->{mask_config(walk[-1])}"
             )
-    inners = [p.masks[1:-1] for p in paths]
-    # no inner mask repeats anywhere: disjoint without a pairwise scan
-    if len(set().union(*inners)) == sum(map(len, inners)):
+    # every walk holds both endpoints; when nothing else repeats anywhere the
+    # walks are disjoint without a pairwise scan
+    if len(set().union(*walks)) == sum(map(len, walks)) - 2 * (len(walks) - 1):
         return True, None
-    inners = [frozenset(inner) for inner in inners]
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
+    inners = [frozenset(walk[1:-1]) for walk in walks]
+    for i in range(len(walks)):
+        for j in range(i + 1, len(walks)):
             if not inners[i].isdisjoint(inners[j]):
                 return False, (i, j)
     return True, None
@@ -211,10 +228,9 @@ class TraceCondition:
         return masks(shape.z_drops), masks(shape.w_vals), shape.forbid_trivial
 
 
-# conditions are immutable, so equal requests share one object and its masks;
-# typed, so that z=1.0 or z=True never reuses the condition checked for z=1
-@lru_cache(maxsize=4096, typed=True)
 def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
+    """The condition cond_id with its slots bound to vertices; ValueError
+    unless the id is known and every slot it names gets a vertex int."""
     if cond_id not in _SHAPES:
         raise ValueError(f"unknown trace condition {cond_id!r}")
     shape = _SHAPES[cond_id]
@@ -222,10 +238,18 @@ def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
         raise ValueError(
             f"condition {cond_id} needs slots {shape.slots}, got {tuple(sorted(bindings))}"
         )
+    # checked ahead of the memo, which would hash an unhashable binding first
     for slot, vert in bindings.items():
         if not (isinstance(vert, int) and vert >= 0):
             raise ValueError(f"condition {cond_id} slot {slot!r} is {vert!r}, not a vertex int")
-    return TraceCondition(cond_id, tuple(sorted(bindings.items())))
+    return _trace_condition(cond_id, tuple(sorted(bindings.items())))
+
+
+# conditions are immutable, so equal requests share one object and its masks;
+# only checked vertex ints reach the memo
+@lru_cache(maxsize=4096)
+def _trace_condition(cond_id: str, bound: tuple[tuple[str, int], ...]) -> TraceCondition:
+    return TraceCondition(cond_id, bound)
 
 
 def check_trace(p: TokenPath | Iterable[int], cond: TraceCondition, ctx) -> bool:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from _catalog import girth5_catalog
-from tokengraphs import cli, connectivity, tokens
+from tokengraphs import cli, connectivity, families, tokens
 from tokengraphs.cli import main
 from tokengraphs.graphs import emit_graph6, enumerate_trees, star_graph
 from tokengraphs.tokens import TokenGraph, build_token_graph
@@ -457,6 +457,19 @@ class TestOrbitFolding:
         assert record["pairs"] == pairs.index(skipped) + 1
         assert record["instance"] == {"x": list(skipped[0]), "y": list(skipped[1]),
                                       "error": "planted"}
+
+    def test_sweep_builds_no_token_paths(self, capsys, monkeypatch):
+        # a unit reads each family's size; its TokenPath objects are built
+        # only when something reads `family`, and no sweep does
+        assert main(["paths", "--n-max", "7", "--json"]) == 0
+        plain = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a paths sweep built a TokenPath")
+
+        monkeypatch.setattr(families, "TokenPath", refuse)
+        assert main(["paths", "--n-max", "7", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == plain
 
     def test_paths_digest(self, capsys):
         # sha256 of the records computed before orbit folding existed

@@ -419,6 +419,12 @@ class TestBrokenBuilders:
             build_family(tree, x, y, delta=ctx.m + 1)
 
 
+def uniform_tree(rng: random.Random, n: int) -> Graph:
+    """A tree drawn uniformly from the labelled trees on n vertices (Prüfer)."""
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    return Graph(n, tuple(nx.from_prufer_sequence(code).edges()))
+
+
 def hub_tree(rng: random.Random, n: int) -> Graph:
     """A Prüfer-random tree whose code uses three hubs, each of degree >= 3.
 
@@ -470,6 +476,32 @@ class TestSeededLargerTrees:
             print(f"  {combo}: {hits}")
         assert trees == 3
         assert slack == {1: 2, 2: 1}
+
+    def test_rare_terminal_cases_on_trees_with_9_to_12_vertices(self):
+        # cases 2, 4, 6 and 7 need a1 > c1: x1 has more free neighbours than
+        # shared ones.  Around a hub that holds a token most vertices are
+        # shared, so the hub-tree samples above reach only cases 8 and 16;
+        # uniform trees have longer free branches.  Case 2 is rarest: no
+        # distance-2 pair on a tree with n <= 8 reaches it.
+        wanted = {2: 1, 4: 3, 6: 3, 7: 3}
+        rng = random.Random(11)
+        hits = Counter()
+        trees = 0
+        while any(hits[case] < least for case, least in wanted.items()):
+            n = rng.randint(9, 12)
+            tree = uniform_tree(rng, n)
+            k = rng.randint(2, n - 2)
+            pairs = config_pairs(build_token_graph(tree, k))
+            for x, y in rng.sample(pairs, min(200, len(pairs))):
+                result = build_family(tree, x, y)
+                number = getattr(result.context, "case_number", None)
+                hits[number] += 1
+                if number in wanted:
+                    verify_result(tree, x, y, result)
+            trees += 1
+            by_case = sorted(hits.items(), key=str)
+            assert trees <= 20, f"after 20 trees, families by terminal case: {by_case}"
+        print(f"{trees} trees; families by terminal case (None: case 1): {by_case}")
 
     def test_connectivity_equals_min_degree_on_trees_with_9_to_12_vertices(self):
         # the flow oracles against the degree floor on every F_k with n <= 12;
@@ -612,9 +644,14 @@ class TestPlanDigest:
             for tree in enumerate_trees(n):
                 for k in range(1, n):
                     for x, y in config_pairs(build_token_graph(tree, k)):
-                        record = plan_record(build_family(tree, x, y))
+                        result = build_family(tree, x, y)
+                        record = plan_record(result)
                         digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
                         pairs += 1
+                        # the paths built on read are the walks that were verified
+                        assert len(result.family) == result.size
+                        assert tuple(p.masks for p in result.family.paths) == result.walks
+                        assert tuple(p.moves for p in result.family.paths) == result.moves
         assert pairs == 4972
         assert digest.hexdigest() == (
             "d7695f7a26fd90dccdffc9e395362b746aac62712e35e6452bafcc4671b44fb2"

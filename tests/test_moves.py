@@ -171,6 +171,23 @@ class TestPairwiseDisjoint:
         assert pairwise_internally_disjoint([]) == (True, None)
         a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
         assert pairwise_internally_disjoint([a]) == (True, None)
+        assert pairwise_internally_disjoint([a.masks]) == (True, None)
+
+    def test_mask_walks_keep_the_contract(self):
+        a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
+        b = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
+        c = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
+        assert pairwise_internally_disjoint([a.masks, b.masks]) == (True, None)
+        assert pairwise_internally_disjoint([list(a.masks), b]) == (True, None)
+        assert pairwise_internally_disjoint([a.masks, b.masks, c.masks]) == (False, (0, 2))
+        # the first offending pair in (i, j) order, not the first clash met
+        d = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
+        walks = [a.masks, b.masks, d.masks, c.masks]
+        assert pairwise_internally_disjoint(walks) == (False, (0, 3))
+        short = TokenPath(C4, (0, 1), ((1, 2),))
+        with pytest.raises(ValueError, match=r"endpoint mismatch: expected \(0, 1\)->\(2, 3\), "
+                                             r"got \(0, 1\)->\(0, 2\)"):
+            pairwise_internally_disjoint([a.masks, short.masks])
 
 
 # A 5-vertex tree shaped for exchange-style paths: 1 is the hub, with the
@@ -199,10 +216,11 @@ class TestTraceConditions:
         with pytest.raises(ValueError, match="needs slots"):
             trace_condition("C1", z=0)
 
-    @pytest.mark.parametrize("z", [1.5, "1", -1, None, 1.0])
+    @pytest.mark.parametrize("z", [1.5, "1", -1, None, 1.0, [1]])
     def test_non_vertex_binding_rejected(self, z):
         # z=1 is bound first, and 1.0 compares equal to it: the memo must not
-        # hand its condition to a binding that was never checked
+        # hand its condition to a binding that was never checked, nor hash an
+        # unhashable one before the check names its slot
         assert trace_condition("C2", z=1).vertex("z") == 1
         with pytest.raises(ValueError, match="slot 'z'"):
             trace_condition("C2", z=z)
