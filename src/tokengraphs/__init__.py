@@ -16,7 +16,6 @@ from .families import (
     Case2Context,
     FamilyConstructionError,
     FamilyResult,
-    PathFamily,
     build_family,
     normalize,
 )
@@ -44,7 +43,6 @@ from .moves import (
 from .tokens import (
     TokenGraph,
     build_token_graph,
-    make_config,
     min_token_degree,
     token_degree,
 )

@@ -129,7 +129,7 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
             return record
         size = result.size
         min_size = size if min_size is None else min(min_size, size)
-        slack, case = result.delta - result.m, result.case
+        slack, case = result.delta - result.context.m, result.case
         prev = max_slack[case]
         max_slack[case] = slack if prev is None else max(prev, slack)
     record.update(

@@ -19,8 +19,10 @@ folds the reductions into two flags (reverse each move list, flip each
 move), maps every plan with them, replays it once from X's mask with
 `moves.replay`, checks its end and its trace conditions on that walk, then
 checks the walks' disjointness and the family's size.  The verified family
-is a `FamilyResult` of moves and walks; its TokenPath and PathFamily objects
-are built only when `family` is read.
+is a `FamilyResult` of plans, moves and walks; its TokenPath objects are
+built only when `family` is read.  Both configurations enter as sorted
+tuples, checked once by `tokens.checked_mask` in `normalize`, and the family
+size delta is a required int, checked there too.
 """
 
 from __future__ import annotations
@@ -37,24 +39,13 @@ from .moves import (
     check_trace,
     pairwise_internally_disjoint,
     replay,
-    trace_condition,
 )
-from .tokens import (
-    Config,
-    checked_mask,
-    classify_masks,
-    config_mask,
-    make_config,
-    mask_config,
-    mask_degree,
-    min_token_degree,
-)
+from .tokens import Config, checked_mask, classify_masks, config_mask, mask_config, mask_degree
 
 __all__ = [
     "FamilyConstructionError",
     "Case1Context",
     "Case2Context",
-    "PathFamily",
     "FamilyResult",
     "normalize",
     "plan_family",
@@ -223,7 +214,7 @@ def _case2_context(
     labels: tuple[int, int, int, int],
     deg_x: int,
     deg_y: int,
-    delta: int | None,
+    delta: int,
     reductions: list[str],
 ) -> Case2Context:
     """Run the count dispatch to a terminal case and build its one context.
@@ -283,21 +274,24 @@ def _case2_context(
 
 
 def normalize(
-    tree: Graph, x_cfg: Config, y_cfg: Config, delta: int | None = None
+    tree: Graph, x_cfg: Config, y_cfg: Config, delta: int
 ) -> tuple[Case1Context | Case2Context, tuple[str, ...]]:
     """Classify and normalise a distance-2 instance over a tree.
 
-    x_cfg and y_cfg must be configurations (sorted tuples, see make_config).
-    Returns the construction-ready context together with the reductions
-    applied, by the names listed above, in application order.  Case-1
-    instances are complemented until the middle vertex is free, then
+    x_cfg and y_cfg must be configurations (sorted duplicate-free tuples of
+    vertex ints, see `tokens.checked_mask`) and delta an int; anything else
+    raises ValueError.  Returns the construction-ready context together with
+    the reductions applied, by the names listed above, in application order.
+    Case-1 instances are complemented until the middle vertex is free, then
     endpoint-swapped so X has the smaller token degree.  Case-2 instances are
     endpoint-swapped the same way, then run through the count-comparison
-    dispatch until a terminal case is reached (at most two reductions); given
-    the family size delta, a case-16 instance whose family needs the
-    supplemental x1-y2 paths is also relabelled so the cross edge lies on that
-    diagonal.  Complementing keeps token degrees, so both are computed once.
+    dispatch until a terminal case is reached (at most two reductions); a
+    case-16 instance whose family of delta paths needs the supplemental x1-y2
+    paths is also relabelled so the cross edge lies on that diagonal.
+    Complementing keeps token degrees, so both are computed once.
     """
+    if not isinstance(delta, int):
+        raise ValueError(f"family size delta must be an int, got {delta!r}")
     if not tree.is_tree():
         raise ValueError("base graph must be a tree")
     x_mask, y_mask = checked_mask(tree, x_cfg), checked_mask(tree, y_cfg)
@@ -331,20 +325,6 @@ def normalize(
 
 # ---------------------------------------------------------------------------
 # families
-
-
-@dataclass(frozen=True)
-class PathFamily:
-    """X-Y token paths with construction labels and trace certificates."""
-
-    x_cfg: Config
-    y_cfg: Config
-    paths: tuple[TokenPath, ...]
-    labels: tuple[str, ...]
-    traces: tuple[tuple[TraceCondition, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 Moves = tuple[tuple[int, int], ...]
@@ -405,12 +385,18 @@ def _compile(label: str, moves: str, conds: str) -> tuple:
     context = _CONTEXT_SLOTS["x1" in names]
     index = {name: i for i, name in enumerate(context + tuple(sorted(names - set(context))))}
     steps = tuple((index[a], index[b]) for a, b in (m.split(">") for m in moves.split()))
-    checks = tuple((cid, tuple((slot, index[slot]) for slot in _SHAPES[cid].slots))
+    # each condition's slots in name order, the order `TraceCondition.bound` keeps
+    checks = tuple((cid, tuple((slot, index[slot]) for slot in sorted(_SHAPES[cid].slots)))
                    for cid in conds.split())
     return label, steps, checks
 
 
 _COMPILED = {key: _compile(*row) for key, row in _TEMPLATES.items()}
+
+
+# equal conditions share one object and so compute their masks once: the plans
+# of `paths --n-max 8` bind 2,874 conditions, 211 of them distinct
+_CONDITIONS: dict[tuple[str, tuple[tuple[str, int], ...]], TraceCondition] = {}
 
 
 # a plan is pure in its template and slot values, and the families of one
@@ -419,9 +405,14 @@ _COMPILED = {key: _compile(*row) for key, row in _TEMPLATES.items()}
 def _bind(key: str, values: tuple[int, ...]) -> PathPlan:
     label, steps, checks = _COMPILED[key]
     moves = tuple([(values[i], values[j]) for i, j in steps])
-    return label, moves, tuple([
-        trace_condition(cid, **{slot: values[i] for slot, i in slots}) for cid, slots in checks
-    ])
+    conds = []
+    for cid, slots in checks:
+        bound = tuple([(slot, values[i]) for slot, i in slots])
+        cond = _CONDITIONS.get((cid, bound))
+        if cond is None:
+            cond = _CONDITIONS[cid, bound] = TraceCondition(cid, bound)
+        conds.append(cond)
+    return label, moves, tuple(conds)
 
 
 def plan_family(ctx: Case1Context | Case2Context, delta: int) -> list[PathPlan]:
@@ -517,21 +508,21 @@ class FamilyResult:
 
     The family was verified on occupancy masks: `moves` holds each path's
     moves in the original frame, from x_cfg, and `walks` the masks they
-    visit.  `family`, the TokenPath and PathFamily objects, is built on
-    first read.  The trace certificates speak in the normalised frame,
-    where `plan_family(context, delta)` gives each path's moves.
+    visit.  `family`, the TokenPath objects, is built on first read.  Each
+    path's label and trace certificates are in `plans`, as planned in the
+    normalised frame; the guaranteed size m is `context.m`.
     """
 
     context: Case1Context | Case2Context
     reductions: tuple[str, ...]
     delta: int
-    m: int
     x_cfg: Config
     y_cfg: Config
     plans: list[PathPlan]
     moves: tuple[Moves, ...]
     walks: tuple[tuple[int, ...], ...]
-    _family: PathFamily | None = field(default=None, init=False, repr=False, compare=False)
+    _family: tuple[TokenPath, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def case(self) -> int:
@@ -542,23 +533,19 @@ class FamilyResult:
         return len(self.walks)
 
     @property
-    def family(self) -> PathFamily:
+    def family(self) -> tuple[TokenPath, ...]:
         """The verified paths as TokenPath objects, built on the first read."""
         if self._family is None:
             tree = self.context.tree
-            paths = tuple(TokenPath(tree, self.x_cfg, moves) for moves in self.moves)
-            labels, _, traces = zip(*self.plans)
-            self._family = PathFamily(self.x_cfg, self.y_cfg, paths, labels, traces)
+            self._family = tuple(TokenPath(tree, self.x_cfg, moves) for moves in self.moves)
         return self._family
 
 
-def build_family(
-    tree: Graph, x_cfg: Config, y_cfg: Config, delta: int | None = None
-) -> FamilyResult:
-    """Construct and fully verify a disjoint family of at least delta paths."""
-    x_cfg, y_cfg = make_config(x_cfg), make_config(y_cfg)
-    if delta is None:
-        delta = min_token_degree(tree, len(x_cfg))
+def build_family(tree: Graph, x_cfg: Config, y_cfg: Config, delta: int) -> FamilyResult:
+    """Construct and fully verify a disjoint family of at least delta paths.
+
+    x_cfg and y_cfg are sorted tuples and delta an int, checked by `normalize`.
+    """
     ctx, reductions = normalize(tree, x_cfg, y_cfg, delta)
     plans = plan_family(ctx, delta)
 
@@ -604,5 +591,5 @@ def build_family(
         raise FamilyConstructionError(
             f"family of {len(walks)} paths is below delta = {delta}"
         )
-    return FamilyResult(ctx, reductions, delta, ctx.m, x_cfg, y_cfg, plans,
+    return FamilyResult(ctx, reductions, delta, x_cfg, y_cfg, plans,
                         tuple(oriented), tuple(walks))

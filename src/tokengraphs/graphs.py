@@ -51,7 +51,10 @@ class Graph:
             raise ValueError(f"vertex count must be a non-negative int, got {self.n!r}")
         seen = set()
         for e in self.edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of vertex ints") from None
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise ValueError(f"edge {e!r} has an endpoint that is not a vertex int")
             if u == v:

@@ -8,15 +8,15 @@ one test; it is the one replay, run by the family engine on planned moves
 and by TokenPath.  A TokenPath checks each value where it enters
 (`checked_mask` the start, one pass each move's two ends) and then replays,
 so any TokenPath is a simple path in the token graph; its sorted-tuple
-configurations are built only when read.  The disjointness check takes
-paths or the mask walks of paths, and `check_trace` reads inner masks and
-only the Z and W-region masks a family context carries.
+configurations are built only when read.  The disjointness check takes the
+mask walks of paths, and `check_trace` the inner masks of one walk, read
+against the Z and W-region masks a family context carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graphs import Graph
@@ -61,22 +61,6 @@ class TokenPath:
     def configs(self) -> tuple[Config, ...]:
         return tuple(mask_config(m) for m in self.masks)
 
-    @property
-    def end(self) -> Config:
-        return mask_config(self.masks[-1])
-
-    @property
-    def inner(self) -> tuple[Config, ...]:
-        return self.configs[1:-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.moves)
-
-    @property
-    def k(self) -> int:
-        return len(self.start)
-
 
 def replay(graph: Graph, start: int, moves: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The occupancy masks of the walk that moves takes from the start mask.
@@ -114,15 +98,14 @@ def _inadmissible(step: int, src: int, dst: int, occupied: int) -> ValueError:
 
 
 def pairwise_internally_disjoint(
-    paths: Sequence[TokenPath | Sequence[int]],
+    walks: Sequence[Sequence[int]],
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check that no configuration other than the shared endpoints repeats.
 
-    Each path is a TokenPath or the occupancy masks of its walk, start and
-    end included.  All paths must run between the same two configurations;
-    returns (True, None) or (False, (i, j)) for the first offending pair.
+    Each walk holds the occupancy masks of one path, start and end included.
+    All walks must run between the same two configurations; returns
+    (True, None) or (False, (i, j)) for the first offending pair.
     """
-    walks = [p.masks if isinstance(p, TokenPath) else p for p in paths]
     if not walks:
         return True, None
     start, end = walks[0][0], walks[0][-1]
@@ -204,7 +187,7 @@ CONDITION_IDS: tuple[str, ...] = tuple(_SHAPES)
 
 @dataclass(frozen=True)
 class TraceCondition:
-    """One named trace predicate with its slot-to-vertex bindings."""
+    """One named trace predicate with its slot-to-vertex bindings, in slot-name order."""
 
     id: str
     bound: tuple[tuple[str, int], ...]
@@ -238,30 +221,22 @@ def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
         raise ValueError(
             f"condition {cond_id} needs slots {shape.slots}, got {tuple(sorted(bindings))}"
         )
-    # checked ahead of the memo, which would hash an unhashable binding first
     for slot, vert in bindings.items():
         if not (isinstance(vert, int) and vert >= 0):
             raise ValueError(f"condition {cond_id} slot {slot!r} is {vert!r}, not a vertex int")
-    return _trace_condition(cond_id, tuple(sorted(bindings.items())))
+    return TraceCondition(cond_id, tuple(sorted(bindings.items())))
 
 
-# conditions are immutable, so equal requests share one object and its masks;
-# only checked vertex ints reach the memo
-@lru_cache(maxsize=4096)
-def _trace_condition(cond_id: str, bound: tuple[tuple[str, int], ...]) -> TraceCondition:
-    return TraceCondition(cond_id, bound)
+def check_trace(inner: Iterable[int], cond: TraceCondition, ctx) -> bool:
+    """Evaluate cond on every configuration strictly inside a path.
 
-
-def check_trace(p: TokenPath | Iterable[int], cond: TraceCondition, ctx) -> bool:
-    """Evaluate cond on every configuration strictly inside p.
-
-    p is a path, or the occupancy masks of the configurations strictly inside
-    one, in any order: each predicate looks at one configuration at a time.
-    ctx gives the masks of Z and of the W region as `z_mask` and `region_mask`.
+    inner holds the occupancy masks of those configurations, in any order:
+    each predicate looks at one configuration at a time.  ctx gives the
+    masks of Z and of the W region as `z_mask` and `region_mask`.
     """
     drops_allowed, w_allowed, forbid_trivial = cond._allowed
     z, region = ctx.z_mask, ctx.region_mask
-    for occupied in p.masks[1:-1] if isinstance(p, TokenPath) else p:
+    for occupied in inner:
         dropped = z & ~occupied
         present = occupied & region
         if drops_allowed is not None and dropped not in drops_allowed:

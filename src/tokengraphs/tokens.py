@@ -28,7 +28,6 @@ from .graphs import (
 __all__ = [
     "Config",
     "MATERIALIZE_LIMIT",
-    "make_config",
     "token_degree",
     "min_token_degree",
     "TokenGraph",
@@ -39,17 +38,6 @@ Config = tuple[int, ...]
 
 # refuse to materialise token graphs beyond this many configurations
 MATERIALIZE_LIMIT = 500_000
-
-
-def make_config(vertices: Iterable[int]) -> Config:
-    try:
-        cfg = tuple(sorted(vertices))
-        repeated = len(set(cfg)) != len(cfg)
-    except TypeError:  # unorderable or unhashable entries
-        raise ValueError(f"configuration {vertices!r} is not a set of vertex ints") from None
-    if repeated:
-        raise ValueError(f"repeated vertices in configuration {cfg}")
-    return cfg
 
 
 def _check_config(n: int, cfg: Config) -> ValueError:
@@ -114,10 +102,15 @@ def token_degree(g: Graph, cfg: Config) -> int:
     return mask_degree(g, checked_mask(g, cfg))
 
 
+def _check_k(g: Graph, k: int) -> None:
+    """ValueError unless k is an int token count with 1 <= k <= n-1."""
+    if not (isinstance(k, int) and 1 <= k <= g.n - 1):
+        raise ValueError(f"need an int 1 <= k <= n-1, got k={k!r} with n={g.n}")
+
+
 def min_token_degree(g: Graph, k: int) -> int:
     """Minimum token degree over all k-configurations, by direct scan."""
-    if not 1 <= k <= g.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={g.n}")
+    _check_k(g, k)
     return min(mask_degree(g, config_mask(cfg)) for cfg in combinations(range(g.n), k))
 
 
@@ -241,8 +234,7 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
     edge {S + u, S + w} with u < w is found once, from S + u, whose token
     slides up: only upward slides are followed, and each sets both ends' bits.
     """
-    if not 1 <= k <= g.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} with n={g.n}")
+    _check_k(g, k)
     size = comb(g.n, k)
     if size > MATERIALIZE_LIMIT:
         raise ValueError(

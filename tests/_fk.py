@@ -1,8 +1,9 @@
 """Test-side readers of token graphs and families by configuration.
 
 A `TokenGraph` is read by vertex index; these helpers reach a configuration
-through its occupancy mask and `index`, and replay a verified family in the
-normalised frame, where its trace certificates speak.
+through its occupancy mask and `index`, audit a family on its paths'
+configurations without the engine's own checks, and replay a verified family
+in the normalised frame, where its trace certificates speak.
 """
 
 import networkx as nx
@@ -23,6 +24,23 @@ def fk_distances(tg):
     h = nx.Graph(tg.as_graph().edges)
     h.add_nodes_from(range(tg.n))
     return dict(nx.all_pairs_shortest_path_length(h))
+
+
+def family_faults(paths, x_cfg, y_cfg):
+    """What keeps paths from being internally disjoint x_cfg-y_cfg paths, found
+    by set arithmetic over each path's configurations (empty when nothing does)."""
+    faults, owner = [], {}
+    for i, path in enumerate(paths):
+        configs = path.configs
+        if configs[0] != x_cfg or configs[-1] != y_cfg:
+            faults.append(f"path {i} runs {configs[0]} -> {configs[-1]}")
+        if len(set(configs)) != len(configs):
+            faults.append(f"path {i} repeats a configuration")
+        for cfg in configs[1:-1]:
+            first = owner.setdefault(cfg, i)
+            if first != i:
+                faults.append(f"paths {first} and {i} share {cfg}")
+    return faults
 
 
 def planned_moves(result):

@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 from _catalog import girth5_catalog
-from _fk import fk_neighbors, normalized_paths
+from _fk import family_faults, fk_neighbors, normalized_paths
 from tokengraphs.cli import main
 from tokengraphs.connectivity import (
     _unit_flow,
@@ -27,7 +27,7 @@ from tokengraphs.connectivity import (
 )
 from tokengraphs.families import Case1Context, build_family
 from tokengraphs.graphs import Graph, emit_graph6, enumerate_trees, girth
-from tokengraphs.moves import check_trace, pairwise_internally_disjoint
+from tokengraphs.moves import check_trace
 from tokengraphs.tokens import build_token_graph, min_token_degree
 
 STEP1_LABELS = {"T1", "T2", "T3", "T4", "L1", "L2", "L3", "L4", "L3*", "L4*"}
@@ -54,6 +54,7 @@ def tree_sweep():
     """Build and re-verify a family for every distance-2 pair, trees n <= 8."""
     stats = {
         "pairs": 0,
+        "paths": 0,
         "failures": [],
         "step1_mismatch": [],
         "trace_failures": [],
@@ -70,28 +71,28 @@ def tree_sweep():
                     stats["pairs"] += 1
                     where = (g6, k, x_cfg, y_cfg)
                     try:
-                        result = build_family(tree, x_cfg, y_cfg)
+                        result = build_family(tree, x_cfg, y_cfg, delta)
                     except Exception as exc:
                         stats["failures"].append((*where, str(exc)))
                         continue
-                    fam = result.family
-                    ok, clash = pairwise_internally_disjoint(fam.paths)
-                    if (
-                        len(fam) < delta
-                        or fam.x_cfg != x_cfg
-                        or fam.y_cfg != y_cfg
-                        or not ok
-                    ):
-                        stats["failures"].append((*where, "family invariants"))
+                    # disjointness and endpoints by set arithmetic on the
+                    # paths' configurations, not by the engine's own check
+                    paths = result.family
+                    stats["paths"] += len(paths)
+                    faults = family_faults(paths, x_cfg, y_cfg)
+                    if len(paths) < delta or faults:
+                        stats["failures"].append((*where, len(paths), faults))
                         continue
-                    step1 = sum(1 for lab in fam.labels if lab in STEP1_LABELS)
-                    if step1 != result.m:
-                        stats["step1_mismatch"].append((*where, step1, result.m))
+                    m = result.context.m
+                    step1 = sum(1 for label, _, _ in result.plans if label in STEP1_LABELS)
+                    if step1 != m:
+                        stats["step1_mismatch"].append((*where, step1, m))
                     case = 1 if isinstance(result.context, Case1Context) else 2
-                    stats["slack"][case].add(result.delta - result.m)
-                    for path, conds in zip(normalized_paths(result), fam.traces):
+                    stats["slack"][case].add(result.delta - m)
+                    traces = [conds for _, _, conds in result.plans]
+                    for path, conds in zip(normalized_paths(result), traces):
                         for cond in conds:
-                            if not check_trace(path, cond, result.context):
+                            if not check_trace(path.masks[1:-1], cond, result.context):
                                 stats["trace_failures"].append((*where, cond.id))
     return stats
 
@@ -132,8 +133,8 @@ def test_criterion_2_path_families(capsys, tree_sweep):
     verdict(
         "criterion-2",
         cli_ok and sweep_ok,
-        f"{tree_sweep['pairs']} pairs over trees n<=8, "
-        f"{len(tree_sweep['failures'])} failures, "
+        f"{tree_sweep['pairs']} pairs over trees n<=8, {tree_sweep['paths']} paths "
+        f"audited for endpoints and disjointness, {len(tree_sweep['failures'])} failures, "
         f"{len(tree_sweep['step1_mismatch'])} step-1 size mismatches",
     )
 
@@ -148,10 +149,11 @@ def test_criterion_3_extension_bounds(tree_sweep):
     sweep_attains = attained1[:2] == [0, 1] and 0 in attained2
 
     # the sweep stops at n = 8; the ten-vertex spider attains what is absent
-    spider1 = build_family(TRISTAR, (0, 1, 2, 3, 4), (0, 1, 2, 3, 7))
-    spider2 = build_family(TRISTAR, (0, 1, 2, 3, 4), (1, 2, 3, 5, 7))
+    delta = min_token_degree(TRISTAR, 5)
+    spider1 = build_family(TRISTAR, (0, 1, 2, 3, 4), (0, 1, 2, 3, 7), delta)
+    spider2 = build_family(TRISTAR, (0, 1, 2, 3, 4), (1, 2, 3, 5, 7), delta)
     attained_elsewhere = (
-        spider1.delta - spider1.m == 2 and spider2.delta - spider2.m == 1
+        delta - spider1.context.m == 2 and delta - spider2.context.m == 1
     )
     verdict(
         "criterion-3",

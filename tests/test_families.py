@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fk import fk_neighbors, normalized_paths, planned_moves
+from _fk import family_faults, fk_neighbors, normalized_paths, planned_moves
 from tokengraphs import families
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import (
@@ -28,8 +28,8 @@ from tokengraphs.families import (
     normalize,
 )
 from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph, star_graph
-from tokengraphs.moves import check_trace, pairwise_internally_disjoint
-from tokengraphs.tokens import build_token_graph, make_config, min_token_degree
+from tokengraphs.moves import check_trace
+from tokengraphs.tokens import build_token_graph, min_token_degree
 
 P4 = path_graph(4)
 
@@ -56,32 +56,32 @@ def config_pairs(tg):
     return [(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()]
 
 
+def family_labels(result):
+    """The construction label of each path of a verified family, in order."""
+    return tuple(label for label, _, _ in result.plans)
+
+
 def verify_result(tree, x_cfg, y_cfg, result):
     """Re-check every promise build_family makes, from the outside."""
-    x_cfg, y_cfg = make_config(x_cfg), make_config(y_cfg)
-    fam = result.family
-    assert fam.x_cfg == x_cfg and fam.y_cfg == y_cfg
-    assert len(fam) >= result.delta
-    assert len(fam.paths) == len(fam.labels) == len(fam.traces)
-    for p in fam.paths:
-        assert p.start == x_cfg and p.end == y_cfg
-    ok, clash = pairwise_internally_disjoint(fam.paths)
-    assert ok, clash
-    step1 = sum(1 for lab in fam.labels if lab in STEP1_LABELS)
-    assert step1 == result.m
+    paths = result.family
+    assert result.x_cfg == x_cfg and result.y_cfg == y_cfg
+    assert len(paths) == len(result.plans) >= result.delta
+    assert not family_faults(paths, x_cfg, y_cfg)
+    step1 = sum(1 for lab in family_labels(result) if lab in STEP1_LABELS)
+    assert step1 == result.context.m
     # the trace certificates speak about the normalised paths
     norm = normalized_paths(result)
-    assert len(norm) == len(fam.paths)
+    assert len(norm) == len(paths)
     ctx = result.context
-    for path, conds in zip(norm, fam.traces):
-        assert path.start == ctx.x_cfg and path.end == ctx.y_cfg
+    for path, (_, _, conds) in zip(norm, result.plans):
+        assert path.configs[0] == ctx.x_cfg and path.configs[-1] == ctx.y_cfg
         for cond in conds:
-            assert check_trace(path, cond, result.context), cond
+            assert check_trace(path.masks[1:-1], cond, ctx), cond
 
 
 class TestNormalize:
     def test_one_token_no_reduction(self):
-        ctx, reds = normalize(P4, (0, 1), (0, 3))
+        ctx, reds = normalize(P4, (0, 1), (0, 3), 1)
         assert reds == ()
         assert isinstance(ctx, Case1Context)
         assert (ctx.x, ctx.y, ctx.v) == (1, 3, 2)
@@ -90,7 +90,7 @@ class TestNormalize:
         assert ctx.m == 1
 
     def test_occupied_middle_complements(self):
-        ctx, reds = normalize(P4, (0, 1), (1, 2))
+        ctx, reds = normalize(P4, (0, 1), (1, 2), 1)
         assert list(reds) == ["complement"]
         assert isinstance(ctx, Case1Context)
         # tokens and holes traded places, so the instance lives at k = n - k
@@ -100,12 +100,12 @@ class TestNormalize:
         assert ctx.m == 1
 
     def test_degree_ordering_swaps_endpoints(self):
-        ctx, reds = normalize(P4, (0, 3), (0, 1))
+        ctx, reds = normalize(P4, (0, 3), (0, 1), 1)
         assert list(reds) == ["swap_xy"]
         assert ctx.x_cfg == (0, 1) and ctx.y_cfg == (0, 3)
 
     def test_two_token_instance(self):
-        ctx, reds = normalize(P4, (0, 2), (1, 3))
+        ctx, reds = normalize(P4, (0, 2), (1, 3), 1)
         assert reds == ()
         assert isinstance(ctx, Case2Context)
         assert (ctx.x1, ctx.y1, ctx.x2, ctx.y2) == (0, 1, 2, 3)
@@ -117,11 +117,25 @@ class TestNormalize:
 
     def test_non_tree_rejected(self):
         with pytest.raises(ValueError, match="must be a tree"):
-            normalize(cycle_graph(4), (0, 1), (0, 3))
+            normalize(cycle_graph(4), (0, 1), (0, 3), 1)
 
     def test_adjacent_configurations_rejected(self):
         with pytest.raises(ValueError, match="adjacent"):
-            normalize(P4, (0, 1), (0, 2))
+            normalize(P4, (0, 1), (0, 2), 1)
+
+    @pytest.mark.parametrize("delta", [1.5, 1.0, "x", None])
+    def test_non_int_delta_rejected(self, delta):
+        # checked where it enters, before it can pick a path or size a family
+        for call in (normalize, build_family):
+            with pytest.raises(ValueError, match="delta must be an int, got"):
+                call(P4, (0, 1), (0, 3), delta)
+
+    @pytest.mark.parametrize("x_cfg", [(1, 0), [0, 1], (0, 0)])
+    def test_configurations_are_taken_as_sorted_tuples(self, x_cfg):
+        # no entry point sorts or deduplicates a configuration for its caller
+        for call in (normalize, build_family):
+            with pytest.raises(ValueError, match="not a sorted duplicate-free tuple"):
+                call(P4, x_cfg, (0, 3), 1)
 
 
 class TestCaseArithmetic:
@@ -185,10 +199,10 @@ class TestSmallSweep:
                 for k in range(1, n):
                     tg = build_token_graph(tree, k)
                     for x, y in config_pairs(tg):
-                        result = build_family(tree, x, y)
+                        result = build_family(tree, x, y, tg.min_degree())
                         verify_result(tree, x, y, result)
                         total += 1
-                        labels.update(result.family.labels)
+                        labels.update(family_labels(result))
                         chains.add(result.reductions)
         assert total == 924
         assert labels == Counter(
@@ -222,23 +236,23 @@ class TestTristar:
         assert min_token_degree(TRISTAR, 5) == 3
 
     def test_double_extension_instance(self):
-        result = build_family(TRISTAR, (0, 1, 2, 3, 4), (0, 1, 2, 3, 7))
+        result = build_family(TRISTAR, (0, 1, 2, 3, 4), (0, 1, 2, 3, 7), 3)
         verify_result(TRISTAR, (0, 1, 2, 3, 4), (0, 1, 2, 3, 7), result)
         assert result.case == 1
-        assert (result.delta, result.m) == (3, 1)
-        assert result.family.labels == ("T1", "P", "P'")
+        assert (result.delta, result.context.m) == (3, 1)
+        assert family_labels(result) == ("T1", "P", "P'")
         assert list(result.reductions) == ["complement"]
 
     def test_single_extension_instances(self):
-        r1 = build_family(TRISTAR, (0, 1, 2, 3, 4), (1, 2, 3, 5, 7))
+        r1 = build_family(TRISTAR, (0, 1, 2, 3, 4), (1, 2, 3, 5, 7), 3)
         verify_result(TRISTAR, (0, 1, 2, 3, 4), (1, 2, 3, 5, 7), r1)
-        assert r1.family.labels == ("L1", "L1", "P1")
+        assert family_labels(r1) == ("L1", "L1", "P1")
         assert list(r1.reductions) == ["swap_indices_12"]
         assert r1.context.case_number == 8
 
-        r3 = build_family(TRISTAR, (0, 1, 2, 3, 5), (1, 2, 3, 4, 7))
+        r3 = build_family(TRISTAR, (0, 1, 2, 3, 5), (1, 2, 3, 4, 7), 3)
         verify_result(TRISTAR, (0, 1, 2, 3, 5), (1, 2, 3, 4, 7), r3)
-        assert r3.family.labels == ("L1", "L1", "P3")
+        assert family_labels(r3) == ("L1", "L1", "P3")
         assert r3.reductions == ()
         assert r3.context.case_number == 16
 
@@ -247,10 +261,10 @@ class TestTristar:
         slack = {1: 0, 2: 0}
         hits = Counter()
         for x, y in config_pairs(tg):
-            result = build_family(TRISTAR, x, y)
+            result = build_family(TRISTAR, x, y, tg.min_degree())
             verify_result(TRISTAR, x, y, result)
-            slack[result.case] = max(slack[result.case], result.delta - result.m)
-            hits.update(lab for lab in result.family.labels if lab.startswith("P"))
+            slack[result.case] = max(slack[result.case], result.delta - result.context.m)
+            hits.update(lab for lab in family_labels(result) if lab.startswith("P"))
         assert slack == {1: 2, 2: 1}
         assert hits == Counter({"P1": 24, "P3": 24, "P": 6, "P'": 6})
 
@@ -259,27 +273,27 @@ class TestSupplementalBranches:
     def test_double_extension_on_spider(self):
         result = build_family(SPIDER7, (0, 3, 4, 5, 6), (2, 3, 4, 5, 6), delta=3)
         verify_result(SPIDER7, (0, 3, 4, 5, 6), (2, 3, 4, 5, 6), result)
-        assert result.family.labels == ("T1", "P", "P'")
+        assert family_labels(result) == ("T1", "P", "P'")
         assert result.reductions == ()
-        assert result.m == 1
+        assert result.context.m == 1
 
     def test_spider_default_degree_needs_one_extension(self):
         assert min_token_degree(SPIDER7, 5) == 2
-        result = build_family(SPIDER7, (0, 3, 4, 5, 6), (2, 3, 4, 5, 6))
-        assert result.family.labels == ("T1", "P")
+        result = build_family(SPIDER7, (0, 3, 4, 5, 6), (2, 3, 4, 5, 6), 2)
+        assert family_labels(result) == ("T1", "P")
 
     def test_p1_after_two_reductions(self):
         result = build_family(TREE_P1, (0, 2, 6), (1, 3, 6), delta=3)
         verify_result(TREE_P1, (0, 2, 6), (1, 3, 6), result)
-        assert result.family.labels == ("L1", "L1", "P1")
+        assert family_labels(result) == ("L1", "L1", "P1")
         assert list(result.reductions) == ["swap_xy", "swap_indices_12"]
         assert result.context.case_number == 8
-        assert result.m == 2
+        assert result.context.m == 2
 
     def test_p2_in_terminal_case_six(self):
         result = build_family(TREE_P2, (0, 2, 5, 6, 7), (1, 3, 5, 6, 7), delta=3)
         verify_result(TREE_P2, (0, 2, 5, 6, 7), (1, 3, 5, 6, 7), result)
-        assert result.family.labels == ("L1", "L1", "P2")
+        assert family_labels(result) == ("L1", "L1", "P2")
         assert result.reductions == ()
         assert result.context.case_number == 6
         assert (result.context.c2, result.context.a2) == (2, 0)
@@ -287,7 +301,7 @@ class TestSupplementalBranches:
     def test_p3_with_cross_edge(self):
         result = build_family(TREE_P3, (0, 2, 4), (1, 3, 4), delta=3)
         verify_result(TREE_P3, (0, 2, 4), (1, 3, 4), result)
-        assert result.family.labels == ("L1", "L1", "P3")
+        assert family_labels(result) == ("L1", "L1", "P3")
         assert result.reductions == ()
         assert result.context.case_number == 16
         assert result.context.cross_kind == "x1y2"
@@ -295,29 +309,29 @@ class TestSupplementalBranches:
     def test_p4_with_cross_edge(self):
         result = build_family(TREE_P4, (0, 2), (1, 3), delta=3)
         verify_result(TREE_P4, (0, 2), (1, 3), result)
-        assert result.family.labels == ("L1", "L1", "P4")
+        assert family_labels(result) == ("L1", "L1", "P4")
         assert result.context.case_number == 16
         assert (result.context.d2, result.context.b2) == (1, 0)
 
     def test_misoriented_cross_gets_relabelled_first(self):
         result = build_family(TREE_PRESWAP, (0, 2, 4), (1, 3, 4), delta=3)
         verify_result(TREE_PRESWAP, (0, 2, 4), (1, 3, 4), result)
-        assert result.family.labels == ("L1", "L1", "P3")
+        assert family_labels(result) == ("L1", "L1", "P3")
         assert list(result.reductions) == ["swap_indices_12"]
         assert result.context.cross_kind == "x1y2"
 
 
 class TestFailureModes:
     def test_no_supplement_in_case_seven(self):
-        ctx, _ = normalize(TREE_CASE7, make_config((0, 2, 5, 6, 7)), make_config((1, 3, 5, 6, 7)))
+        ctx, _ = normalize(TREE_CASE7, (0, 2, 5, 6, 7), (1, 3, 5, 6, 7), 3)
         assert ctx.case_number == 7 and ctx.m == 2
         with pytest.raises(FamilyConstructionError, match="no supplemental path"):
             build_family(TREE_CASE7, (0, 2, 5, 6, 7), (1, 3, 5, 6, 7), delta=3)
         result = build_family(TREE_CASE7, (0, 2, 5, 6, 7), (1, 3, 5, 6, 7), delta=2)
-        assert result.family.labels == ("L1", "L1")
+        assert family_labels(result) == ("L1", "L1")
 
     def test_no_supplement_in_case_four(self):
-        ctx, _ = normalize(TREE_CASE4, make_config((0, 2)), make_config((1, 3)))
+        ctx, _ = normalize(TREE_CASE4, (0, 2), (1, 3), 3)
         assert ctx.case_number == 4 and ctx.m == 2
         with pytest.raises(FamilyConstructionError, match="no supplemental path"):
             build_family(TREE_CASE4, (0, 2), (1, 3), delta=3)
@@ -350,10 +364,11 @@ class TestBrokenBuilders:
     @pytest.fixture(params=sorted(BROKEN_BUILDER_INSTANCES))
     def instance(self, request):
         tree, x, y = BROKEN_BUILDER_INSTANCES[request.param]
-        ctx, reds = normalize(tree, x, y)
+        delta = min_token_degree(tree, len(x))
+        ctx, reds = normalize(tree, x, y, delta)
         assert list(reds) == [request.param]
         assert isinstance(ctx, Case1Context) and ctx.zw_edges
-        return request.param, tree, x, y, ctx
+        return request.param, tree, x, y, delta, ctx
 
     @staticmethod
     def tamper_plan(monkeypatch, change):
@@ -361,17 +376,17 @@ class TestBrokenBuilders:
         monkeypatch.setattr(families, "plan_family", lambda ctx, delta: real(change(ctx), delta))
 
     def test_inadmissible_move(self, instance, monkeypatch):
-        _, tree, x, y, ctx = instance
+        _, tree, x, y, delta, ctx = instance
         z = ctx.zw_edges[0][0]
         far = min(w for w in range(tree.n) if ctx.region_mask >> w & 1 and w not in tree.adjacency[z])
         self.tamper_plan(
             monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges + ((z, far),))
         )
         with pytest.raises(FamilyConstructionError, match="path T2 does not replay"):
-            build_family(tree, x, y)
+            build_family(tree, x, y, delta)
 
     def test_wrong_end(self, instance, monkeypatch):
-        kind, tree, x, y, ctx = instance
+        kind, tree, x, y, delta, ctx = instance
         taken = {ctx.x, ctx.y} | set(ctx.x_cfg) | set(ctx.y_cfg)
         other = min(tree.adjacency[ctx.v] - taken)
         self.tamper_plan(monkeypatch, lambda c: replace(c, y=other))
@@ -379,39 +394,34 @@ class TestBrokenBuilders:
         # so its wrong end can surface as a first move that does not replay
         symptom = "(ends at|does not replay)" if kind == "swap_xy" else "ends at"
         with pytest.raises(FamilyConstructionError, match=f"path T1 {symptom}"):
-            build_family(tree, x, y)
+            build_family(tree, x, y, delta)
 
     def test_broken_trace_condition(self, instance, monkeypatch):
-        _, tree, x, y, ctx = instance
-        real = families.trace_condition
-
-        def wrong(cond_id, **slots):
-            # T1 never parks a token in W - {v}, so C2.1 fails on it
-            if cond_id == "C1":
-                return real("C2.1", w=ctx.v)
-            return real(cond_id, **slots)
-
+        _, tree, x, y, delta, ctx = instance
+        label, steps, _ = families._COMPILED["T1"]
+        # T1 never parks a token in W - {v}, so C2.1 bound to its slot v
+        # (slot index 2: x, y, v) fails on it
+        monkeypatch.setitem(families._COMPILED, "T1", (label, steps, (("C2.1", (("w", 2),)),)))
         # plans are memoised with their conditions, so none may outlive the patch
         families._bind.cache_clear()
-        monkeypatch.setattr(families, "trace_condition", wrong)
         try:
             with pytest.raises(
                 FamilyConstructionError, match="path T1 violates trace condition C2.1"
             ):
-                build_family(tree, x, y)
+                build_family(tree, x, y, delta)
         finally:
             families._bind.cache_clear()
 
     def test_identical_paths(self, instance, monkeypatch):
-        _, tree, x, y, ctx = instance
+        _, tree, x, y, delta, ctx = instance
         self.tamper_plan(
             monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges[:1] + c.zw_edges)
         )
         with pytest.raises(FamilyConstructionError, match="paths T2 and T2 share"):
-            build_family(tree, x, y)
+            build_family(tree, x, y, delta)
 
     def test_delta_above_family_size(self, instance, monkeypatch):
-        _, tree, x, y, ctx = instance
+        _, tree, x, y, delta, ctx = instance
         # plan for delta = m, so the family stops at m paths
         real = families.plan_family
         monkeypatch.setattr(families, "plan_family", lambda c, delta: real(c, c.m))
@@ -458,13 +468,13 @@ class TestSeededLargerTrees:
             # a uniform sample almost never holds a pair whose family needs
             # extension paths, so every such pair joins the sample
             sample = rng.sample(pairs, 40) + [
-                (x, y) for x, y in pairs if normalize(tree, x, y)[0].m < delta
+                (x, y) for x, y in pairs if normalize(tree, x, y, delta)[0].m < delta
             ]
             for x, y in sample:
-                result = build_family(tree, x, y)
+                result = build_family(tree, x, y, delta)
                 assert result.delta == delta
                 verify_result(tree, x, y, result)
-                slack[result.case] = max(slack[result.case], delta - result.m)
+                slack[result.case] = max(slack[result.case], delta - result.context.m)
                 number = getattr(result.context, "case_number", None)
                 covered[(result.case, number, result.reductions)] += 1
             checked += len(sample)
@@ -491,9 +501,10 @@ class TestSeededLargerTrees:
             n = rng.randint(9, 12)
             tree = uniform_tree(rng, n)
             k = rng.randint(2, n - 2)
-            pairs = config_pairs(build_token_graph(tree, k))
+            tg = build_token_graph(tree, k)
+            pairs = config_pairs(tg)
             for x, y in rng.sample(pairs, min(200, len(pairs))):
-                result = build_family(tree, x, y)
+                result = build_family(tree, x, y, tg.min_degree())
                 number = getattr(result.context, "case_number", None)
                 hits[number] += 1
                 if number in wanted:
@@ -577,23 +588,25 @@ def expected_context(tree, x_cfg, y_cfg, ctx, reductions):
 
 
 def seeded_pairs(seed, trees_wanted, per_tree):
-    """Distance-2 pairs drawn on hub trees with 9 to 12 vertices."""
+    """Distance-2 pairs drawn on hub trees with 9 to 12 vertices, each with
+    the minimum token degree of its token graph."""
     rng = random.Random(seed)
     for _ in range(trees_wanted):
         n = rng.randint(9, 12)
         tree = hub_tree(rng, n)
         k = rng.randint(2, n - 2)
-        pairs = config_pairs(build_token_graph(tree, k))
+        tg = build_token_graph(tree, k)
+        pairs = config_pairs(tg)
         for x, y in rng.sample(pairs, min(per_tree, len(pairs))):
-            yield tree, x, y
+            yield tree, x, y, tg.min_degree()
 
 
 class TestMaskContexts:
     """normalize's contexts match a recomputation on sets, pair by pair."""
 
     @staticmethod
-    def check_pair(tree, x, y):
-        ctx, reductions = normalize(tree, x, y)
+    def check_pair(tree, x, y, delta):
+        ctx, reductions = normalize(tree, x, y, delta)
         expect = expected_context(tree, x, y, ctx, reductions)
         assert {name: getattr(ctx, name) for name in expect} == expect
         return type(ctx).__name__, reductions
@@ -603,8 +616,9 @@ class TestMaskContexts:
         for n in range(2, 8):
             for tree in enumerate_trees(n):
                 for k in range(1, n):
-                    for x, y in config_pairs(build_token_graph(tree, k)):
-                        kinds[self.check_pair(tree, x, y)] += 1
+                    tg = build_token_graph(tree, k)
+                    for x, y in config_pairs(tg):
+                        kinds[self.check_pair(tree, x, y, tg.min_degree())] += 1
         assert sum(kinds.values()) == 4972
         assert len(kinds) == 12  # both cases, every reduction chain that occurs
 
@@ -618,14 +632,14 @@ class TestMaskContexts:
 
 def plan_record(result):
     """Every planned field of a verified family, as JSON-ready lists."""
-    fam = result.family
+    labels, _, traces = zip(*result.plans)
     return [
-        list(fam.labels),
-        [[list(map(int, move)) for move in path.moves] for path in fam.paths],
+        list(labels),
+        [[list(map(int, move)) for move in path.moves] for path in result.family],
         [[list(move) for move in moves] for moves in planned_moves(result)],
-        [[[cond.id, [list(b) for b in cond.bound]] for cond in conds] for conds in fam.traces],
+        [[[cond.id, [list(b) for b in cond.bound]] for cond in conds] for conds in traces],
         list(result.reductions),
-        result.m,
+        result.context.m,
     ]
 
 
@@ -643,15 +657,16 @@ class TestPlanDigest:
         for n in range(2, 8):
             for tree in enumerate_trees(n):
                 for k in range(1, n):
-                    for x, y in config_pairs(build_token_graph(tree, k)):
-                        result = build_family(tree, x, y)
+                    tg = build_token_graph(tree, k)
+                    for x, y in config_pairs(tg):
+                        result = build_family(tree, x, y, tg.min_degree())
                         record = plan_record(result)
                         digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
                         pairs += 1
                         # the paths built on read are the walks that were verified
                         assert len(result.family) == result.size
-                        assert tuple(p.masks for p in result.family.paths) == result.walks
-                        assert tuple(p.moves for p in result.family.paths) == result.moves
+                        assert tuple(p.masks for p in result.family) == result.walks
+                        assert tuple(p.moves for p in result.family) == result.moves
         assert pairs == 4972
         assert digest.hexdigest() == (
             "d7695f7a26fd90dccdffc9e395362b746aac62712e35e6452bafcc4671b44fb2"
@@ -661,13 +676,13 @@ class TestPlanDigest:
         # no family on a tree with n <= 7 holds both L4 and L3*, so the digest
         # above cannot see their order; this 8-vertex instance pins it
         tree = Graph(8, ((0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7)))
-        result = build_family(tree, (0, 1, 2, 6), (1, 3, 5, 6))
-        assert result.family.labels == ("L1", "L1", "L4", "L3*")
+        result = build_family(tree, (0, 1, 2, 6), (1, 3, 5, 6), min_token_degree(tree, 4))
+        assert family_labels(result) == ("L1", "L1", "L4", "L3*")
         assert planned_moves(result)[2:] == [
             ((6, 5), (5, 7), (2, 3), (0, 5), (5, 6), (7, 5)),
             ((2, 4), (1, 2), (2, 3), (0, 5), (4, 2), (2, 1)),
         ]
-        assert [cond.bound for (cond,) in result.family.traces[2:]] == [
+        assert [cond.bound for _, _, (cond,) in result.plans[2:]] == [
             (("w", 7), ("z", 6)), (("w", 4), ("z", 1)),
         ]
 
@@ -686,7 +701,7 @@ def tree_distance2_instance(draw):
     if not options:
         return None
     y = options[draw(st.integers(min_value=0, max_value=len(options) - 1))]
-    return tree, x, y
+    return tree, x, y, tg.min_degree()
 
 
 class TestRandomInstances:
@@ -695,8 +710,8 @@ class TestRandomInstances:
     def test_family_verifies(self, instance):
         if instance is None:
             return
-        tree, x, y = instance
-        result = build_family(tree, x, y)
+        tree, x, y, delta = instance
+        result = build_family(tree, x, y, delta)
         verify_result(tree, x, y, result)
 
     @given(tree_distance2_instance())
@@ -704,8 +719,8 @@ class TestRandomInstances:
     def test_family_is_symmetric_in_its_endpoints(self, instance):
         if instance is None:
             return
-        tree, x, y = instance
-        forward = build_family(tree, x, y)
-        backward = build_family(tree, y, x)
+        tree, x, y, delta = instance
+        forward = build_family(tree, x, y, delta)
+        backward = build_family(tree, y, x, delta)
         assert len(forward.family) == len(backward.family)
-        assert forward.m == backward.m
+        assert forward.context.m == backward.context.m

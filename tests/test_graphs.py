@@ -101,11 +101,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, ((0, 3),))
 
-    @pytest.mark.parametrize("n,edges", [
-        (3, ((0.0, 1),)), (3, ((0, 1.0),)), (3.0, ((0, 1),)), ("3", ()), (3, (("0", 1),)),
-    ], ids=["float-u", "float-v", "float-n", "str-n", "str-u"])
-    def test_rejects_non_int_input(self, n, edges):
-        with pytest.raises(ValueError, match="int"):
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, ((0.0, 1),), "int"), (3, ((0, 1.0),), "int"), (3.0, ((0, 1),), "int"),
+        ("3", (), "int"), (3, (("0", 1),), "int"),
+        (3, (1, 2), "^edge 1 is not a pair of vertex ints$"),
+        (3, ((0, 1, 2),), r"^edge \(0, 1, 2\) is not a pair"),
+        (3, ((0,),), r"^edge \(0,\) is not a pair"),
+        (3, (None,), "^edge None is not a pair"),
+    ], ids=["float-u", "float-v", "float-n", "str-n", "str-u",
+            "bare-int-edge", "triple-edge", "single-edge", "none-edge"])
+    def test_rejects_non_int_input(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
             Graph(n, edges)
 
     def test_degrees(self):

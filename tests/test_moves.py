@@ -31,10 +31,7 @@ class TestTokenPath:
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
         assert p.configs == ((0, 1), (0, 2), (0, 3))
         assert p.start == (0, 1)
-        assert p.end == (0, 3)
-        assert p.inner == ((0, 2),)
-        assert p.length == 2
-        assert p.k == 2
+        assert p.masks == (0b11, 0b101, 0b1001)
 
     def test_moves_stored_as_pairs(self):
         p = TokenPath(P4, (0, 1), [[1, 2]])
@@ -44,9 +41,8 @@ class TestTokenPath:
     def test_empty_path(self):
         p = TokenPath(P4, (1, 2), ())
         assert p.configs == ((1, 2),)
-        assert p.end == p.start
-        assert p.inner == ()
-        assert p.length == 0
+        assert p.masks == (0b110,)
+        assert p.moves == ()
 
     def test_no_token_at_source(self):
         with pytest.raises(ValueError, match="no token at 2"):
@@ -112,7 +108,7 @@ class TestConstructionContract:
         assert TokenPath(P8, (0, 6), ()).masks == (0b1000001,)
         with pytest.raises(ValueError, match=r"configuration \(0, 6\) out of range for n=4"):
             TokenPath(P4, (0, 6), ())
-        assert TokenPath(P5, (0, 1, 2, 3), ()).k == 4
+        assert TokenPath(P5, (0, 1, 2, 3), ()).masks == (0b1111,)
         with pytest.raises(ValueError, match="need 1 <= k <= n-1 tokens, got k=4 with n=4"):
             TokenPath(P4, (0, 1, 2, 3), ())
 
@@ -146,18 +142,20 @@ class TestConstructionContract:
 
 
 class TestPairwiseDisjoint:
+    """The check reads the occupancy-mask walks of paths."""
+
     def test_disjoint_pair(self):
         a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
         b = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
-        assert a.end == b.end == (2, 3)
-        assert a.inner == ((0, 2),) and b.inner == ((1, 3),)
-        assert pairwise_internally_disjoint([a, b]) == (True, None)
+        assert a.configs[-1] == b.configs[-1] == (2, 3)
+        assert a.configs[1:-1] == ((0, 2),) and b.configs[1:-1] == ((1, 3),)
+        assert pairwise_internally_disjoint([a.masks, b.masks]) == (True, None)
 
     def test_overlap_reports_first_pair(self):
         a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
         b = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
         c = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
-        ok, clash = pairwise_internally_disjoint([a, b, c])
+        ok, clash = pairwise_internally_disjoint([a.masks, b.masks, c.masks])
         assert not ok
         assert clash == (0, 2)
 
@@ -165,12 +163,11 @@ class TestPairwiseDisjoint:
         a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
         d = TokenPath(C4, (0, 1), ((1, 2),))
         with pytest.raises(ValueError, match="endpoint mismatch"):
-            pairwise_internally_disjoint([a, d])
+            pairwise_internally_disjoint([a.masks, d.masks])
 
     def test_trivial_inputs(self):
         assert pairwise_internally_disjoint([]) == (True, None)
         a = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
-        assert pairwise_internally_disjoint([a]) == (True, None)
         assert pairwise_internally_disjoint([a.masks]) == (True, None)
 
     def test_mask_walks_keep_the_contract(self):
@@ -178,7 +175,7 @@ class TestPairwiseDisjoint:
         b = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
         c = TokenPath(C4, (0, 1), ((1, 2), (0, 3)))
         assert pairwise_internally_disjoint([a.masks, b.masks]) == (True, None)
-        assert pairwise_internally_disjoint([list(a.masks), b]) == (True, None)
+        assert pairwise_internally_disjoint([list(a.masks), b.masks]) == (True, None)
         assert pairwise_internally_disjoint([a.masks, b.masks, c.masks]) == (False, (0, 2))
         # the first offending pair in (i, j) order, not the first clash met
         d = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
@@ -236,53 +233,53 @@ class TestTraceConditions:
         # both tokens of Z stay put and the free region is never touched
         ctx = mask_stub(z={0}, region=set())
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
-        assert check_trace(p, trace_condition("C1"), ctx)
+        assert check_trace(p.masks[1:-1], trace_condition("C1"), ctx)
 
     def test_undisturbed_fails_when_shared_token_moves(self):
         ctx = mask_stub(z={0}, region=set())
         p = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
-        assert not check_trace(p, trace_condition("C1"), ctx)
+        assert not check_trace(p.masks[1:-1], trace_condition("C1"), ctx)
 
     def test_single_displacement_condition(self):
         # every interior configuration must be missing exactly the bound token
         ctx = mask_stub(z={0}, region={3})
         p = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
-        assert check_trace(p, trace_condition("C2", z=0), ctx)
-        assert not check_trace(p, trace_condition("C2", z=1), ctx)
+        assert check_trace(p.masks[1:-1], trace_condition("C2", z=0), ctx)
+        assert not check_trace(p.masks[1:-1], trace_condition("C2", z=1), ctx)
 
     def test_exchange_condition_holds_on_exchange_path(self):
         # hub token visits 4 while the shared token at 0 takes its place
         moves = ((1, 4), (0, 1), (1, 2), (2, 3), (4, 1), (1, 0))
         p = TokenPath(EXCHANGE_TREE, (0, 1), moves)
-        assert p.end == (0, 3)
+        assert p.configs[-1] == (0, 3)
         ctx = mask_stub(z={0}, region={4})
-        assert check_trace(p, trace_condition("C3", z=0, w=4), ctx)
+        assert check_trace(p.masks[1:-1], trace_condition("C3", z=0, w=4), ctx)
 
     def test_exchange_condition_forbids_undisturbed_interior(self):
         # a plain slide never disturbs anything, which the exchange shape bans
         ctx = mask_stub(z={0}, region={4})
         p = TokenPath(EXCHANGE_TREE, (0, 1), ((1, 2), (2, 3)))
-        assert not check_trace(p, trace_condition("C3", z=0, w=4), ctx)
+        assert not check_trace(p.masks[1:-1], trace_condition("C3", z=0, w=4), ctx)
 
     def test_double_displacement_condition(self):
         ctx = mask_stub(z={0, 1}, region=set())
         p = TokenPath(P4, (0, 1), ((1, 2), (0, 1), (2, 3)))
-        assert p.inner == ((0, 2), (1, 2))
-        assert check_trace(p, trace_condition("C5", z1=0, z2=1), ctx)
+        assert p.configs[1:-1] == ((0, 2), (1, 2))
+        assert check_trace(p.masks[1:-1], trace_condition("C5", z1=0, z2=1), ctx)
 
     def test_region_violation_detected(self):
         # an interior configuration parks a token on the watched free vertex
         ctx = mask_stub(z={0, 1}, region={3})
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3), (0, 1)))
-        assert p.inner == ((0, 2), (0, 3))
-        assert not check_trace(p, trace_condition("C5", z1=0, z2=1), ctx)
+        assert p.configs[1:-1] == ((0, 2), (0, 3))
+        assert not check_trace(p.masks[1:-1], trace_condition("C5", z1=0, z2=1), ctx)
 
     def test_parked_interior_condition(self):
         # every interior configuration occupies exactly the bound free vertex
         ctx = mask_stub(z={0}, region={1})
         p = TokenPath(P5, (0, 3), ((0, 1), (3, 4), (1, 0)))
-        assert check_trace(p, trace_condition("C2.1", w=1), ctx)
-        assert not check_trace(p, trace_condition("C1"), ctx)
+        assert check_trace(p.masks[1:-1], trace_condition("C2.1", w=1), ctx)
+        assert not check_trace(p.masks[1:-1], trace_condition("C1"), ctx)
 
 
 @st.composite
@@ -322,9 +319,9 @@ class TestLiftProperties:
     def test_lift_moves_one_token_between_endpoints(self, case):
         g, route, start = case
         p = TokenPath(g, start, tuple(zip(route, route[1:])))
-        assert p.length == len(route) - 1
+        assert len(p.configs) == len(route)
         expect = tuple(sorted(set(start) - {route[0]} | {route[-1]}))
-        assert p.end == expect
+        assert p.configs[-1] == expect
         # every visited configuration keeps the bystanders fixed
         bystanders = set(start) - {route[0]}
         for cfg in p.configs:
@@ -335,7 +332,7 @@ class TestLiftProperties:
     def test_reversed_moves_walk_the_path_backwards(self, case):
         g, route, start = case
         p = TokenPath(g, start, tuple(zip(route, route[1:])))
-        back = TokenPath(g, p.end, tuple((d, s) for s, d in reversed(p.moves)))
+        back = TokenPath(g, p.configs[-1], tuple((d, s) for s, d in reversed(p.moves)))
         assert back.configs == p.configs[::-1]
 
 
@@ -397,6 +394,4 @@ class TestMaskReplay:
             return
         p = TokenPath(g, start, moves)
         assert p.configs == expect
-        assert p.inner == expect[1:-1]
-        assert p.end == expect[-1]
         assert p.masks == tuple(sum(1 << v for v in cfg) for cfg in expect)

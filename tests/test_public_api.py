@@ -1,6 +1,9 @@
-"""The top-level names of the tokengraphs package, pinned."""
+"""The top-level names of the tokengraphs package, pinned, and the README's
+library example, run as written."""
 
+import re
 import types
+from pathlib import Path
 
 import tokengraphs
 
@@ -10,7 +13,7 @@ PUBLIC_NAMES = {
     "vertex_connectivity",
     # families
     "Case1Context", "Case2Context", "FamilyConstructionError", "FamilyResult",
-    "PathFamily", "build_family", "normalize",
+    "build_family", "normalize",
     # graphs
     "Graph", "Graph6Error", "bridged_cliques", "complete_graph", "cycle_graph",
     "emit_graph6", "enumerate_trees", "girth", "parse_graph6", "path_graph",
@@ -19,7 +22,7 @@ PUBLIC_NAMES = {
     "TokenPath", "TraceCondition", "check_trace",
     "pairwise_internally_disjoint", "trace_condition",
     # tokens
-    "TokenGraph", "build_token_graph", "make_config", "min_token_degree", "token_degree",
+    "TokenGraph", "build_token_graph", "min_token_degree", "token_degree",
 }
 
 
@@ -29,4 +32,12 @@ def test_top_level_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 33
+    assert len(names) == 31
+
+
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    assert capsys.readouterr().out == "T1 ((0, 1), (0, 2), (0, 3))\n"

@@ -27,7 +27,6 @@ from tokengraphs.tokens import (
     build_token_graph,
     checked_mask,
     classify_masks,
-    make_config,
     min_token_degree,
     token_degree,
 )
@@ -52,13 +51,6 @@ def tree_and_k(draw, max_n=8):
 
 
 class TestConfigs:
-    def test_make_config_sorts(self):
-        assert make_config([3, 1, 2]) == (1, 2, 3)
-
-    def test_make_config_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            make_config([1, 1, 2])
-
     def test_token_degree_star_center(self):
         g = star_graph(4)
         # tokens on center and one leaf: edges to the three free leaves
@@ -126,6 +118,13 @@ class TestTokenGraphShape:
         with pytest.raises(ValueError):
             build_token_graph(path_graph(40), 20)
 
+    @pytest.mark.parametrize("k", [2.0, 1.5, "2", None, 0, 4])
+    def test_token_count_must_be_an_int_in_range(self, k):
+        # one check for both entry points: an int with 1 <= k <= n-1
+        for call in (build_token_graph, min_token_degree):
+            with pytest.raises(ValueError, match=r"need an int 1 <= k <= n-1, got k="):
+                call(path_graph(4), k)
+
     def test_distance_bfs(self):
         tg = build_token_graph(path_graph(4), 2)
         dist = fk_distances(tg)
@@ -149,7 +148,7 @@ class TestTokenGraphShape:
         assert token_degree(tree, (0, 1)) == 1
         assert TokenPath(tree, (0, 1), ()).masks == (0b11,)
         for call in (lambda c: token_degree(tree, c), lambda c: TokenPath(tree, c, ()),
-                     lambda c: build_family(tree, c, (2, 3))):
+                     lambda c: build_family(tree, c, (2, 3), 1)):
             with pytest.raises(ValueError, match="vertex ints"):
                 call(cfg)
 
