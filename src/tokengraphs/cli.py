@@ -10,12 +10,12 @@ k > n - k whose unit for n - k came earlier is a mirror: that record is
 emitted again with only k rewritten, unless it is violated or errored, and
 then the mirror runs for real so that its own witness or traceback appears.
 Automorphisms of a tree act on F_k (`TokenGraph.symmetries`), and units fold
-by them.  A paths unit labels its distance-2 pairs by orbit under the tree's
+by them.  A paths unit folds its distance-2 pairs by orbit under the tree's
 automorphisms, plus complementing when 2k = n, and builds one family per
-orbit, for its first pair: isomorphic pairs have isomorphic families, so
-every record field agrees on an orbit.  If a family fails, the paths unit
-reruns over every pair so that its record names the first failing pair and
-its index.  Each flow scan of a theorem or conjecture unit has a fixed
+orbit, for its first pair (`graphs.orbit_firsts`): isomorphic pairs have
+isomorphic families, so every record field agrees on an orbit.  If a family
+fails, the paths unit reruns over every pair so that its record names the
+first failing pair and its index.  Each flow scan of a theorem or conjecture unit has a fixed
 source and runs one flow per orbit of its sinks under the tree
 automorphisms that fix that source; a non-tree base does not fold.  A unit
 that raises an unexpected exception yields a record with status "error" and
@@ -45,7 +45,7 @@ from .graphs import (
     emit_graph6,
     enumerate_trees,
     girth,
-    orbit_labels,
+    orbit_firsts,
     parse_graph6,
 )
 # min_token_degree stays importable here: perfbench's tracer wraps cli.min_token_degree
@@ -109,12 +109,10 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
     record["delta"] = delta
     gens = tg.symmetries() if fold else []
     d2 = list(tg.distance2_pairs())
-    firsts = _first_pairs(tg.n, d2, gens) if gens else [True] * len(d2)
     min_size: int | None = None
     max_slack: dict[int, int | None] = {1: None, 2: None}
-    for pairs, ((i, j), first) in enumerate(zip(d2, firsts), 1):
-        if not first:
-            continue
+    # without gens this walks every pair, so `pairs` is the index of (i, j) in d2
+    for pairs, (i, j) in enumerate(_first_pairs(tg.n, d2, gens) if gens else d2, 1):
         x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
         try:
             result = build_family(tree, x_cfg, y_cfg, delta)
@@ -143,8 +141,8 @@ def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
 
 
 def _first_pairs(size: int, pairs: list[tuple[int, int]],
-                 gens: list[list[int]]) -> list[bool]:
-    """Per pair, whether it comes first in its orbit under the maps `gens` of F_k.
+                 gens: list[list[int]]) -> list[tuple[int, int]]:
+    """The first pair of each orbit under the maps `gens` of F_k, in the order of `pairs`.
 
     An unordered pair of vertex indices lo < hi is keyed lo * size + hi, so
     each map becomes a permutation of the keys of the distance-2 pairs.
@@ -156,7 +154,7 @@ def _first_pairs(size: int, pairs: list[tuple[int, int]],
         images = zip(map(perm.__getitem__, los), map(perm.__getitem__, his))
         maps.append(dict(zip(keys, [a * size + b if a < b else b * size + a
                                     for a, b in images])))
-    return [label == key for label, key in zip(orbit_labels(keys, maps), keys)]
+    return [divmod(key, size) for key in orbit_firsts(keys, maps)]
 
 
 def _hfamily_unit(m: int) -> dict:

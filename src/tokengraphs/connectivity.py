@@ -1,9 +1,9 @@
 """Flow-based and brute-force connectivity oracles for small graphs.
 
-The oracles read a graph through `n`, `neighbor_masks`, `min_degree()`,
-`connected`, `cut_flags` and `orbits_fixing`, which a `Graph` and a
-`TokenGraph` both provide, so a token graph is measured straight from its
-masks.
+The oracles read a `graphs.MaskGraph`: `n` and `neighbor_masks`, and the
+`min_degree()`, `connected`, `cut_flags` and `symmetries` built on them.  A
+`Graph` and a `TokenGraph` are both one, so a token graph is measured
+straight from its masks.
 
 Before any flow, each oracle pays only for the test that settles it.  A
 bitset BFS (`graphs.mask_connected`, cached as `connected`) decides
@@ -30,16 +30,16 @@ pairs:
   member (Matula, "Determining edge connectivity in O(nm)", FOCS 1987).
 
 Both scans fix a source: v for kappa's first phase and D[0] for lambda.
-Each runs one flow per orbit of its sinks under the automorphisms the graph
-knows to fix that source (`orbits_fixing`): none for a `Graph`, and for a
-`TokenGraph` those of its base tree that map the source configuration onto
-itself, checked where they are derived (`TokenGraph.symmetries`).  Orbit
+Each runs one flow per orbit of its sinks (`graphs.orbit_firsts`) under the
+automorphisms the graph knows to fix that source (`symmetries(source)`):
+none for a `Graph`, and for a `TokenGraph` those of its base tree that map
+the source configuration onto itself, checked where they are derived.  Orbit
 exactness: an automorphism sigma maps the s-t paths onto the
 sigma(s)-sigma(t) paths, keeping them internally vertex (or edge) disjoint,
 so kappa(sigma s, sigma t) = kappa(s, t) and likewise lambda.  A sink t is
-skipped only when an earlier sink t' of the same scan has its label, and
-then some sigma fixing the source s maps t' to t, so (s, t) has the value of
-(s, t').  That flow, capped at the best value c so far, left the best at
+skipped only when the orbit of an earlier sink t' of the same scan reached
+it, and then some sigma fixing the source s maps t' to t, so (s, t) has the
+value of (s, t').  That flow, capped at the best value c so far, left the best at
 min(c, kappa(s, t')) <= kappa(s, t), so the flow of (s, t) could not have
 lowered it: the minimum, and the point where the scan stops, are unchanged.
 
@@ -64,8 +64,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .graphs import Graph
-from .tokens import TokenGraph
+from .graphs import Graph, MaskGraph, orbit_firsts
 
 __all__ = [
     "ConnectivityReport",
@@ -192,7 +191,7 @@ def _unit_flow(masks: Sequence[int], s: int, t: int, limit: int, split: bool) ->
     return flow
 
 
-def _dfs_settled(g: Graph | TokenGraph, flag: int) -> int:
+def _dfs_settled(g: MaskGraph, flag: int) -> int:
     """kappa (flag 1, the cut-vertex entry of `cut_flags`) or lambda (flag 2,
     the bridge entry) when at most 2, else the minimum degree.
 
@@ -207,15 +206,7 @@ def _dfs_settled(g: Graph | TokenGraph, flag: int) -> int:
     return delta
 
 
-def _first_per_orbit(points: list[int], labels: Sequence[int]) -> list[int]:
-    """The points whose orbit label no earlier point carries, in order."""
-    first: dict[int, int] = {}
-    for p in points:
-        first.setdefault(labels[p], p)
-    return list(first.values())
-
-
-def vertex_connectivity(g: Graph | TokenGraph) -> int:
+def vertex_connectivity(g: MaskGraph) -> int:
     """Vertex connectivity: a BFS and a DFS decide kappa <= 2, flows the rest.
 
     Graphs with n <= 1 and graphs the cached BFS (`connected`) finds
@@ -245,7 +236,7 @@ def vertex_connectivity(g: Graph | TokenGraph) -> int:
     the scan is at most |S| = kappa.
 
     The first phase runs only the first non-neighbour w of each orbit under
-    the automorphisms known to fix v (`g.orbits_fixing(v)`); the module
+    the automorphisms known to fix v (`g.symmetries(v)`); the module
     docstring proves this exact.  The second phase, with at most
     C(delta, 2) pairs, runs them all.
     """
@@ -255,7 +246,7 @@ def vertex_connectivity(g: Graph | TokenGraph) -> int:
     masks = g.neighbor_masks
     v = next(u for u in range(g.n) if masks[u].bit_count() == best)
     sinks = [w for w in range(g.n) if w != v and not masks[v] >> w & 1]
-    pairs = [(v, w) for w in _first_per_orbit(sinks, g.orbits_fixing(v))]
+    pairs = [(v, w) for w in orbit_firsts(sinks, g.symmetries(v))]
     nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
     for s, t in pairs:
@@ -267,7 +258,7 @@ def vertex_connectivity(g: Graph | TokenGraph) -> int:
     return best
 
 
-def edge_connectivity(g: Graph | TokenGraph) -> int:
+def edge_connectivity(g: MaskGraph) -> int:
     """Edge connectivity: a BFS and a DFS decide lambda <= 2, flows the rest.
 
     Graphs with n <= 1 and graphs the cached BFS (`connected`) finds
@@ -296,7 +287,7 @@ def edge_connectivity(g: Graph | TokenGraph) -> int:
     the flow from D[0] to a member of D on the other side is at most lambda.
 
     Only the first member t of each orbit under the automorphisms known to
-    fix D[0] (`g.orbits_fixing(D[0])`) runs a flow; the module docstring
+    fix D[0] (`g.symmetries(D[0])`) runs a flow; the module docstring
     proves this exact.
     """
     best = _dfs_settled(g, 2)
@@ -309,7 +300,7 @@ def edge_connectivity(g: Graph | TokenGraph) -> int:
             dominating.append(v)
             dominated |= 1 << v | masks[v]
     source, *sinks = dominating
-    for t in _first_per_orbit(sinks, g.orbits_fixing(source)):
+    for t in orbit_firsts(sinks, g.symmetries(source)):
         flow = _unit_flow(masks, source, t, best, split=False)
         if flow < best:
             best = flow

@@ -1,7 +1,8 @@
 """Simple undirected graphs on dense integer vertices, with small-order utilities.
 
 Vertices are always 0..n-1. Graphs are immutable and hashable so they can sit
-inside frozen dataclasses and key caches.
+inside frozen dataclasses and key caches.  The connectivity oracles read a
+`MaskGraph`, and fold by its `symmetries` with `orbit_firsts`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,40 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+class MaskGraph:
+    """A graph read through `n` and `neighbor_masks`, which a subclass provides;
+    the degree, the BFS and the DFS are each computed at most once per graph."""
+
+    def min_degree(self) -> int:
+        return self._min_degree
+
+    @cached_property
+    def _min_degree(self) -> int:
+        if self.n == 0:
+            raise ValueError("empty graph has no degrees")
+        return min(map(int.bit_count, self.neighbor_masks))
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the graph is connected: `mask_connected` on this graph."""
+        return mask_connected(self.neighbor_masks)
+
+    @cached_property
+    def cut_flags(self) -> tuple[bool, bool, bool]:
+        """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on this graph."""
+        return mask_cut_flags(self.neighbor_masks)
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(map(int.bit_count, self.neighbor_masks)) // 2
+
+    def symmetries(self, fixing: int | None = None) -> list[Sequence[int]]:
+        """Vertex maps generating automorphisms that fix `fixing`: none known here."""
+        return []
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(MaskGraph):
     """An undirected simple graph on vertices 0..n-1."""
 
     n: int
@@ -49,8 +82,12 @@ class Graph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"vertex count must be a non-negative int, got {self.n!r}")
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise ValueError(f"edges {self.edges!r} is not a collection of vertex pairs") from None
         seen = set()
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -82,30 +119,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty graph has no degrees")
-        return min(m.bit_count() for m in self.neighbor_masks)
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether the graph is connected: `mask_connected` on this graph."""
-        return mask_connected(self.neighbor_masks)
-
-    @cached_property
-    def cut_flags(self) -> tuple[bool, bool, bool]:
-        """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on this graph."""
-        return mask_cut_flags(self.neighbor_masks)
-
-    def orbits_fixing(self, v: int) -> Sequence[int]:
-        """Per vertex, the label of its orbit under the automorphisms known to fix
-        v: none, so every vertex labels itself.  `TokenGraph.orbits_fixing` knows more."""
-        return range(self.n)
-
     def is_tree(self) -> bool:
         return self.n >= 1 and self.edge_count == self.n - 1 and self.connected
 
@@ -118,7 +131,7 @@ def mask_connected(masks: Sequence[int]) -> bool:
 
     A breadth-first search from vertex 0 in which each level is one mask: the
     OR of the frontier's neighbour masks, less the vertices already seen.
-    `Graph.connected` and `TokenGraph.connected` cache the answer per graph.
+    `MaskGraph.connected` caches the answer per graph.
     """
     full = (1 << len(masks)) - 1
     seen = frontier = 1 & full
@@ -136,8 +149,8 @@ def mask_connected(masks: Sequence[int]) -> bool:
 def mask_cut_flags(masks: Sequence[int]) -> tuple[bool, bool, bool]:
     """(connected, has a cut vertex, has a bridge), from one low-point DFS.
 
-    `masks[v]` is the neighbour bitmask of vertex v.  `Graph.cut_flags` and
-    `TokenGraph.cut_flags` cache the answer per graph.
+    `masks[v]` is the neighbour bitmask of vertex v.  `MaskGraph.cut_flags`
+    caches the answer per graph.
 
     One iterative DFS from vertex 0 computes discovery times and low points
     (the earliest discovery time reachable from a subtree by one back edge;
@@ -400,29 +413,31 @@ def tree_automorphism_generators(g: Graph, marked: int = 0) -> list[tuple[int, .
     return gens
 
 
-def orbit_labels(points: Sequence[int], maps: Sequence[Sequence[int] | Mapping[int, int]]
+def orbit_firsts(points: Iterable[int], maps: Sequence[Sequence[int] | Mapping[int, int]]
                  ) -> list[int]:
-    """Per point, the first point of its orbit under the group the maps generate.
+    """The points that no earlier point's orbit reached, in order: the first
+    point of each orbit under the group the maps generate.
 
-    Each map permutes the points (`table[x]` is the image of x, again a point);
-    "first" follows the order of `points`.  The first point not yet labelled
-    starts a new orbit and labels every point the maps reach from it.  Those
-    are exactly its orbit: the group is finite, so each map's inverse is a
-    power of that map.
+    `table[x]` is the image of x under a map, which may lie outside `points`.
+    The points the maps reach from x are exactly its orbit: the group is
+    finite, so each map's inverse is a power of that map.
     """
-    label: dict[int, int] = {}
+    seen: set[int] = set()
+    firsts = []
     for x in points:
-        if x in label:
+        if x in seen:
             continue
-        label[x], todo = x, [x]
+        firsts.append(x)
+        seen.add(x)
+        todo = [x]
         while todo:
             y = todo.pop()
             for table in maps:
                 z = table[y]
-                if z not in label:
-                    label[z] = x
+                if z not in seen:
+                    seen.add(z)
                     todo.append(z)
-    return [label[x] for x in points]
+    return firsts
 
 
 def enumerate_trees(n: int) -> list[Graph]:

@@ -49,12 +49,24 @@ class TokenPath:
     def __post_init__(self):
         graph = self.graph
         occupied = checked_mask(graph, self.start)
-        moves = tuple([(src, dst) for src, dst in self.moves])
-        object.__setattr__(self, "moves", moves)
-        for step, (src, dst) in enumerate(moves):
-            if not (isinstance(src, int) and isinstance(dst, int)):
-                replay(graph, occupied, moves[:step])  # an earlier bad move is named first
-                raise ValueError(f"move {step}: ends {src!r}, {dst!r} are not both vertex ints")
+        try:
+            entries = iter(self.moves)
+        except TypeError:
+            raise ValueError(f"moves {self.moves!r} is not a collection of moves") from None
+        moves = []
+        for step, move in enumerate(entries):
+            try:
+                src, dst = move
+            except (TypeError, ValueError):
+                problem = f"{move!r} is not a pair of vertex ints"
+            else:
+                if isinstance(src, int) and isinstance(dst, int):
+                    moves.append((src, dst))
+                    continue
+                problem = f"ends {src!r}, {dst!r} are not both vertex ints"
+            replay(graph, occupied, moves)  # an earlier bad move is named first
+            raise ValueError(f"move {step}: {problem}")
+        object.__setattr__(self, "moves", tuple(moves))
         object.__setattr__(self, "masks", replay(graph, occupied, moves))
 
     @cached_property

@@ -6,24 +6,18 @@ the base graph, i.e. one token slides along an edge to a free vertex.
 Sorted tuples appear only at entry points and in records; inside, F_k is
 read by vertex index alone, reached from occupancy bitmasks through one index.
 A configuration is checked where it enters, by `checked_mask`: one pass over
-its entries both checks them and builds the occupancy bitmask.
+its entries both checks them and builds the occupancy bitmask.  A `TokenGraph`
+is a `graphs.MaskGraph`, so the connectivity oracles read it as a `Graph`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .graphs import (
-    Graph,
-    emit_graph6,
-    mask_connected,
-    mask_cut_flags,
-    orbit_labels,
-    tree_automorphism_generators,
-)
+from .graphs import Graph, MaskGraph, emit_graph6, tree_automorphism_generators
 
 __all__ = [
     "Config",
@@ -114,17 +108,16 @@ def min_token_degree(g: Graph, k: int) -> int:
     return min(mask_degree(g, config_mask(cfg)) for cfg in combinations(range(g.n), k))
 
 
-class TokenGraph:
+class TokenGraph(MaskGraph):
     """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
     `vertices` lists the configurations in lexicographic order, `occupancy`
     their occupancy bitmasks, `index` maps those back to vertex indices, and
     bit j of `neighbor_masks[i]` is set when vertices[i] and vertices[j] are
     adjacent, so the neighbours of the configuration with occupancy mask occ
-    are the bits of `neighbor_masks[index[occ]]`.  `n`, `neighbor_masks`, `min_degree`, `connected`, `cut_flags`
-    and `orbits_fixing` read as on a `Graph` over the indices, so the
-    connectivity oracles take a token graph as it is; the minimum degree, the
-    BFS and the DFS are each computed at most once per token graph.
+    are the bits of `neighbor_masks[index[occ]]`.  As a `MaskGraph` over the
+    indices, with the automorphisms its base tree gives (`symmetries`), it
+    is what the connectivity oracles read.
     """
 
     def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
@@ -139,27 +132,6 @@ class TokenGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.neighbor_masks) // 2
-
-    def min_degree(self) -> int:
-        return self._min_degree
-
-    @cached_property
-    def _min_degree(self) -> int:
-        return min(map(int.bit_count, self.neighbor_masks))
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether F_k is connected: `mask_connected` on F_k."""
-        return mask_connected(self.neighbor_masks)
-
-    @cached_property
-    def cut_flags(self) -> tuple[bool, bool, bool]:
-        """(connected, has a cut vertex, has a bridge): `mask_cut_flags` on F_k."""
-        return mask_cut_flags(self.neighbor_masks)
 
     def symmetries(self, fixing: int | None = None) -> list[list[int]]:
         """Generators of automorphisms of F_k that fix the vertex index `fixing`
@@ -193,10 +165,6 @@ class TokenGraph:
             full = (1 << g.n) - 1
             gens.append([index[full ^ occ] for occ in self.occupancy])
         return gens
-
-    def orbits_fixing(self, i: int) -> list[int]:
-        """Per vertex index, the first index of its orbit under `symmetries(i)`."""
-        return orbit_labels(range(self.n), self.symmetries(i))
 
     def distance2_pairs(self) -> Iterator[tuple[int, int]]:
         """Vertex-index pairs i < j at distance exactly 2, in lexicographic order."""

@@ -561,11 +561,14 @@ class TestFlowFolding:
         record = json.loads(proc.stdout)
         assert (record["delta"], record["kappa"], record["status"]) == (3, 3, "confirmed")
 
-    def test_theorem_digest_n11(self, capsys):
-        # sha256 of the records computed before flows folded
+    def test_theorem_digest_n11(self, capsys, monkeypatch):
+        # sha256 of the records computed before flows folded, and the number
+        # of flows the folded sweep runs, so a change to the fold shows here
+        flows = self.count_flows(monkeypatch)
         assert main(["theorem", "--n-max", "11", "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "a5d1040462540c33f4d5eee0a484e5eb600d9cdc11188fa62d4b5cb4c94c5260"
+        assert len(flows) == 1612
 
 
 class TestPlantedGenerator:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokengraphs import graphs as graphs_module
-from tokengraphs import tokens
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.graphs import (
     Graph,
@@ -23,7 +22,7 @@ from tokengraphs.graphs import (
     girth,
     mask_connected,
     mask_cut_flags,
-    orbit_labels,
+    orbit_firsts,
     parse_graph6,
     path_graph,
     star_graph,
@@ -108,8 +107,11 @@ class TestGraphBasics:
         (3, ((0, 1, 2),), r"^edge \(0, 1, 2\) is not a pair"),
         (3, ((0,),), r"^edge \(0,\) is not a pair"),
         (3, (None,), "^edge None is not a pair"),
+        (3, 5, "^edges 5 is not a collection of vertex pairs$"),
+        (3, None, "^edges None is not a collection"),
     ], ids=["float-u", "float-v", "float-n", "str-n", "str-u",
-            "bare-int-edge", "triple-edge", "single-edge", "none-edge"])
+            "bare-int-edge", "triple-edge", "single-edge", "none-edge",
+            "int-edges", "none-edges"])
     def test_rejects_non_int_input(self, n, edges, message):
         with pytest.raises(ValueError, match=message):
             Graph(n, edges)
@@ -130,8 +132,8 @@ class TestGraphBasics:
 
 
 class TestOneDfs:
-    """`mask_connected` and `mask_cut_flags`, which `Graph.connected` and
-    `Graph.cut_flags` cache, and the mask-based degree reads against networkx."""
+    """`mask_connected` and `mask_cut_flags`, which `MaskGraph.connected` and
+    `MaskGraph.cut_flags` cache, and the mask-based degree reads against networkx."""
 
     @pytest.fixture(scope="class")
     def small_graphs(self):
@@ -171,9 +173,8 @@ class TestOneDfs:
             return wrapper
 
         bfs, dfs = counted("bfs", mask_connected), counted("dfs", mask_cut_flags)
-        for module in (graphs_module, tokens):
-            monkeypatch.setattr(module, "mask_connected", bfs)
-            monkeypatch.setattr(module, "mask_cut_flags", dfs)
+        monkeypatch.setattr(graphs_module, "mask_connected", bfs)
+        monkeypatch.setattr(graphs_module, "mask_cut_flags", dfs)
         g = cycle_graph(5)
         assert g.connected and g.connected
         assert "cut_flags" not in vars(g) and calls == {"bfs": 1}
@@ -436,7 +437,7 @@ def pair_key_maps(gens, n):
 
 
 class TestPairOrbits:
-    """`orbit_labels` on the keys of unordered vertex pairs, as `paths` labels its pairs."""
+    """`orbit_firsts` on the keys of unordered vertex pairs, as `paths` folds its pairs."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_passes_the_first_pair_of_each_orbit(self, n):
@@ -445,19 +446,25 @@ class TestPairOrbits:
             group = generated_group(gens, n)
             pairs = list(combinations(range(n), 2))
             # in lexicographic order, an orbit's first pair is its least
-            firsts = [min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs]
-            labels = orbit_labels([a * n + b for a, b in pairs], pair_key_maps(gens, n))
-            assert labels == [a * n + b for a, b in firsts], emit_graph6(tree)
+            least = {min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs}
+            firsts = orbit_firsts([a * n + b for a, b in pairs], pair_key_maps(gens, n))
+            assert firsts == sorted(a * n + b for a, b in least), emit_graph6(tree)
 
     def test_pairs_are_unordered(self):
         # swapping 0 and 1 keeps the pair {0, 1} and exchanges {0, 2} and {1, 2}
         maps = pair_key_maps([(1, 0, 2)], 3)
         assert maps == [{1: 1, 2: 5, 5: 2}]
-        # the first point of an orbit in the order given labels it
-        assert orbit_labels([5, 1, 2], maps) == [5, 1, 5]
+        # the first point of an orbit in the order given stands for it
+        assert orbit_firsts([5, 1, 2], maps) == [5, 1]
 
     def test_no_maps_passes_every_pair(self):
-        assert orbit_labels([3, 0, 1], []) == [3, 0, 1]
+        assert orbit_firsts([3, 0, 1], []) == [3, 0, 1]
+
+    def test_orbit_may_leave_the_points(self):
+        # the swaps (0 1) and (1 2) reach 2 from 0 only through 1, which is
+        # not listed: 2 is still in the orbit of 0, so it is skipped
+        assert orbit_firsts([0, 2], [(1, 0, 2), (0, 2, 1)]) == [0]
+        assert orbit_firsts([0, 2], [(1, 0, 2)]) == [0, 2]
 
 
 class TestGenerators:

@@ -69,6 +69,10 @@ class TestTokenPath:
         ((1, 2.7), "move 1: ends 1, 2.7 are not both vertex ints"),
         ((2.0, 3), "move 1: ends 2.0, 3 are not both vertex ints"),
         ((2, None), "move 1: ends 2, None are not both vertex ints"),
+        (5, "move 1: 5 is not a pair of vertex ints"),
+        ((0, 1, 2), "move 1: (0, 1, 2) is not a pair of vertex ints"),
+        ((2,), "move 1: (2,) is not a pair of vertex ints"),
+        (None, "move 1: None is not a pair of vertex ints"),
     ])
     def test_rejected_move_is_worded_by_its_first_failed_check(self, move, message):
         # negative and out-of-range vertices are rejected before any shift or
@@ -122,6 +126,14 @@ class TestConstructionContract:
             TokenPath(P4, [0, 1], ())
         p = TokenPath(P4, (0, 1), [[1, 2], [2, 3]])
         assert p.moves == ((1, 2), (2, 3))
+        for moves in (7, None):
+            with pytest.raises(ValueError, match=f"^moves {moves} is not a collection of moves$"):
+                TokenPath(P4, (0, 1), moves)
+
+    @pytest.mark.parametrize("bad", [5, (0, 1, 2), (1.5, 2)])
+    def test_an_earlier_inadmissible_move_is_named_first(self, bad):
+        with pytest.raises(ValueError, match="^move 0: no token at 2 in"):
+            TokenPath(P4, (0, 1), ((2, 3), bad))
 
     @pytest.mark.parametrize(
         "moves",
