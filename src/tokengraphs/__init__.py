@@ -6,7 +6,6 @@ flow-based connectivity oracles.
 """
 
 from .connectivity import (
-    ConnectivityReport,
     brute_force_connectivity,
     edge_connectivity,
     vertex_connectivity,

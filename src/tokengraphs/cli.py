@@ -21,18 +21,17 @@ automorphisms that fix that source; a non-tree base does not fold.  A unit
 that raises an unexpected exception yields a record with status "error" and
 the exception, and its traceback goes to stderr; the sweep goes on.  Exit code
 1 flags a violated record in the theorem, paths or hfamily modes, 2 a usage
-or input error, 3 a unit that errored, in any mode, and 141 (128 + SIGPIPE)
-a reader that closed stdout before the sweep ended.
+or input error, 3 a unit that errored, in any mode, or a --jobs worker that
+died, and 141 (128 + SIGPIPE) a reader that closed stdout before the sweep
+ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-import traceback
 from collections import Counter
 from functools import lru_cache
 
@@ -199,9 +198,14 @@ def _pool_worker(task: tuple[str, object]) -> dict:
     try:
         return _UNIT_RUNNERS[mode](arg)
     except Exception as exc:  # one failing unit must not end the sweep
+        import traceback
         traceback.print_exc()
         unit = {"m": arg} if mode == "hfamily" else {"graph_id": arg[0], "k": arg[1]}
         return {**unit, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+class _WorkerDied(Exception):
+    """A --jobs worker process died; main exits 3 after the records written."""
 
 
 def _run_units(mode: str, units: list, jobs: int):
@@ -211,8 +215,17 @@ def _run_units(mode: str, units: list, jobs: int):
         for task in tasks:
             yield _pool_worker(task)
         return
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_pool_worker, tasks, chunksize=1)
+    # imported here, so that a serial sweep does not load the pool
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(jobs)
+    try:  # 256 units per map, so that the pending futures stay few in a long sweep
+        for i in range(0, len(tasks), 256):
+            yield from pool.map(_pool_worker, tasks[i:i + 256])
+    except BrokenProcessPool as exc:
+        raise _WorkerDied(exc) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_mirrored(mode: str, units: list[tuple[str, int]], jobs: int):
@@ -398,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
+    except _WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -60,31 +60,18 @@ independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from .graphs import Graph, MaskGraph, orbit_firsts
 
 __all__ = [
-    "ConnectivityReport",
     "vertex_connectivity",
     "edge_connectivity",
     "brute_force_connectivity",
 ]
 
 _BRUTE_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Connectivity numbers with optional cut witnesses."""
-
-    kappa: int
-    lambda_: int
-    delta: int
-    vertex_cut: tuple[int, ...] | None
-    edge_cut: tuple[tuple[int, int], ...] | None
 
 
 def _unit_flow(masks: Sequence[int], s: int, t: int, limit: int, split: bool) -> int:
@@ -328,57 +315,39 @@ def _mask_connected(masks: list[int], alive: int) -> bool:
     return seen == alive
 
 
-def brute_force_connectivity(g: Graph) -> ConnectivityReport:
-    """Independent subset-removal oracle for kappa and lambda (n <= 16)."""
+def brute_force_connectivity(g: Graph) -> tuple[int, int]:
+    """(kappa, lambda) by removing vertex and edge sets in increasing size,
+    independent of the flows (n <= 16); kappa is n - 1 when g is complete."""
     if g.n > _BRUTE_LIMIT:
         raise ValueError(f"brute force limited to n <= {_BRUTE_LIMIT}, got {g.n}")
     if g.n == 0:
         raise ValueError("empty graph")
     masks = g.neighbor_masks
     full = (1 << g.n) - 1
-    delta = g.min_degree()
-    connected = _mask_connected(masks, full)
+    if not _mask_connected(masks, full):
+        return 0, 0
 
-    kappa = 0
-    vertex_cut: tuple[int, ...] | None = None
-    if not connected:
-        vertex_cut = ()
-    elif g.is_complete():
-        kappa = g.n - 1
-    else:
-        for size in range(1, g.n - 1):
-            for cut in combinations(range(g.n), size):
-                alive = full
-                for v in cut:
-                    alive &= ~(1 << v)
-                if not _mask_connected(masks, alive):
-                    vertex_cut = cut
-                    break
-            if vertex_cut is not None:
-                break
-        assert vertex_cut is not None
-        kappa = len(vertex_cut)
+    kappa = g.n - 1
+    if not g.is_complete():
+        kappa = next(
+            size
+            for size in range(1, g.n - 1)
+            for cut in combinations(range(g.n), size)
+            if not _mask_connected(masks, full & ~sum(1 << v for v in cut))
+        )
 
+    # removing all edges at a minimum-degree vertex always disconnects, so
+    # only the edgeless single-vertex graph finds no cut and has lambda 0
     lam = 0
-    edge_cut: tuple[tuple[int, int], ...] | None = None
-    if not connected:
-        edge_cut = ()
-    else:
-        for size in range(1, delta + 1):
-            for cut_edges in combinations(g.edges, size):
-                trimmed = list(masks)
-                for u, v in cut_edges:
-                    trimmed[u] &= ~(1 << v)
-                    trimmed[v] &= ~(1 << u)
-                if not _mask_connected(trimmed, full):
-                    edge_cut = cut_edges
-                    break
-            if edge_cut is not None:
+    for size in range(1, g.min_degree() + 1):
+        for cut_edges in combinations(g.edges, size):
+            trimmed = list(masks)
+            for u, v in cut_edges:
+                trimmed[u] &= ~(1 << v)
+                trimmed[v] &= ~(1 << u)
+            if not _mask_connected(trimmed, full):
+                lam = size
                 break
-        if edge_cut is None:
-            # removing all edges at a minimum-degree vertex always disconnects,
-            # so only edgeless single-vertex graphs get here
-            edge_cut = ()
-        lam = len(edge_cut)
-
-    return ConnectivityReport(kappa, lam, delta, vertex_cut, edge_cut)
+        if lam:
+            break
+    return kappa, lam

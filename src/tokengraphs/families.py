@@ -66,17 +66,7 @@ class FamilyConstructionError(RuntimeError):
 
 def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], ...]:
     """Edges from a shared token to a free vertex, as sorted (z, w) pairs."""
-    edges = []
-    while z:
-        low = z & -z
-        z ^= low
-        u = low.bit_length() - 1
-        free = nbrs[u] & w
-        while free:
-            t = free & -free
-            free ^= t
-            edges.append((u, t.bit_length() - 1))
-    return tuple(edges)
+    return tuple((u, t) for u in mask_config(z) for t in mask_config(nbrs[u] & w))
 
 
 @dataclass(slots=True)

@@ -242,6 +242,13 @@ def girth(g: Graph) -> int | float:
 _G6_HEADER = ">>graph6<<"
 
 
+@cache
+def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The (row, col) pairs of order n in graph6 bit order: column by column,
+    rows ascending within a column."""
+    return tuple((row, col) for col in range(1, n) for row in range(col))
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (optionally prefixed with the standard header)."""
     s = text.strip()
@@ -271,14 +278,7 @@ def parse_graph6(text: str) -> Graph:
     bits = "".join(format(b, "06b") for b in body)
     if any(b == "1" for b in bits[nbits:]):
         raise Graph6Error("nonzero padding bits", len(s) - 1)
-    edges = []
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[idx] == "1":
-                edges.append((row, col))
-            idx += 1
-    return Graph(n, tuple(edges))
+    return Graph(n, tuple(pair for pair, bit in zip(_g6_pairs(n), bits) if bit == "1"))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -286,11 +286,7 @@ def emit_graph6(g: Graph) -> str:
     if g.n > 62:
         raise ValueError(f"graph6 single-byte encoding requires n <= 62, got {g.n}")
     present = set(g.edges)
-    bits = []
-    for col in range(1, g.n):
-        for row in range(col):
-            bits.append("1" if (row, col) in present else "0")
-    s = "".join(bits)
+    s = "".join("1" if pair in present else "0" for pair in _g6_pairs(g.n))
     s += "0" * (-len(s) % 6)
     out = [chr(g.n + 63)]
     for i in range(0, len(s), 6):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -679,14 +680,19 @@ class TestTracerSeams:
         assert metrics["tokens.fk_vertices"] > 0
 
 
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 class TestClosedStdout:
     """A reader that closes stdout early ends the sweep quietly with 141."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_closed_pipe_exits_141_without_traceback(self, jobs):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env = src_env()
         # 149 kB of records: more than the pipe and stdout buffers hold, so a
         # write must meet the closed pipe
         proc = subprocess.Popen(
@@ -700,6 +706,55 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 141, err.decode()
         assert b"Traceback" not in err
+
+
+DEAD_WORKER = """
+import os, signal, sys
+from tokengraphs import cli
+
+run = cli._UNIT_RUNNERS["hfamily"]
+
+def unit(m):
+    if m == 4:  # in a forked worker: end it as the kernel's OOM killer would
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run(m)
+
+cli._UNIT_RUNNERS["hfamily"] = unit
+sys.exit(cli.main(["hfamily", "--m-min", "3", "--m-max", "6", "--jobs", "2", "--json"]))
+"""
+
+
+class TestDeadWorker:
+    """A --jobs worker that dies ends the sweep with exit code 3, not a hang."""
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers do not inherit patches")
+    def test_killed_worker_exits_3(self):
+        proc = subprocess.Popen([sys.executable, "-c", DEAD_WORKER], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=src_env(),
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the sweep hung after a worker died")
+        assert proc.returncode == 3, err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        # the m = 3 record is written when it returned before the pool broke
+        assert [json.loads(line)["m"] for line in out.splitlines()] in ([], [3])
+        with pytest.raises(ProcessLookupError):  # no worker outlives the sweep
+            os.killpg(proc.pid, 0)
+
+
+class TestImports:
+    def test_serial_sweep_modules_stay_unloaded(self):
+        # a --jobs pool and a unit's traceback import these where they are used
+        code = ("import sys, tokengraphs.cli; print([m for m in ('multiprocessing', "
+                "'concurrent.futures', 'traceback') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+        assert proc.stdout == "[]\n", proc.stderr
 
 
 class TestModuleEntryPoint:

@@ -41,13 +41,6 @@ def nx_of(g: Graph) -> nx.Graph:
     return h
 
 
-def without_vertices(g: Graph, cut) -> Graph:
-    keep = [v for v in range(g.n) if v not in set(cut)]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return Graph(len(keep), tuple(edges))
-
-
 def local_kappa(g: Graph, s: int, t: int, limit: int | None = None) -> int:
     """kappa(s, t) of non-adjacent s and t: the oracles' vertex-split unit flow."""
     return _unit_flow(g.neighbor_masks, s, t, g.n if limit is None else limit, split=True)
@@ -79,8 +72,8 @@ class TestFrozenValues:
     def test_small_graphs(self, g, kappa, lam, delta):
         assert vertex_connectivity(g) == kappa
         assert edge_connectivity(g) == lam
-        report = brute_force_connectivity(g)
-        assert (report.kappa, report.lambda_, report.delta) == (kappa, lam, delta)
+        assert brute_force_connectivity(g) == (kappa, lam)
+        assert g.min_degree() == delta
 
     def test_two_token_graph_of_bridged_cliques(self):
         fk = build_token_graph(bridged_cliques(4), 2).as_graph()
@@ -88,19 +81,11 @@ class TestFrozenValues:
         assert edge_connectivity(fk) == 3
         assert fk.min_degree() == 4
 
-    def test_brute_cut_witnesses(self):
-        report = brute_force_connectivity(PETERSEN)
-        assert len(report.vertex_cut) == 3
-        assert not without_vertices(PETERSEN, report.vertex_cut).connected
-        assert len(report.edge_cut) == 3
-        trimmed = Graph(10, tuple(e for e in PETERSEN.edges if e not in set(report.edge_cut)))
-        assert not trimmed.connected
+    def test_brute_force_petersen(self):
+        assert brute_force_connectivity(PETERSEN) == (3, 3)
 
     def test_complete_graph_has_no_cut(self):
-        report = brute_force_connectivity(complete_graph(5))
-        assert report.kappa == 4
-        assert report.vertex_cut is None
-        assert len(report.edge_cut) == 4
+        assert brute_force_connectivity(complete_graph(5)) == (4, 4)
 
 
 class TestLocalConnectivity:
@@ -136,10 +121,10 @@ class TestAgainstBruteForce:
             n = rng.randint(2, 8)
             edges = [e for e in combinations(range(n), 2) if rng.random() < rng.choice((0.2, 0.4, 0.7))]
             g = Graph(n, tuple(edges))
-            report = brute_force_connectivity(g)
-            assert vertex_connectivity(g) == report.kappa
-            assert edge_connectivity(g) == report.lambda_
-            assert report.kappa <= report.lambda_ <= report.delta
+            kappa, lam = brute_force_connectivity(g)
+            assert vertex_connectivity(g) == kappa
+            assert edge_connectivity(g) == lam
+            assert kappa <= lam <= g.min_degree()
 
     @given(graphs())
     @settings(max_examples=80, deadline=None)
@@ -192,6 +177,12 @@ def prufer_tree(rng: random.Random, n: int) -> Graph:
     return Graph(n, tuple(tree.edges()))
 
 
+def double_star(a: int, b: int) -> Graph:
+    """Adjacent centres 0 and 1 with a and b leaves."""
+    leaves = [(0, v) for v in range(2, a + 2)] + [(1, v) for v in range(a + 2, a + b + 2)]
+    return Graph(a + b + 2, ((0, 1), *leaves))
+
+
 def planted_cut_graph(rng: random.Random) -> tuple[Graph, int]:
     """Two dense blocks joined through a few separator vertices and edges.
 
@@ -230,8 +221,7 @@ class TestPairSetBranches:
         assert HUB.min_degree() == 4
         assert vertex_connectivity(HUB) == 1
         assert edge_connectivity(HUB) == 2
-        report = brute_force_connectivity(HUB)
-        assert (report.kappa, report.lambda_, report.delta) == (1, 2, 4)
+        assert brute_force_connectivity(HUB) == (1, 2)
         from_hub = min(
             local_kappa(HUB, 12, w)
             for w in range(12)
@@ -282,6 +272,24 @@ class TestSeededDifferential:
             h = nx_of(fk)
             assert vertex_connectivity(fk) == nx.node_connectivity(h) == delta
             assert edge_connectivity(fk) == nx.edge_connectivity(h) == delta
+
+    def test_folded_token_graphs_of_stars_and_double_stars(self):
+        # beyond the exhaustive theorem sweep (n <= 13): flows on F_k with
+        # delta >= 3, folded by the automorphisms of a symmetric base tree
+        rng = random.Random(20261019)
+        cases = [(star_graph(29), 3), (star_graph(19), 4), (double_star(8, 8), 3)]
+        for _ in range(3):
+            cases.append((star_graph(rng.randint(13, 29)), 3))
+            a = rng.randint(4, 14)
+            cases.append((double_star(a, rng.randint(max(4, 12 - a), 28 - a)), 3))
+        cases.append((star_graph(rng.randint(13, 19)), 4))
+        cases.append((double_star(6, rng.randint(6, 12)), 4))
+        for tree, k in cases:
+            assert 14 <= tree.n <= 30
+            fk = build_token_graph(tree, k)
+            delta = fk.min_degree()
+            assert delta >= 3 and fk.symmetries()
+            assert vertex_connectivity(fk) == edge_connectivity(fk) == delta
 
     def test_random_graphs_with_planted_cuts(self):
         rng = random.Random(87)

@@ -9,7 +9,7 @@ import tokengraphs
 
 PUBLIC_NAMES = {
     # connectivity
-    "ConnectivityReport", "brute_force_connectivity", "edge_connectivity",
+    "brute_force_connectivity", "edge_connectivity",
     "vertex_connectivity",
     # families
     "Case1Context", "Case2Context", "FamilyConstructionError", "FamilyResult",
@@ -32,7 +32,7 @@ def test_top_level_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 31
+    assert len(names) == 30
 
 
 def test_readme_library_example(capsys):
