@@ -4,11 +4,13 @@ Subcommands sweep tree token graphs (theorem), cross-check the constructive
 path engine (paths), reproduce the two-clique counterexample family
 (hfamily), and scan girth-5 graphs for the connectivity conjecture
 (conjecture).  Every run streams one JSON record per (graph, k) unit;
-a human summary follows unless --json is given.  Complementing configurations
-maps F_k(G) onto F_{n-k}(G), so a theorem, paths or conjecture unit with
+a human summary follows unless --json is given.  A theorem, paths or
+conjecture unit (graph6, Graph, k) carries its graph, so no unit decodes.
+Complementing configurations maps F_k(G) onto F_{n-k}(G), so such a unit with
 k > n - k whose unit for n - k came earlier is a mirror: that record is
 emitted again with only k rewritten, unless it is violated or errored, and
 then the mirror runs for real so that its own witness or traceback appears.
+--jobs sends units in chunks, each pickled once with the graphs it shares.
 Automorphisms of a tree act on F_k (`TokenGraph.symmetries`), and units fold
 by them.  A paths unit folds its distance-2 pairs by orbit under the tree's
 automorphisms, plus complementing when 2k = n, and builds one family per
@@ -33,7 +35,6 @@ import json
 import os
 import sys
 from collections import Counter
-from functools import lru_cache
 
 from .connectivity import edge_connectivity, vertex_connectivity
 from .families import FamilyConstructionError, build_family
@@ -51,6 +52,8 @@ from .graphs import (
 from .tokens import build_token_graph, min_token_degree
 
 __all__ = ["main"]
+Unit = tuple[str, Graph, int]  # (graph6 id, its graph, k)
+_CHUNK = 16  # units per task sent to a --jobs worker
 
 
 def _measure(record: dict, g: Graph, k: int, with_lambda: bool = True) -> bool:
@@ -67,27 +70,19 @@ def _measure(record: dict, g: Graph, k: int, with_lambda: bool = True) -> bool:
     return True
 
 
-# the units of one graph are consecutive, so all its k share one decoded Graph
-@lru_cache(maxsize=16)
-def _base(g6: str) -> Graph:
-    """The base graph of a unit, decoded once per graph6 id."""
-    return parse_graph6(g6)
-
-
-def _theorem_unit(arg: tuple[str, int]) -> dict:
+def _theorem_unit(arg: Unit) -> dict:
     """Check kappa = lambda = delta on one (tree, k) token graph."""
-    g6, k = arg
+    g6, tree, k = arg
     record = {"graph_id": g6, "k": k, "delta": None, "kappa": None, "lambda": None}
-    if _measure(record, _base(g6), k):
+    if _measure(record, tree, k):
         ok = record["kappa"] == record["lambda"] == record["delta"]
         record["status"] = "confirmed" if ok else "violated"
     return record
 
 
-def _paths_unit(arg: tuple[str, int], fold: bool = True) -> dict:
+def _paths_unit(arg: Unit, fold: bool = True) -> dict:
     """Run the path engine on one distance-2 pair per symmetry orbit of one (tree, k)."""
-    g6, k = arg
-    tree = _base(g6)
+    g6, tree, k = arg
     record = {
         "graph_id": g6,
         "k": k,
@@ -176,11 +171,11 @@ def _hfamily_unit(m: int) -> dict:
     return record
 
 
-def _conjecture_unit(arg: tuple[str, int]) -> dict:
+def _conjecture_unit(arg: Unit) -> dict:
     """Compare kappa and delta of F_k(G) for one girth-5 input graph."""
-    g6, k = arg
+    g6, g, k = arg
     record = {"graph_id": g6, "k": k, "delta": None, "kappa": None, "lambda": None}
-    if _measure(record, _base(g6), k, with_lambda=False):
+    if _measure(record, g, k, with_lambda=False):
         record["status"] = "confirmed" if record["kappa"] == record["delta"] else "violated"
     return record
 
@@ -200,7 +195,7 @@ def _pool_worker(task: tuple[str, object]) -> dict:
     except Exception as exc:  # one failing unit must not end the sweep
         import traceback
         traceback.print_exc()
-        unit = {"m": arg} if mode == "hfamily" else {"graph_id": arg[0], "k": arg[1]}
+        unit = {"m": arg} if mode == "hfamily" else {"graph_id": arg[0], "k": arg[-1]}
         return {**unit, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -221,22 +216,23 @@ def _run_units(mode: str, units: list, jobs: int):
     pool = ProcessPoolExecutor(jobs)
     try:  # 256 units per map, so that the pending futures stay few in a long sweep
         for i in range(0, len(tasks), 256):
-            yield from pool.map(_pool_worker, tasks[i:i + 256])
+            yield from pool.map(_pool_worker, tasks[i:i + 256], chunksize=_CHUNK)
     except BrokenProcessPool as exc:
         raise _WorkerDied(exc) from None
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _run_mirrored(mode: str, units: list[tuple[str, int]], jobs: int):
-    """Yield one record per (graph6, k) unit in unit order, dispatching no mirror.
+def _run_mirrored(mode: str, units: list[Unit], jobs: int):
+    """Yield one record per (graph6, graph, k) unit in unit order, dispatching no mirror.
 
-    It wraps _run_units because perfbench's tracer replaces _pool_worker and
-    relies on _run_units passing worker results through unchanged.
+    A mirror's base is (g6, n - k), n read from the unit's graph.  It wraps
+    _run_units because perfbench's tracer replaces _pool_worker and relies on
+    _run_units passing worker results through unchanged.
     """
     listed, bases = set(), []
-    for g6, k in units:
-        base = (g6, ord(g6[0]) - 63 - k)  # (g6, n - k): the codec writes n as one byte
+    for g6, g, k in units:
+        base = (g6, g.n - k)
         bases.append(base if base[1] < k and base in listed else None)
         listed.add((g6, k))
     wanted = set(filter(None, bases))
@@ -245,10 +241,10 @@ def _run_mirrored(mode: str, units: list[tuple[str, int]], jobs: int):
     for unit, base in zip(units, bases):
         if base is None:
             record = next(results)
-            if unit in wanted:
-                held[unit] = record
+            if (key := (unit[0], unit[2])) in wanted:
+                held[key] = record
         elif (record := held.pop(base))["status"] in ("confirmed", "skipped"):
-            record = {**record, "k": unit[1]}
+            record = {**record, "k": unit[2]}
         else:
             record = next(_run_units(mode, [unit], 1))
         yield record
@@ -285,12 +281,12 @@ def _exit_code(counts: Counter, violations_fail: bool = True) -> int:
     return 1 if violations_fail and counts["violated"] else 0
 
 
-def _tree_units(n_max: int) -> list[tuple[str, int]]:
+def _tree_units(n_max: int) -> list[Unit]:
     units = []
     for n in range(2, n_max + 1):
         for tree in enumerate_trees(n):
             g6 = emit_graph6(tree)
-            units.extend((g6, k) for k in range(1, n))
+            units.extend((g6, tree, k) for k in range(1, n))
     return units
 
 
@@ -315,7 +311,7 @@ def cmd_conjecture(args) -> int:
         return 2
     # plan holds skip records, and None for each work unit, in input file order
     plan: list[dict | None] = []
-    units: list[tuple[str, int]] = []
+    units: list[Unit] = []
     def skip(g6: str, k: int | None, reason: str) -> None:
         plan.append({"graph_id": g6, "k": k, "delta": None, "kappa": None,
                      "lambda": None, "status": "skipped", "reason": reason})
@@ -338,7 +334,7 @@ def cmd_conjecture(args) -> int:
         else:
             ks = range(2, g.n - 1) if args.k is None else [args.k]
             plan += [None] * len(ks)
-            units += [(g6, k) for k in ks]
+            units += [(g6, g, k) for k in ks]
 
     results = _run_mirrored("conjecture", units, args.jobs)
     records = (next(results) if record is None else record for record in plan)

@@ -5,15 +5,14 @@ The oracles read a `graphs.MaskGraph`: `n` and `neighbor_masks`, and the
 `Graph` and a `TokenGraph` are both one, so a token graph is measured
 straight from its masks.
 
-Before any flow, each oracle pays only for the test that settles it.  A
-bitset BFS (`graphs.mask_connected`, cached as `connected`) decides
-connectivity, which settles kappa and lambda at 0.  A connected graph with
-minimum degree delta = 1 has kappa = lambda = 1 exactly, since
-1 <= kappa <= lambda <= delta.  Only when delta >= 2 does one low-point DFS
-(`graphs.mask_cut_flags`, with its proof, cached as `cut_flags`) say
-whether there is a cut vertex or a bridge; both oracles share that run.  It
-settles kappa and lambda at 1, and at 2 when delta = 2.  Only graphs left
-over, with minimum degree at least 3, run flows.
+Before any flow, each oracle runs the one search that settles it.  When the
+minimum degree delta <= 1, a bitset BFS (`graphs.mask_connected`, cached
+as `connected`) gives kappa = lambda = 0 if disconnected, and else 1
+exactly, since 1 <= kappa <= lambda <= delta.  When delta >= 2, no BFS
+runs: one low-point DFS (`graphs.mask_cut_flags`, with its proof, cached
+as `cut_flags`) says whether the graph is connected and has a cut vertex or
+a bridge; both oracles share that run.  It settles kappa and lambda at 0,
+at 1, and at 2 when delta = 2.  Only graphs with delta >= 3 run flows.
 
 All flows run on one unit-capacity augmenting-path kernel over the
 neighbour bitmasks.  Vertex connectivity uses the standard vertex-splitting
@@ -182,24 +181,25 @@ def _dfs_settled(g: MaskGraph, flag: int) -> int:
     """kappa (flag 1, the cut-vertex entry of `cut_flags`) or lambda (flag 2,
     the bridge entry) when at most 2, else the minimum degree.
 
-    The BFS (`connected`) and the minimum degree settle 0 and delta = 1; the
-    DFS (`cut_flags`) runs only on a connected graph with delta >= 2.
+    The BFS (`connected`) decides when delta <= 1; otherwise the DFS
+    (`cut_flags`, whose first entry is connectivity) decides, with no BFS.
     """
-    if g.n <= 1 or not g.connected:
+    if g.n <= 1:
         return 0
     delta = g.min_degree()
-    if delta == 1 or g.cut_flags[flag]:
-        return 1
-    return delta
+    if delta <= 1:
+        return delta if g.connected else 0
+    flags = g.cut_flags
+    return 0 if not flags[0] else 1 if flags[flag] else delta
 
 
 def vertex_connectivity(g: MaskGraph) -> int:
-    """Vertex connectivity: a BFS and a DFS decide kappa <= 2, flows the rest.
+    """Vertex connectivity: a BFS or a DFS decides kappa <= 2, flows the rest.
 
-    Graphs with n <= 1 and graphs the cached BFS (`connected`) finds
-    disconnected return 0.  A connected graph with minimum degree delta = 1
-    returns 1, exact since 1 <= kappa <= delta, without the DFS.  Otherwise
-    the cached DFS on `g` (`cut_flags`) says whether there is a cut vertex.
+    Graphs with n <= 1 return 0.  When the minimum degree delta <= 1 the
+    cached BFS (`connected`) gives 0 if disconnected, else 1, exact since
+    1 <= kappa <= delta.  Otherwise the cached DFS on `g` (`cut_flags`) alone
+    says whether the graph is connected (else 0) and has a cut vertex.
 
     DFS exactness: the graph is connected with delta >= 2, so n >= 3, and
     kappa >= 2 exactly when no single vertex separates it, that is when it
@@ -246,12 +246,12 @@ def vertex_connectivity(g: MaskGraph) -> int:
 
 
 def edge_connectivity(g: MaskGraph) -> int:
-    """Edge connectivity: a BFS and a DFS decide lambda <= 2, flows the rest.
+    """Edge connectivity: a BFS or a DFS decides lambda <= 2, flows the rest.
 
-    Graphs with n <= 1 and graphs the cached BFS (`connected`) finds
-    disconnected return 0.  A connected graph with minimum degree delta = 1
-    returns 1, exact since 1 <= lambda <= delta, without the DFS.  Otherwise
-    the cached DFS on `g` (`cut_flags`) says whether there is a bridge.
+    Graphs with n <= 1 return 0.  When the minimum degree delta <= 1 the
+    cached BFS (`connected`) gives 0 if disconnected, else 1, exact since
+    1 <= lambda <= delta.  Otherwise the cached DFS on `g` (`cut_flags`) alone
+    says whether the graph is connected (else 0) and has a bridge.
 
     DFS exactness: the graph is connected, so lambda >= 2 exactly when no
     single edge disconnects it, that is when it has no bridge.  So a bridge

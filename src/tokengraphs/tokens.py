@@ -12,7 +12,7 @@ is a `graphs.MaskGraph`, so the connectivity oracles read it as a `Graph`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -111,27 +111,31 @@ def min_token_degree(g: Graph, k: int) -> int:
 class TokenGraph(MaskGraph):
     """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
-    `vertices` lists the configurations in lexicographic order, `occupancy`
-    their occupancy bitmasks, `index` maps those back to vertex indices, and
-    bit j of `neighbor_masks[i]` is set when vertices[i] and vertices[j] are
-    adjacent, so the neighbours of the configuration with occupancy mask occ
-    are the bits of `neighbor_masks[index[occ]]`.  As a `MaskGraph` over the
-    indices, with the automorphisms its base tree gives (`symmetries`), it
-    is what the connectivity oracles read.
+    `vertices` lists the configurations in lexicographic order, built on
+    first read, `occupancy` their occupancy bitmasks, `index` maps those back
+    to vertex indices, and bit j of `neighbor_masks[i]` is set when
+    configurations i and j are adjacent, so the neighbours of the
+    configuration with occupancy mask occ are the bits of
+    `neighbor_masks[index[occ]]`.  As a `MaskGraph` over the indices, with
+    the automorphisms its base tree gives (`symmetries`), it is what the
+    connectivity oracles read.
     """
 
-    def __init__(self, base: Graph, k: int, vertices: tuple[Config, ...],
-                 occupancy: list[int], index: dict[int, int], neighbor_masks: list[int]):
+    def __init__(self, base: Graph, k: int, occupancy: list[int], index: dict[int, int],
+                 neighbor_masks: list[int]):
         self.base = base
         self.k = k
-        self.vertices = vertices
         self.occupancy = occupancy
         self.index = index
         self.neighbor_masks = neighbor_masks
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.occupancy)
+
+    @cached_property
+    def vertices(self) -> tuple[Config, ...]:
+        return tuple(combinations(range(self.base.n), self.k))
 
     def symmetries(self, fixing: int | None = None) -> list[list[int]]:
         """Generators of automorphisms of F_k that fix the vertex index `fixing`
@@ -191,7 +195,7 @@ class TokenGraph(MaskGraph):
                 low = m & -m
                 m ^= low
                 edges.append((i, low.bit_length() - 1))
-        return Graph(len(self.vertices), tuple(edges))
+        return Graph(self.n, tuple(edges))
 
 
 def build_token_graph(g: Graph, k: int) -> TokenGraph:
@@ -208,16 +212,15 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
         raise ValueError(
             f"token graph would have {size} configurations, over the limit {MATERIALIZE_LIMIT}"
         )
-    vertices = tuple(combinations(range(g.n), k))
     occs = list(map(sum, combinations([1 << v for v in range(g.n)], k)))
     index = {occ: i for i, occ in enumerate(occs)}
     # upper[u]: the neighbours of u above it; bits[i]: vertex index i as a bit
     upper = [m & -(2 << u) for u, m in enumerate(g.neighbor_masks)]
     bits = [1 << i for i in range(size)]
     masks = [0] * size
-    for i, occ in enumerate(occs):
+    for i, (occ, cfg) in enumerate(zip(occs, combinations(range(g.n), k))):
         bit, adj, free = bits[i], 0, ~occ
-        for u in vertices[i]:
+        for u in cfg:
             up = upper[u] & free
             if up:
                 rest = occ ^ (1 << u)
@@ -228,7 +231,7 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
                     adj |= bits[j]
                     masks[j] |= bit
         masks[i] |= adj
-    return TokenGraph(g, k, vertices, occs, index, masks)
+    return TokenGraph(g, k, occs, index, masks)
 
 
 def classify_masks(g: Graph, a_mask: int, b_mask: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import pytest
 from _catalog import girth5_catalog
 from tokengraphs import cli, connectivity, families, tokens
 from tokengraphs.cli import main
-from tokengraphs.graphs import emit_graph6, enumerate_trees, star_graph
+from tokengraphs.graphs import emit_graph6, enumerate_trees, parse_graph6, star_graph
 from tokengraphs.tokens import TokenGraph, build_token_graph
 
 # graph6 lines used by the conjecture tests
@@ -25,6 +25,19 @@ K4 = "C~"
 P5 = "DhC"
 P3 = "Bg"
 TWO_PIECES = "B?"  # three vertices, no edges
+
+
+def make_unit(g6, k):
+    """The (graph6, graph, k) unit that a sweep hands its runner."""
+    return g6, parse_graph6(g6), k
+
+
+def refuse_decoding(monkeypatch):
+    """Make cli.parse_graph6 raise: a tree sweep's units carry their graphs."""
+    def refuse(line):
+        raise AssertionError(f"a tree sweep decoded {line!r}")
+
+    monkeypatch.setattr(cli, "parse_graph6", refuse)
 
 
 def run(capsys, argv):
@@ -67,7 +80,7 @@ class TestTheorem:
 
     def test_violation_sets_exit_code(self, capsys, monkeypatch):
         def fake(arg):
-            g6, k = arg
+            g6, _, k = arg
             return {"graph_id": g6, "k": k, "delta": 1, "kappa": 0,
                     "lambda": 1, "status": "violated"}
 
@@ -181,6 +194,26 @@ class TestConjecture:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    def test_each_line_decoded_once(self, capsys, monkeypatch, tmp_path):
+        path = self.write(tmp_path, [K4, TWO_PIECES, C5, P5, P3])
+        real, decoded = cli.parse_graph6, []
+        monkeypatch.setattr(cli, "parse_graph6", lambda line: decoded.append(line) or real(line))
+        code, records, _, _ = run(capsys, ["conjecture", "--input", path, "--json"])
+        assert code == 0 and len(records) == 7
+        assert decoded == [K4, TWO_PIECES, C5, P5, P3]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_girth5_catalogue_digest(self, capsys, tmp_path, jobs):
+        # sha256 of the records written while units still decoded their graph6 id
+        lines = sorted(emit_graph6(g) for g in girth5_catalog(9))
+        assert len(lines) == 219
+        path = self.write(tmp_path, lines)
+        assert main(["conjecture", "--input", path, "--json", "--jobs", jobs]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1166 and out.count('"skipped"') == 3
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5d92a4be8ca80db0cf6d62a4160ea7fc1c7a8b17157f2faf1a795489b24ec683")
+
     def test_missing_file(self, capsys):
         code = main(["conjecture", "--input", "/nonexistent/path.g6"])
         out, err = capsys.readouterr()
@@ -268,7 +301,7 @@ class TestUnitErrors:
     def test_error_outranks_violation(self, capsys, monkeypatch):
         def unit(arg):
             if arg[0] == "A_":
-                return {"graph_id": arg[0], "k": arg[1], "status": "violated"}
+                return {"graph_id": arg[0], "k": arg[-1], "status": "violated"}
             return 1 / 0
 
         monkeypatch.setitem(cli._UNIT_RUNNERS, "paths", unit)
@@ -304,11 +337,11 @@ def without_k(record):
 
 
 def complement_pairs(graphs, k_min):
-    """(graph6, k, n - k) for every k_min <= k < n - k."""
+    """The units for k and for n - k, for every k_min <= k < n - k."""
     for g in graphs:
         g6 = emit_graph6(g)
         for k in range(k_min, (g.n + 1) // 2):
-            yield g6, k, g.n - k
+            yield (g6, g, k), (g6, g, g.n - k)
 
 
 class TestComplementHalves:
@@ -319,16 +352,16 @@ class TestComplementHalves:
         trees = [t for n in range(2, n_max + 1) for t in enumerate_trees(n)]
         pairs = list(complement_pairs(trees, 1))
         assert len(pairs) == {9: 311, 8: 123}[n_max]
-        for g6, k, mirror in pairs:
-            assert without_k(unit((g6, k))) == without_k(unit((g6, mirror))), (g6, k)
+        for arg, mirror in pairs:
+            assert without_k(unit(arg)) == without_k(unit(mirror)), arg
 
     def test_girth5_catalogue(self):
         graphs = girth5_catalog(9)
         pairs = list(complement_pairs(graphs, 2))
-        assert len({g6 for g6, _, _ in pairs}) == 214  # every catalogue graph with 5 <= n <= 9
-        for g6, k, mirror in pairs:
-            base = cli._conjecture_unit((g6, k))
-            assert without_k(base) == without_k(cli._conjecture_unit((g6, mirror))), (g6, k)
+        assert len({arg[0] for arg, _ in pairs}) == 214  # every catalogue graph with 5 <= n <= 9
+        for arg, mirror in pairs:
+            base = cli._conjecture_unit(arg)
+            assert without_k(base) == without_k(cli._conjecture_unit(mirror)), arg
             assert base["status"] == "confirmed"
 
 
@@ -340,7 +373,7 @@ class TestMirroring:
         real, calls = cli._UNIT_RUNNERS[mode], []
 
         def counted(arg):
-            calls.append(arg)
+            calls.append((arg[0], arg[-1]))
             record = real(arg)
             return {**record, "status": status(arg) or record["status"]}
 
@@ -361,7 +394,8 @@ class TestMirroring:
 
     def test_violated_base_runs_the_mirror(self, capsys, monkeypatch):
         calls = self.count_calls(
-            monkeypatch, "theorem", lambda arg: "violated" if arg == ("Bo", 1) else None)
+            monkeypatch, "theorem",
+            lambda arg: "violated" if (arg[0], arg[-1]) == ("Bo", 1) else None)
         code, records, summary, _ = run(capsys, ["theorem", "--n-max", "3"])
         assert code == 1
         assert calls == [("A_", 1), ("Bo", 1), ("Bo", 2)]
@@ -398,8 +432,9 @@ class TestMirroring:
         assert main([*argv, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_theorem_digest(self, capsys):
+    def test_theorem_digest(self, capsys, monkeypatch):
         # sha256 of the records computed before mirroring existed
+        refuse_decoding(monkeypatch)
         assert main(["theorem", "--n-max", "10", "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "9b47c3292b92f24330db6a64bba43e2930035e9bd0d456d770ac1763165d5666"
@@ -417,7 +452,7 @@ class TestOrbitFolding:
 
     def test_folded_equals_unfolded(self, monkeypatch):
         trees = [t for n in range(2, 9) for t in enumerate_trees(n)]
-        units = [(emit_graph6(t), k) for t in trees for k in range(1, t.n // 2 + 1)]
+        units = [(emit_graph6(t), t, k) for t in trees for k in range(1, t.n // 2 + 1)]
         assert len(units) == 155
         for arg in units:
             assert cli._paths_unit(arg) == unfolded(monkeypatch, cli._paths_unit, arg), arg
@@ -426,14 +461,14 @@ class TestOrbitFolding:
         built = []
         real = cli.build_family
         monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a[1:3]) or real(*a))
-        record = cli._paths_unit(("Cs", 2))  # the star K_{1,3}: S_3 and complementing
+        record = cli._paths_unit(make_unit("Cs", 2))  # the star K_{1,3}: S_3 and complementing
         assert record["pairs"] == 6 and record["status"] == "confirmed"
         assert built == [((0, 1), (0, 2))]
 
     def test_failing_representative(self, monkeypatch):
         # P_6 with k = 3: the reflection and complementing both act
-        arg = ("Eh_G", 3)
-        tree = cli.parse_graph6(arg[0])
+        arg = make_unit("Eh_G", 3)
+        tree = arg[1]
         assert tree.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (4, 5))
         tg = cli.build_token_graph(tree, 3)
         pairs = [(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()]
@@ -472,8 +507,9 @@ class TestOrbitFolding:
         assert main(["paths", "--n-max", "7", "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == plain
 
-    def test_paths_digest(self, capsys):
+    def test_paths_digest(self, capsys, monkeypatch):
         # sha256 of the records computed before orbit folding existed
+        refuse_decoding(monkeypatch)
         assert main(["paths", "--n-max", "9", "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "f02e16c2a1b641fe7536840db1cfb85ae0a1fa562328a997366ba62ce499dd86"
@@ -491,8 +527,8 @@ class TestFlowFolding:
 
     @staticmethod
     def flow_units(graphs, ks):
-        """(graph6, k) for each F_k with minimum degree 3 or more, where flows run."""
-        return [(emit_graph6(g), k) for g in graphs for k in ks(g)
+        """The unit of each F_k with minimum degree 3 or more, where flows run."""
+        return [(emit_graph6(g), g, k) for g in graphs for k in ks(g)
                 if build_token_graph(g, k).min_degree() >= 3]
 
     def folded_and_unfolded(self, monkeypatch, unit, args):
@@ -525,7 +561,7 @@ class TestFlowFolding:
 
     def test_conjecture_units_with_2k_equal_n(self, monkeypatch):
         graphs = [g for g in girth5_catalog(9) if g.n % 2 == 0 and g.n >= 4]
-        args = [(emit_graph6(g), g.n // 2) for g in graphs]
+        args = [(emit_graph6(g), g, g.n // 2) for g in graphs]
         counts = self.folded_and_unfolded(monkeypatch, cli._conjecture_unit, args)
         assert len(args) == 57
         # only the trees fold: complementing fixes no source and, with n > 4,
@@ -540,7 +576,8 @@ class TestFlowFolding:
         # the automorphisms that fix the source configuration leave a handful
         # of sink orbits, however large the star's group
         flows = self.count_flows(monkeypatch)
-        record = cli._conjecture_unit((emit_graph6(star_graph(leaves)), k))
+        star = star_graph(leaves)
+        record = cli._conjecture_unit((emit_graph6(star), star, k))
         assert record["status"] == "confirmed"
         assert len(flows) <= most
 

@@ -514,6 +514,22 @@ class TestSeededLargerTrees:
             assert trees <= 20, f"after 20 trees, families by terminal case: {by_case}"
         print(f"{trees} trees; families by terminal case (None: case 1): {by_case}")
 
+    @pytest.mark.parametrize("leaves, sample", [(9, None), (11, 300)])
+    def test_families_on_stars_with_delta_5(self, leaves, sample):
+        # F_5 of a star with 9 or more leaves has delta = 5, past the
+        # delta <= 4 that the exhaustive paths sweep (n <= 8) reaches: every
+        # pair of K_{1,9}, and a seeded sample of the pairs of K_{1,11}
+        tree = star_graph(leaves)
+        tg = build_token_graph(tree, 5)
+        pairs = config_pairs(tg)
+        assert tg.min_degree() == 5 and len(pairs) == {9: 2520, 11: 11550}[leaves]
+        if sample:
+            pairs = random.Random(leaves).sample(pairs, sample)
+        for x, y in pairs:
+            result = build_family(tree, x, y, 5)
+            assert result.size >= 5
+            assert not family_faults(result.family, x, y), (x, y)
+
     def test_connectivity_equals_min_degree_on_trees_with_9_to_12_vertices(self):
         # the flow oracles against the degree floor on every F_k with n <= 12;
         # comb(n, k) <= 924 admits every k, so k near n/2 reaches delta >= 3,

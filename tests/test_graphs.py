@@ -161,9 +161,9 @@ class TestOneDfs:
         assert Graph(0, ()).cut_flags == (True, False, False)
         assert Graph(0, ()).connected
 
-    def test_dfs_runs_once_per_graph(self, monkeypatch):
-        # the BFS decides connectivity and settles delta = 1; the DFS runs
-        # only when delta >= 2, and each cached answer is computed once
+    @staticmethod
+    def count_searches(monkeypatch) -> Counter:
+        """Count the BFS and DFS runs that `connected` and `cut_flags` make."""
         calls: Counter = Counter()
 
         def counted(name, fn):
@@ -172,9 +172,14 @@ class TestOneDfs:
                 return fn(masks)
             return wrapper
 
-        bfs, dfs = counted("bfs", mask_connected), counted("dfs", mask_cut_flags)
-        monkeypatch.setattr(graphs_module, "mask_connected", bfs)
-        monkeypatch.setattr(graphs_module, "mask_cut_flags", dfs)
+        monkeypatch.setattr(graphs_module, "mask_connected", counted("bfs", mask_connected))
+        monkeypatch.setattr(graphs_module, "mask_cut_flags", counted("dfs", mask_cut_flags))
+        return calls
+
+    def test_dfs_runs_once_per_graph(self, monkeypatch):
+        # the BFS decides connectivity and settles delta = 1; the DFS alone
+        # decides when delta >= 2, and each cached answer is computed once
+        calls = self.count_searches(monkeypatch)
         g = cycle_graph(5)
         assert g.connected and g.connected
         assert "cut_flags" not in vars(g) and calls == {"bfs": 1}
@@ -188,7 +193,17 @@ class TestOneDfs:
         fk = build_token_graph(cycle_graph(5), 2)
         assert vertex_connectivity(fk) == edge_connectivity(fk) == fk.min_degree() == 2
         assert fk.cut_flags is fk.cut_flags
-        assert calls == {"bfs": 3, "dfs": 1}
+        assert calls == {"bfs": 2, "dfs": 1}
+
+    def test_dfs_settles_a_disconnected_graph(self, monkeypatch):
+        # two disjoint 5-cycles: delta = 2, so the DFS runs and finds the
+        # second cycle unreached, and no BFS runs
+        calls = self.count_searches(monkeypatch)
+        c5 = cycle_graph(5).edges
+        g = Graph(10, c5 + tuple((u + 5, v + 5) for u, v in c5))
+        assert g.min_degree() == 2
+        assert vertex_connectivity(g) == edge_connectivity(g) == 0
+        assert calls == {"dfs": 1}
 
     def test_mask_reads_match_adjacency(self, small_graphs):
         for _, g in small_graphs:
