@@ -49,32 +49,32 @@ from .graphs import (
     parse_graph6,
 )
 # min_token_degree stays importable here: perfbench's tracer wraps cli.min_token_degree
-from .tokens import build_token_graph, min_token_degree
+from .tokens import TokenGraph, build_token_graph, min_token_degree
 
 __all__ = ["main"]
 Unit = tuple[str, Graph, int]  # (graph6 id, its graph, k)
 _CHUNK = 16  # units per task sent to a --jobs worker
 
 
-def _measure(record: dict, g: Graph, k: int, with_lambda: bool = True) -> bool:
-    """Fill in delta, kappa and lambda of F_k(g); False marks F_k too large to build."""
+def _token_graph(record: dict, g: Graph, k: int) -> TokenGraph | None:
+    """F_k(g), with its delta written into `record`; None when F_k is too large
+    to build, and then `record` is marked skipped with the reason."""
     try:
         tg = build_token_graph(g, k)
     except ValueError as exc:
         record.update(status="skipped", reason=str(exc))
-        return False
+        return None
     record["delta"] = tg.min_degree()
-    record["kappa"] = vertex_connectivity(tg)
-    if with_lambda:
-        record["lambda"] = edge_connectivity(tg)
-    return True
+    return tg
 
 
 def _theorem_unit(arg: Unit) -> dict:
     """Check kappa = lambda = delta on one (tree, k) token graph."""
     g6, tree, k = arg
     record = {"graph_id": g6, "k": k, "delta": None, "kappa": None, "lambda": None}
-    if _measure(record, tree, k):
+    if (tg := _token_graph(record, tree, k)) is not None:
+        record["kappa"] = vertex_connectivity(tg)
+        record["lambda"] = edge_connectivity(tg)
         ok = record["kappa"] == record["lambda"] == record["delta"]
         record["status"] = "confirmed" if ok else "violated"
     return record
@@ -94,17 +94,13 @@ def _paths_unit(arg: Unit, fold: bool = True) -> dict:
         "max_slack_case1": None,
         "max_slack_case2": None,
     }
-    try:
-        tg = build_token_graph(tree, k)
-    except ValueError as exc:
-        record.update(status="skipped", reason=str(exc))
+    if (tg := _token_graph(record, tree, k)) is None:
         return record
-    delta = tg.min_degree()
-    record["delta"] = delta
+    delta = record["delta"]
     gens = tg.symmetries() if fold else []
     d2 = list(tg.distance2_pairs())
-    min_size: int | None = None
-    max_slack: dict[int, int | None] = {1: None, 2: None}
+    sizes: list[int] = []
+    slacks: dict[int, list[int]] = {1: [], 2: []}  # delta - m per case
     # without gens this walks every pair, so `pairs` is the index of (i, j) in d2
     for pairs, (i, j) in enumerate(_first_pairs(tg.n, d2, gens) if gens else d2, 1):
         x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
@@ -119,16 +115,13 @@ def _paths_unit(arg: Unit, fold: bool = True) -> dict:
                 instance={"x": list(x_cfg), "y": list(y_cfg), "error": str(exc)},
             )
             return record
-        size = result.size
-        min_size = size if min_size is None else min(min_size, size)
-        slack, case = result.delta - result.context.m, result.case
-        prev = max_slack[case]
-        max_slack[case] = slack if prev is None else max(prev, slack)
+        sizes.append(result.size)
+        slacks[result.case].append(result.delta - result.context.m)
     record.update(
         pairs=len(d2),
-        min_family_size=min_size,
-        max_slack_case1=max_slack[1],
-        max_slack_case2=max_slack[2],
+        min_family_size=min(sizes, default=None),
+        max_slack_case1=max(slacks[1], default=None),
+        max_slack_case2=max(slacks[2], default=None),
         status="confirmed",
     )
     return record
@@ -165,7 +158,9 @@ def _hfamily_unit(m: int) -> dict:
         "kappa_expected": m - 1,
         "delta_expected": 2 * (m - 2),
     }
-    if _measure(record, h, 2):
+    if (tg := _token_graph(record, h, 2)) is not None:
+        record["kappa"] = vertex_connectivity(tg)
+        record["lambda"] = edge_connectivity(tg)
         ok = record["kappa"] == record["lambda"] == m - 1 and record["delta"] == 2 * (m - 2)
         record["status"] = "confirmed" if ok else "violated"
     return record
@@ -175,7 +170,8 @@ def _conjecture_unit(arg: Unit) -> dict:
     """Compare kappa and delta of F_k(G) for one girth-5 input graph."""
     g6, g, k = arg
     record = {"graph_id": g6, "k": k, "delta": None, "kappa": None, "lambda": None}
-    if _measure(record, g, k, with_lambda=False):
+    if (tg := _token_graph(record, g, k)) is not None:
+        record["kappa"] = vertex_connectivity(tg)
         record["status"] = "confirmed" if record["kappa"] == record["delta"] else "violated"
     return record
 
@@ -275,10 +271,8 @@ def _emit(records, args, summary_head: str) -> Counter:
     return counts
 
 
-def _exit_code(counts: Counter, violations_fail: bool = True) -> int:
-    if counts["error"]:
-        return 3
-    return 1 if violations_fail and counts["violated"] else 0
+def _exit_code(counts: Counter) -> int:
+    return 3 if counts["error"] else 1 if counts["violated"] else 0
 
 
 def _tree_units(n_max: int) -> list[Unit]:
@@ -297,6 +291,9 @@ def cmd_trees(args) -> int:
 
 
 def cmd_hfamily(args) -> int:
+    if args.m_min > args.m_max:
+        print("error: --m-min above --m-max", file=sys.stderr)
+        return 2
     units = list(range(args.m_min, args.m_max + 1))
     records = _run_units("hfamily", units, args.jobs)
     return _exit_code(_emit(records, args, f"hfamily m={args.m_min}..{args.m_max}"))
@@ -338,8 +335,8 @@ def cmd_conjecture(args) -> int:
 
     results = _run_mirrored("conjecture", units, args.jobs)
     records = (next(results) if record is None else record for record in plan)
-    # a kappa < delta finding is the scan's output, not a failure
-    return _exit_code(_emit(records, args, f"conjecture {args.input}"), violations_fail=False)
+    counts = _emit(records, args, f"conjecture {args.input}")
+    return 3 if counts["error"] else 0  # a kappa < delta finding is the scan's output
 
 
 def _int_range(lo: int, hi: int):
@@ -396,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    if getattr(args, "m_min", None) is not None and args.m_min > args.m_max:
-        print("error: --m-min above --m-max", file=sys.stderr)
-        return 2
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the shutdown flush

@@ -60,7 +60,7 @@ independently.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, MaskGraph, orbit_firsts
 
@@ -177,6 +177,19 @@ def _unit_flow(masks: Sequence[int], s: int, t: int, limit: int, split: bool) ->
     return flow
 
 
+def _least_flow(masks: Sequence[int], pairs: Iterable[tuple[int, int]], best: int,
+                split: bool) -> int:
+    """The least local flow over `pairs`, each capped at the best value so far,
+    starting from `best`; the scan stops once it reaches 2, the lower bound
+    that the DFS proved (`_dfs_settled`).  A capped flow never exceeds its
+    cap, so each flow leaves the best at min(best, that local value)."""
+    for s, t in pairs:
+        best = _unit_flow(masks, s, t, best, split)
+        if best == 2:
+            break
+    return best
+
+
 def _dfs_settled(g: MaskGraph, flag: int) -> int:
     """kappa (flag 1, the cut-vertex entry of `cut_flags`) or lambda (flag 2,
     the bridge entry) when at most 2, else the minimum degree.
@@ -208,10 +221,11 @@ def vertex_connectivity(g: MaskGraph) -> int:
 
     When delta >= 3 and there is no cut vertex, let v be the lowest-index
     vertex of minimum degree; flows run from v to every non-neighbour, then
-    between every non-adjacent pair in N(v), each capped at the best value so
-    far (kappa <= delta), and the scan stops once it reaches 2, which the DFS
-    proved is a lower bound.  A complete graph has no such pair and returns
-    delta = n - 1.
+    between every non-adjacent pair in N(v), in the one capped scan
+    `_least_flow` that both oracles share: each flow is capped at the best
+    value so far (kappa <= delta), and the scan stops once it reaches 2, which
+    the DFS proved is a lower bound.  A complete graph has no such pair and
+    returns delta = n - 1.
 
     Flow exactness: each flow is a local connectivity, so at least kappa.
     Let S be a minimum separator.  If v is not in S, the component of G - S
@@ -236,13 +250,7 @@ def vertex_connectivity(g: MaskGraph) -> int:
     pairs = [(v, w) for w in orbit_firsts(sinks, g.symmetries(v))]
     nbrs = [w for w in range(g.n) if masks[v] >> w & 1]
     pairs += [(x, y) for x, y in combinations(nbrs, 2) if not masks[x] >> y & 1]
-    for s, t in pairs:
-        flow = _unit_flow(masks, s, t, best, split=True)
-        if flow < best:
-            best = flow
-            if best == 2:
-                break
-    return best
+    return _least_flow(masks, pairs, best, split=True)
 
 
 def edge_connectivity(g: MaskGraph) -> int:
@@ -260,8 +268,9 @@ def edge_connectivity(g: MaskGraph) -> int:
 
     When delta >= 3 and there is no bridge, take a greedy dominating set D
     (each vertex not yet dominated, in index order) and run flows from D[0]
-    to every other member, each capped at the best value so far
-    (lambda <= delta); the scan stops once it reaches 2, which the DFS
+    to every other member, in the one capped scan `_least_flow` that both
+    oracles share: each flow is capped at the best value so far
+    (lambda <= delta), and the scan stops once it reaches 2, which the DFS
     proved is a lower bound.
 
     Flow exactness: each flow is a local edge connectivity, so at least
@@ -287,13 +296,8 @@ def edge_connectivity(g: MaskGraph) -> int:
             dominating.append(v)
             dominated |= 1 << v | masks[v]
     source, *sinks = dominating
-    for t in orbit_firsts(sinks, g.symmetries(source)):
-        flow = _unit_flow(masks, source, t, best, split=False)
-        if flow < best:
-            best = flow
-            if best == 2:
-                break
-    return best
+    pairs = [(source, t) for t in orbit_firsts(sinks, g.symmetries(source))]
+    return _least_flow(masks, pairs, best, split=False)
 
 
 def _mask_connected(masks: list[int], alive: int) -> bool:

@@ -3,14 +3,23 @@
 A `TokenGraph` is read by vertex index; these helpers reach a configuration
 through its occupancy mask and `index`, audit a family on its paths'
 configurations without the engine's own checks, and replay a verified family
-in the normalised frame, where its trace certificates speak.
+in the normalised frame, where its trace certificates speak.  `double_star`
+builds the symmetric base trees that the seeded checks past the exhaustive
+sweeps share.
 """
 
 import networkx as nx
 
 from tokengraphs.families import plan_family
+from tokengraphs.graphs import Graph
 from tokengraphs.moves import TokenPath
 from tokengraphs.tokens import config_mask
+
+
+def double_star(a: int, b: int) -> Graph:
+    """Adjacent centres 0 and 1 with a and b leaves."""
+    leaves = [(0, v) for v in range(2, a + 2)] + [(1, v) for v in range(a + 2, a + b + 2)]
+    return Graph(a + b + 2, ((0, 1), *leaves))
 
 
 def fk_neighbors(tg, cfg):

@@ -9,6 +9,7 @@ import resource
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ import pytest
 from _catalog import girth5_catalog
 from tokengraphs import cli, connectivity, families, tokens
 from tokengraphs.cli import main
-from tokengraphs.graphs import emit_graph6, enumerate_trees, parse_graph6, star_graph
+from tokengraphs.graphs import (
+    bridged_cliques, emit_graph6, enumerate_trees, parse_graph6, star_graph,
+)
 from tokengraphs.tokens import TokenGraph, build_token_graph
 
 # graph6 lines used by the conjecture tests
@@ -236,6 +239,71 @@ class TestConjecture:
         assert code == 2
         assert err.startswith("error:") and "decode" in err
         assert out == ""
+
+    def test_byte_below_graph6_range(self, capsys, tmp_path):
+        path = self.write(tmp_path, ["B!o"])
+        code = main(["conjecture", "--input", path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: 'B!o': byte 33 outside graph6 range 63..126 (byte offset 1)\n"
+
+
+class TestRunnerRules:
+    """Each mode's rules for a token graph over the size guard and for a kappa
+    below delta."""
+
+    @staticmethod
+    def kappa_one_short(monkeypatch):
+        real = cli.vertex_connectivity
+        monkeypatch.setattr(cli, "vertex_connectivity", lambda g: real(g) - 1)
+
+    @pytest.mark.parametrize("mode", ["theorem", "paths"])
+    def test_size_guard_skips_tree_units(self, capsys, monkeypatch, mode):
+        # F_2 and F_3 of a 5-vertex tree have C(5, 2) = C(5, 3) = 10 configurations;
+        # build_token_graph reads MATERIALIZE_LIMIT at call time
+        monkeypatch.setattr(tokens, "MATERIALIZE_LIMIT", 9)
+        code, records, _, _ = run(capsys, [mode, "--n-max", "5", "--json"])
+        assert code == 0
+        assert Counter(r["status"] for r in records) == {"confirmed": 15, "skipped": 6}
+        by_unit = {(r["graph_id"], r["k"]): r for r in records}
+        five = [g6 for g6, k in by_unit if g6[0] == "D" and k == 1]  # chr(63 + 5)
+        assert len(five) == 3
+        for g6 in five:
+            skipped = by_unit[g6, 2]
+            assert list(skipped)[-2:] == ["status", "reason"]
+            assert skipped["status"] == "skipped" and skipped["delta"] is None
+            assert skipped["reason"] == "token graph would have 10 configurations, over the limit 9"
+            mirror = by_unit[g6, 3]
+            assert list(mirror.items()) == list({**skipped, "k": 3}.items())
+
+    def test_size_guard_skips_hfamily(self, capsys, monkeypatch):
+        monkeypatch.setattr(tokens, "MATERIALIZE_LIMIT", 9)  # H(3) has 6 vertices
+        code, records, _, _ = run(capsys, ["hfamily", "--m-min", "3", "--m-max", "3", "--json"])
+        assert code == 0
+        expected = {
+            "graph_id": emit_graph6(bridged_cliques(3)), "m": 3, "k": 2,
+            "delta": None, "kappa": None, "lambda": None,
+            "kappa_expected": 2, "delta_expected": 2, "status": "skipped",
+            "reason": "token graph would have 15 configurations, over the limit 9",
+        }
+        assert [list(r.items()) for r in records] == [list(expected.items())]
+
+    def test_conjecture_violations_exit_0(self, capsys, monkeypatch, tmp_path):
+        # kappa < delta is what the scan looks for, so finding it is no failure
+        self.kappa_one_short(monkeypatch)
+        path = tmp_path / "input.g6"
+        path.write_text(f"{C5}\n", encoding="ascii")
+        code, records, summary, _ = run(capsys, ["conjecture", "--input", str(path)])
+        assert code == 0
+        got = [(r["k"], r["delta"], r["kappa"], r["status"]) for r in records]
+        assert got == [(2, 2, 1, "violated"), (3, 2, 1, "violated")]
+        assert summary[1:] == [f"#   violated: graph_id={C5} k=2", f"#   violated: graph_id={C5} k=3"]
+
+    def test_theorem_violations_exit_1(self, capsys, monkeypatch):
+        self.kappa_one_short(monkeypatch)
+        code, records, _, _ = run(capsys, ["theorem", "--n-max", "3", "--json"])
+        assert code == 1
+        assert [r["status"] for r in records] == ["violated"] * 3
 
 
 # the patched unit code reaches --jobs workers only when they are forked
@@ -795,6 +863,15 @@ class TestImports:
 
 
 class TestModuleEntryPoint:
+    def test_standard_library_only(self, capsys):
+        # -S keeps site-packages, and with them networkx and hypothesis, off the path
+        argv = ["hfamily", "--m-min", "3", "--m-max", "4", "--json"]
+        proc = subprocess.run([sys.executable, "-S", "-m", "tokengraphs", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
     def test_python_dash_m(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tokengraphs", "theorem", "--n-max", "2", "--json"],

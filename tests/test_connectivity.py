@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fk import double_star
 from tokengraphs.connectivity import (
     _unit_flow,
     brute_force_connectivity,
@@ -175,12 +176,6 @@ TWO_HUBS = Graph(
 def prufer_tree(rng: random.Random, n: int) -> Graph:
     tree = nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
     return Graph(n, tuple(tree.edges()))
-
-
-def double_star(a: int, b: int) -> Graph:
-    """Adjacent centres 0 and 1 with a and b leaves."""
-    leaves = [(0, v) for v in range(2, a + 2)] + [(1, v) for v in range(a + 2, a + b + 2)]
-    return Graph(a + b + 2, ((0, 1), *leaves))
 
 
 def planted_cut_graph(rng: random.Random) -> tuple[Graph, int]:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fk import family_faults, fk_neighbors, normalized_paths, planned_moves
+from _fk import double_star, family_faults, fk_neighbors, normalized_paths, planned_moves
 from tokengraphs import families
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import (
@@ -528,6 +528,19 @@ class TestSeededLargerTrees:
         for x, y in pairs:
             result = build_family(tree, x, y, 5)
             assert result.size >= 5
+            assert not family_faults(result.family, x, y), (x, y)
+
+    def test_families_on_a_double_star_with_delta_4(self):
+        # F_4 of the double star with 6 + 6 leaves (n = 14) has delta = 4,
+        # past the n <= 8 of the exhaustive paths sweep: a seeded sample of
+        # its distance-2 pairs, each family audited apart from the engine
+        tree = double_star(6, 6)
+        tg = build_token_graph(tree, 4)
+        pairs = config_pairs(tg)
+        assert (tree.n, tg.n, tg.min_degree(), len(pairs)) == (14, 1001, 4, 12480)
+        for x, y in random.Random(14).sample(pairs, 300):
+            result = build_family(tree, x, y, 4)
+            assert result.size >= 4
             assert not family_faults(result.family, x, y), (x, y)
 
     def test_connectivity_equals_min_degree_on_trees_with_9_to_12_vertices(self):

@@ -264,6 +264,13 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("Bh")
 
+    @pytest.mark.parametrize("text, offset", [("B!o", 1), ("C~ ~", 2)])
+    def test_byte_below_range_names_its_offset(self, text, offset):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset
+        assert str(err.value).endswith(f"(byte offset {offset})")
+
     def test_multibyte_order_unsupported(self):
         with pytest.raises(Graph6Error):
             parse_graph6("~??")
@@ -488,6 +495,16 @@ class TestGenerators:
         assert cycle_graph(5).edge_count == 5
         assert complete_graph(5).edge_count == 10
         assert star_graph(4).edge_count == 4
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: tree_canonical_form(cycle_graph(4)), "tree_canonical_form requires a tree"),
+        (lambda: cycle_graph(2), "cycles need at least 3 vertices"),
+        (lambda: bridged_cliques(1), "cliques need at least 2 vertices"),
+        (lambda: Graph(0, ()).min_degree(), "empty graph has no degrees"),
+    ])
+    def test_rejections(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
     def test_bridged_cliques(self):
         h = bridged_cliques(4)
