@@ -5,21 +5,21 @@ path engine (paths), reproduce the two-clique counterexample family
 (hfamily), and scan girth-5 graphs for the connectivity conjecture
 (conjecture).  Every run streams one JSON record per (graph, k) unit;
 a human summary follows unless --json is given.  A theorem, paths or
-conjecture unit (graph6, Graph, k) carries its graph, so no unit decodes.
-Complementing configurations maps F_k(G) onto F_{n-k}(G), so such a unit with
-k > n - k whose unit for n - k came earlier is a mirror: that record is
-emitted again with only k rewritten, unless it is violated or errored, and
-then the mirror runs for real so that its own witness or traceback appears.
+conjecture sweep is a list of graphs with their k ranges; each unit
+(graph6, Graph, k) carries its graph, so no unit decodes.  Complementing maps
+F_k(G) onto F_{n-k}(G), so a unit with n - k < k in its graph's k range is a
+mirror: the record of n - k, kept per graph, is emitted again with only k
+rewritten unless it is violated or errored, and then the mirror runs for real.
 --jobs sends units in chunks, each pickled once with the graphs it shares.
 Automorphisms of a tree act on F_k (`TokenGraph.symmetries`), and units fold
 by them.  A paths unit folds its distance-2 pairs by orbit under the tree's
 automorphisms, plus complementing when 2k = n, and builds one family per
 orbit, for its first pair (`graphs.orbit_firsts`): isomorphic pairs have
 isomorphic families, so every record field agrees on an orbit.  If a family
-fails, the paths unit reruns over every pair so that its record names the
-first failing pair and its index.  Each flow scan of a theorem or conjecture unit has a fixed
-source and runs one flow per orbit of its sinks under the tree
-automorphisms that fix that source; a non-tree base does not fold.  A unit
+fails, a second pass of the loop, over every pair of the same F_k, names the
+first failing pair and its index.  Each flow scan of a theorem or conjecture
+unit has a fixed source and runs one flow per orbit of its sinks under the
+tree automorphisms that fix that source; a non-tree base does not fold.  A unit
 that raises an unexpected exception yields a record with status "error" and
 the exception, and its traceback goes to stderr; the sweep goes on.  Exit code
 1 flags a violated record in the theorem, paths or hfamily modes, 2 a usage
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import string
 import sys
 from collections import Counter
 
@@ -80,7 +81,7 @@ def _theorem_unit(arg: Unit) -> dict:
     return record
 
 
-def _paths_unit(arg: Unit, fold: bool = True) -> dict:
+def _paths_unit(arg: Unit) -> dict:
     """Run the path engine on one distance-2 pair per symmetry orbit of one (tree, k)."""
     g6, tree, k = arg
     record = {
@@ -97,33 +98,31 @@ def _paths_unit(arg: Unit, fold: bool = True) -> dict:
     if (tg := _token_graph(record, tree, k)) is None:
         return record
     delta = record["delta"]
-    gens = tg.symmetries() if fold else []
     d2 = list(tg.distance2_pairs())
-    sizes: list[int] = []
-    slacks: dict[int, list[int]] = {1: [], 2: []}  # delta - m per case
-    # without gens this walks every pair, so `pairs` is the index of (i, j) in d2
-    for pairs, (i, j) in enumerate(_first_pairs(tg.n, d2, gens) if gens else d2, 1):
-        x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
-        try:
-            result = build_family(tree, x_cfg, y_cfg, delta)
-        except (FamilyConstructionError, ValueError) as exc:
-            if gens:
-                return _paths_unit(arg, fold=False)
+    gens = tg.symmetries()
+    # a failure in the folded pass reruns the loop over d2, so `pairs` indexes d2
+    for candidates in (_first_pairs(tg.n, d2, gens), d2) if gens else (d2,):
+        sizes: list[int] = []
+        slacks: dict[int, list[int]] = {1: [], 2: []}  # delta - m per case
+        for pairs, (i, j) in enumerate(candidates, 1):
+            x_cfg, y_cfg = tg.vertices[i], tg.vertices[j]
+            try:
+                result = build_family(tree, x_cfg, y_cfg, delta)
+            except (FamilyConstructionError, ValueError) as exc:
+                failure = {"x": list(x_cfg), "y": list(y_cfg), "error": str(exc)}
+                break
+            sizes.append(result.size)
+            slacks[result.case].append(result.delta - result.context.m)
+        else:
             record.update(
-                pairs=pairs,
-                status="violated",
-                instance={"x": list(x_cfg), "y": list(y_cfg), "error": str(exc)},
+                pairs=len(d2),
+                min_family_size=min(sizes, default=None),
+                max_slack_case1=max(slacks[1], default=None),
+                max_slack_case2=max(slacks[2], default=None),
+                status="confirmed",
             )
             return record
-        sizes.append(result.size)
-        slacks[result.case].append(result.delta - result.context.m)
-    record.update(
-        pairs=len(d2),
-        min_family_size=min(sizes, default=None),
-        max_slack_case1=max(slacks[1], default=None),
-        max_slack_case2=max(slacks[2], default=None),
-        status="confirmed",
-    )
+    record.update(pairs=pairs, status="violated", instance=failure)
     return record
 
 
@@ -219,31 +218,27 @@ def _run_units(mode: str, units: list, jobs: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _run_mirrored(mode: str, units: list[Unit], jobs: int):
-    """Yield one record per (graph6, graph, k) unit in unit order, dispatching no mirror.
+def _run_graphs(mode: str, graphs: list[tuple[str, Graph, range]], jobs: int):
+    """Yield a record per unit (graph6, graph, k) of each (graph6, graph, ks) in
+    order, with no mirror dispatched.
 
-    A mirror's base is (g6, n - k), n read from the unit's graph.  It wraps
-    _run_units because perfbench's tracer replaces _pool_worker and relies on
-    _run_units passing worker results through unchanged.
+    Computed units go through _run_units: perfbench's tracer replaces
+    _pool_worker and relies on _run_units passing its results through unchanged.
     """
-    listed, bases = set(), []
-    for g6, g, k in units:
-        base = (g6, g.n - k)
-        bases.append(base if base[1] < k and base in listed else None)
-        listed.add((g6, k))
-    wanted = set(filter(None, bases))
-    results = _run_units(mode, [u for u, b in zip(units, bases) if b is None], jobs)
-    held: dict[tuple[str, int], dict] = {}
-    for unit, base in zip(units, bases):
-        if base is None:
-            record = next(results)
-            if (key := (unit[0], unit[2])) in wanted:
-                held[key] = record
-        elif (record := held.pop(base))["status"] in ("confirmed", "skipped"):
-            record = {**record, "k": unit[2]}
-        else:
-            record = next(_run_units(mode, [unit], 1))
-        yield record
+    plans = [(g6, g, [(k, g.n - k if g.n - k < k and g.n - k in ks else None) for k in ks])
+             for g6, g, ks in graphs]
+    results = _run_units(mode, [(g6, g, k) for g6, g, plan in plans
+                                for k, base in plan if base is None], jobs)
+    for g6, g, plan in plans:
+        computed: dict[int, dict] = {}  # this graph's computed records by k
+        for k, base in plan:
+            if base is None:
+                record = computed[k] = next(results)
+            elif computed[base]["status"] in ("confirmed", "skipped"):
+                record = {**computed[base], "k": k}
+            else:
+                record = next(_run_units(mode, [(g6, g, k)], 1))
+            yield record
     next(results, None)  # let the dispatcher finish and close its pool
 
 
@@ -275,18 +270,14 @@ def _exit_code(counts: Counter) -> int:
     return 3 if counts["error"] else 1 if counts["violated"] else 0
 
 
-def _tree_units(n_max: int) -> list[Unit]:
-    units = []
-    for n in range(2, n_max + 1):
-        for tree in enumerate_trees(n):
-            g6 = emit_graph6(tree)
-            units.extend((g6, tree, k) for k in range(1, n))
-    return units
+def _tree_graphs(n_max: int) -> list[tuple[str, Graph, range]]:
+    trees = [tree for n in range(2, n_max + 1) for tree in enumerate_trees(n)]
+    return [(emit_graph6(tree), tree, range(1, tree.n)) for tree in trees]
 
 
 def cmd_trees(args) -> int:
     """theorem and paths: one unit per tree with n <= n-max and per k."""
-    records = _run_mirrored(args.command, _tree_units(args.n_max), args.jobs)
+    records = _run_graphs(args.command, _tree_graphs(args.n_max), args.jobs)
     return _exit_code(_emit(records, args, f"{args.command} n<={args.n_max}"))
 
 
@@ -302,13 +293,14 @@ def cmd_hfamily(args) -> int:
 def cmd_conjecture(args) -> int:
     try:
         with open(args.input, encoding="ascii") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            # ASCII whitespace only: str.strip() would also drop \x1c-\x1f, \x85 and \xa0
+            lines = [text for line in fh if (text := line.strip(string.whitespace))]
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # plan holds skip records, and None for each work unit, in input file order
     plan: list[dict | None] = []
-    units: list[Unit] = []
+    graphs: list[tuple[str, Graph, range]] = []
     def skip(g6: str, k: int | None, reason: str) -> None:
         plan.append({"graph_id": g6, "k": k, "delta": None, "kappa": None,
                      "lambda": None, "status": "skipped", "reason": reason})
@@ -329,11 +321,11 @@ def cmd_conjecture(args) -> int:
         elif g.n < 4:
             skip(g6, None, "no admissible k")
         else:
-            ks = range(2, g.n - 1) if args.k is None else [args.k]
+            ks = range(2, g.n - 1) if args.k is None else range(args.k, args.k + 1)
             plan += [None] * len(ks)
-            units += [(g6, g, k) for k in ks]
+            graphs.append((g6, g, ks))
 
-    results = _run_mirrored("conjecture", units, args.jobs)
+    results = _run_graphs("conjecture", graphs, args.jobs)
     records = (next(results) if record is None else record for record in plan)
     counts = _emit(records, args, f"conjecture {args.input}")
     return 3 if counts["error"] else 0  # a kappa < delta finding is the scan's output

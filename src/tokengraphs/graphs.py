@@ -8,6 +8,7 @@ inside frozen dataclasses and key caches.  The connectivity oracles read a
 from __future__ import annotations
 
 import math
+import string
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -251,7 +252,7 @@ def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (optionally prefixed with the standard header)."""
-    s = text.strip()
+    s = text.strip(string.whitespace)  # str.strip() would drop \x1c-\x1f, \x85 and \xa0
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
     if not s:

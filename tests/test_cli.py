@@ -247,6 +247,15 @@ class TestConjecture:
         assert code == 2 and out == ""
         assert err == "error: 'B!o': byte 33 outside graph6 range 63..126 (byte offset 1)\n"
 
+    @pytest.mark.parametrize("line, offset", [("\x1f", 0), ("B\x1f", 1)])
+    def test_control_byte_is_not_whitespace(self, capsys, tmp_path, line, offset):
+        path = self.write(tmp_path, [C5, line])
+        code = main(["conjecture", "--input", path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == (f"error: {line!r}: byte 31 outside graph6 range 63..126 "
+                       f"(byte offset {offset})\n")
+
 
 class TestRunnerRules:
     """Each mode's rules for a token graph over the size guard and for a kappa
@@ -487,6 +496,21 @@ class TestMirroring:
         assert calls == [(C5, 2), (P5, 2)]
         assert [(r["graph_id"], r["k"]) for r in records] == [(C5, 2), (C5, 3), (P5, 2), (P5, 3)]
 
+    def test_repeated_graph_mirrors_within_each_copy(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "input.g6"
+        path.write_text(f"{C5}\n{C5}\n{P5}\n", encoding="ascii")
+        argv = ["conjecture", "--input", str(path), "--json"]
+        assert main([*argv, "--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        calls = self.count_calls(monkeypatch, "conjecture")
+        code, records, _, _ = run(capsys, [*argv, "--jobs", "1"])
+        assert code == 0
+        assert calls == [(C5, 2), (C5, 2), (P5, 2)]
+        assert [(r["graph_id"], r["k"]) for r in records] == [
+            (C5, 2), (C5, 3), (C5, 2), (C5, 3), (P5, 2), (P5, 3)]
+        assert records[1] == records[3] == {**records[0], "k": 3}
+        assert "".join(json.dumps(r) + "\n" for r in records) == parallel
+
     @pytest.mark.parametrize("argv", [["paths", "--n-max", "6"], ["conjecture", "--input"]])
     def test_jobs_do_not_change_output(self, capsys, tmp_path, argv):
         # mirror records are copied in the parent between records from the pool
@@ -561,6 +585,20 @@ class TestOrbitFolding:
         assert record["pairs"] == pairs.index(skipped) + 1
         assert record["instance"] == {"x": list(skipped[0]), "y": list(skipped[1]),
                                       "error": "planted"}
+
+    def test_failing_representative_reuses_the_token_graph(self, monkeypatch):
+        # the unfolded second pass runs on the F_k that the folded pass built
+        real, built = cli.build_token_graph, []
+        monkeypatch.setattr(cli, "build_token_graph", lambda *a: built.append(a) or real(*a))
+
+        def fails(*args):
+            raise cli.FamilyConstructionError("planted")
+
+        monkeypatch.setattr(cli, "build_family", fails)
+        record = cli._paths_unit(make_unit("Eh_G", 3))
+        assert len(built) == 1
+        assert record["status"] == "violated" and record["pairs"] == 1
+        assert record["instance"] == {"x": [0, 1, 2], "y": [0, 2, 3], "error": "planted"}
 
     def test_sweep_builds_no_token_paths(self, capsys, monkeypatch):
         # a unit reads each family's size; its TokenPath objects are built

@@ -247,8 +247,15 @@ class TestGraph6:
         assert err.value.offset == 0
 
     def test_byte_out_of_range(self):
-        with pytest.raises(Graph6Error):
+        # a control byte is not whitespace to strip: it fails the range check
+        with pytest.raises(Graph6Error) as err:
             parse_graph6("B\x1f")
+        assert err.value.offset == 1
+        assert str(err.value) == "byte 31 outside graph6 range 63..126 (byte offset 1)"
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6("\x1cBg")
+        assert err.value.offset == 0 and "byte 28 outside graph6 range" in str(err.value)
+        assert parse_graph6(" \t\x0b\x0cBg\r\n") == path_graph(3)
 
     def test_truncated_bits(self):
         # C needs one data byte for 6 bits; none supplied
