@@ -12,8 +12,8 @@ mirror: the record of n - k, kept per graph, is emitted again with only k
 rewritten unless it is violated or errored, and then the mirror runs for real.
 --jobs sends units in chunks, each pickled once with the graphs it shares.
 Automorphisms of a tree act on F_k (`TokenGraph.symmetries`), and units fold
-by them.  A paths unit folds its distance-2 pairs by orbit under the tree's
-automorphisms, plus complementing when 2k = n, and builds one family per
+by them.  A paths unit folds the positions of its distance-2 pairs under the
+tree's automorphisms, plus complementing when 2k = n, and builds one family per
 orbit, for its first pair (`graphs.orbit_firsts`): isomorphic pairs have
 isomorphic families, so every record field agrees on an orbit.  If a family
 fails, a second pass of the loop, over every pair of the same F_k, names the
@@ -101,7 +101,7 @@ def _paths_unit(arg: Unit) -> dict:
     d2 = list(tg.distance2_pairs())
     gens = tg.symmetries()
     # a failure in the folded pass reruns the loop over d2, so `pairs` indexes d2
-    for candidates in (_first_pairs(tg.n, d2, gens), d2) if gens else (d2,):
+    for candidates in (_first_pairs(d2, gens), d2) if gens else (d2,):
         sizes: list[int] = []
         slacks: dict[int, list[int]] = {1: [], 2: []}  # delta - m per case
         for pairs, (i, j) in enumerate(candidates, 1):
@@ -126,21 +126,17 @@ def _paths_unit(arg: Unit) -> dict:
     return record
 
 
-def _first_pairs(size: int, pairs: list[tuple[int, int]],
-                 gens: list[list[int]]) -> list[tuple[int, int]]:
+def _first_pairs(pairs: list[tuple[int, int]], gens: list[list[int]]) -> list[tuple[int, int]]:
     """The first pair of each orbit under the maps `gens` of F_k, in the order of `pairs`.
 
-    An unordered pair of vertex indices lo < hi is keyed lo * size + hi, so
-    each map becomes a permutation of the keys of the distance-2 pairs.
+    Each map becomes the positions in `pairs` of its images: an automorphism of
+    F_k keeps distances, so each image is one of `pairs`, in either order.
     """
-    los, his = [i for i, _ in pairs], [j for _, j in pairs]
-    keys = [a * size + b for a, b in pairs]
-    maps = []
-    for perm in gens:
-        images = zip(map(perm.__getitem__, los), map(perm.__getitem__, his))
-        maps.append(dict(zip(keys, [a * size + b if a < b else b * size + a
-                                    for a, b in images])))
-    return [divmod(key, size) for key in orbit_firsts(keys, maps)]
+    position = {}
+    for i, (a, b) in enumerate(pairs):
+        position[a, b] = position[b, a] = i
+    tables = [[position[perm[a], perm[b]] for a, b in pairs] for perm in gens]
+    return [pairs[i] for i in orbit_firsts(range(len(pairs)), tables)]
 
 
 def _hfamily_unit(m: int) -> dict:
@@ -333,7 +329,10 @@ def cmd_conjecture(args) -> int:
 
 def _int_range(lo: int, hi: int):
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:  # as argparse words it for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}]")
         return value

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Graph",
@@ -410,14 +410,13 @@ def tree_automorphism_generators(g: Graph, marked: int = 0) -> list[tuple[int, .
     return gens
 
 
-def orbit_firsts(points: Iterable[int], maps: Sequence[Sequence[int] | Mapping[int, int]]
-                 ) -> list[int]:
+def orbit_firsts(points: Iterable[int], maps: Sequence[Sequence[int]]) -> list[int]:
     """The points that no earlier point's orbit reached, in order: the first
     point of each orbit under the group the maps generate.
 
-    `table[x]` is the image of x under a map, which may lie outside `points`.
-    The points the maps reach from x are exactly its orbit: the group is
-    finite, so each map's inverse is a power of that map.
+    Each map is a list of positions: `table[x]` is the image of x, which may
+    lie outside `points`.  The points the maps reach from x are exactly its
+    orbit: the group is finite, so each map's inverse is a power of that map.
     """
     seen: set[int] = set()
     firsts = []

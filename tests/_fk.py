@@ -5,7 +5,8 @@ through its occupancy mask and `index`, audit a family on its paths'
 configurations without the engine's own checks, and replay a verified family
 in the normalised frame, where its trace certificates speak.  `double_star`
 builds the symmetric base trees that the seeded checks past the exhaustive
-sweeps share.
+sweeps share, and `generated_group` lists every automorphism that a set of
+generators reaches.
 """
 
 import networkx as nx
@@ -20,6 +21,19 @@ def double_star(a: int, b: int) -> Graph:
     """Adjacent centres 0 and 1 with a and b leaves."""
     leaves = [(0, v) for v in range(2, a + 2)] + [(1, v) for v in range(a + 2, a + b + 2)]
     return Graph(a + b + 2, ((0, 1), *leaves))
+
+
+def generated_group(gens, n):
+    """Every composition of the given vertex maps, the identity included."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
 
 
 def fk_neighbors(tg, cfg):

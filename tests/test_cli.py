@@ -15,10 +15,12 @@ from pathlib import Path
 import pytest
 
 from _catalog import girth5_catalog
+from _fk import generated_group
 from tokengraphs import cli, connectivity, families, tokens
 from tokengraphs.cli import main
 from tokengraphs.graphs import (
     bridged_cliques, emit_graph6, enumerate_trees, parse_graph6, star_graph,
+    tree_automorphism_generators,
 )
 from tokengraphs.tokens import TokenGraph, build_token_graph
 
@@ -549,6 +551,38 @@ class TestOrbitFolding:
         for arg in units:
             assert cli._paths_unit(arg) == unfolded(monkeypatch, cli._paths_unit, arg), arg
 
+    def test_fold_count(self):
+        # the 155 units of paths --n-max 8 with k <= n - k, as the sweep folds them
+        units = kept = total = 0
+        for tree in (t for n in range(2, 9) for t in enumerate_trees(n)):
+            for k in range(1, tree.n // 2 + 1):
+                tg = build_token_graph(tree, k)
+                d2 = list(tg.distance2_pairs())
+                kept += len(cli._first_pairs(d2, tg.symmetries()))
+                total += len(d2)
+                units += 1
+        assert (units, kept, total) == (155, 5074, 17795)
+
+    def test_fold_keeps_the_least_pair_of_each_orbit(self):
+        # the whole group, not its generators: every tree automorphism, and each
+        # composed with complementing when 2k = n, as a map of vertex indices
+        units = 0
+        for tree in (t for n in range(2, 8) for t in enumerate_trees(n)):
+            group = generated_group(tree_automorphism_generators(tree), tree.n)
+            for k in range(1, tree.n // 2 + 1):
+                tg = build_token_graph(tree, k)
+                maps = [[tg.index[sum(1 << p[v] for v in cfg)] for cfg in tg.vertices]
+                        for p in group]
+                if 2 * k == tree.n:
+                    full = (1 << tree.n) - 1
+                    maps += [[tg.index[full ^ tg.occupancy[i]] for i in m] for m in maps]
+                d2 = list(tg.distance2_pairs())
+                least = {min(tuple(sorted((m[i], m[j]))) for m in maps) for i, j in d2}
+                # distance2_pairs is in lexicographic order, so each orbit's least pair comes first
+                assert cli._first_pairs(d2, tg.symmetries()) == sorted(least), (tg.base, k)
+                units += 1
+        assert units == 63
+
     def test_one_family_per_orbit(self, monkeypatch):
         built = []
         real = cli.build_family
@@ -776,6 +810,22 @@ class TestUsageErrors:
     def test_bad_invocations(self, capsys, argv):
         assert main(argv) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theorem", "--n-max", "x"],
+            ["paths", "--jobs", "x"],
+            ["hfamily", "--m-min", "x"],
+            ["hfamily", "--m-max", "x"],
+            ["conjecture", "--input", "x.g6", "--k", "x"],
+        ],
+    )
+    def test_non_int_names_the_type(self, capsys, argv):
+        # a range-checked option words it as argparse does for type=int
+        assert main(argv) == 2
+        _, err = capsys.readouterr()
+        assert err.splitlines()[-1].endswith(f"argument {argv[-2]}: invalid int value: 'x'")
 
     def test_m_range_inverted(self, capsys):
         assert main(["hfamily", "--m-min", "6", "--m-max", "3"]) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fk import generated_group
 from tokengraphs import graphs as graphs_module
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.graphs import (
@@ -403,19 +404,6 @@ class TestTrees:
         assert tree_canonical_form(relabeled) == tree_canonical_form(tree)
 
 
-def generated_group(gens, n):
-    """Every composition of the given vertex maps, the identity included."""
-    group, todo = {tuple(range(n))}, [tuple(range(n))]
-    while todo:
-        p = todo.pop()
-        for g in gens:
-            q = tuple(g[v] for v in p)
-            if q not in group:
-                group.add(q)
-                todo.append(q)
-    return group
-
-
 def self_isomorphisms(g):
     matcher = nx.algorithms.isomorphism.GraphMatcher(nx_of(g), nx_of(g))
     return {tuple(m[v] for v in range(g.n)) for m in matcher.isomorphisms_iter()}
@@ -457,16 +445,14 @@ class TestAutomorphismGenerators:
             tree_automorphism_generators(cycle_graph(4))
 
 
-def pair_key_maps(gens, n):
-    """Each vertex map as a map of the keys lo * n + hi of unordered pairs."""
-    def key(a, b):
-        return a * n + b if a < b else b * n + a
-
-    return [{key(a, b): key(p[a], p[b]) for a, b in combinations(range(n), 2)} for p in gens]
+def pair_position_maps(gens, pairs):
+    """Each vertex map as the list of the positions in `pairs` of the image pairs."""
+    position = {pair: i for i, pair in enumerate(pairs)}
+    return [[position[tuple(sorted((p[a], p[b])))] for a, b in pairs] for p in gens]
 
 
 class TestPairOrbits:
-    """`orbit_firsts` on the keys of unordered vertex pairs, as `paths` folds its pairs."""
+    """`orbit_firsts` on the positions of unordered vertex pairs, as `paths` folds its pairs."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_passes_the_first_pair_of_each_orbit(self, n):
@@ -476,15 +462,15 @@ class TestPairOrbits:
             pairs = list(combinations(range(n), 2))
             # in lexicographic order, an orbit's first pair is its least
             least = {min(tuple(sorted((p[a], p[b]))) for p in group) for a, b in pairs}
-            firsts = orbit_firsts([a * n + b for a, b in pairs], pair_key_maps(gens, n))
-            assert firsts == sorted(a * n + b for a, b in least), emit_graph6(tree)
+            firsts = orbit_firsts(range(len(pairs)), pair_position_maps(gens, pairs))
+            assert [pairs[i] for i in firsts] == sorted(least), emit_graph6(tree)
 
     def test_pairs_are_unordered(self):
         # swapping 0 and 1 keeps the pair {0, 1} and exchanges {0, 2} and {1, 2}
-        maps = pair_key_maps([(1, 0, 2)], 3)
-        assert maps == [{1: 1, 2: 5, 5: 2}]
+        maps = pair_position_maps([(1, 0, 2)], [(0, 1), (0, 2), (1, 2)])
+        assert maps == [[0, 2, 1]]
         # the first point of an orbit in the order given stands for it
-        assert orbit_firsts([5, 1, 2], maps) == [5, 1]
+        assert orbit_firsts([2, 0, 1], maps) == [2, 0]
 
     def test_no_maps_passes_every_pair(self):
         assert orbit_firsts([3, 0, 1], []) == [3, 0, 1]
