@@ -15,30 +15,22 @@ from .families import (
     Case2Context,
     FamilyConstructionError,
     FamilyResult,
+    TraceCondition,
     build_family,
+    check_trace,
     normalize,
 )
 from .graphs import (
     Graph,
     Graph6Error,
     bridged_cliques,
-    complete_graph,
-    cycle_graph,
     emit_graph6,
     enumerate_trees,
     girth,
     parse_graph6,
-    path_graph,
-    star_graph,
     tree_canonical_form,
 )
-from .moves import (
-    TokenPath,
-    TraceCondition,
-    check_trace,
-    pairwise_internally_disjoint,
-    trace_condition,
-)
+from .moves import TokenPath, pairwise_internally_disjoint
 from .tokens import (
     TokenGraph,
     build_token_graph,

@@ -11,7 +11,8 @@ occupancy masks and the counts as ints; sorted tuples appear only at the
 entry points and in what callers read out (`x_cfg`, `y_cfg`, the paths).
 Every path the paper names (T1-T4, P and P' for one moved token; L1-L4*,
 P1-P4 for two) is one row of `_TEMPLATES`: a label, moves over slot names
-and trace-condition ids.
+and trace-condition ids; each id is one row of `_TRACE_CONDITIONS`, whose
+slot names are the condition's slots, and a `TraceCondition` checks itself.
 `plan_family` binds the slots from the context and its neighbour sets and
 emits each path's plan in the normalised frame.  `build_family` verifies
 each guarantee once, in the original frame and on occupancy masks: it
@@ -28,18 +29,12 @@ size delta is a required int, checked there too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import itemgetter
+from typing import Iterable
 
 from .graphs import Graph
-from .moves import (
-    _SHAPES,
-    TokenPath,
-    TraceCondition,
-    check_trace,
-    pairwise_internally_disjoint,
-    replay,
-)
+from .moves import TokenPath, pairwise_internally_disjoint, replay
 from .tokens import Config, checked_mask, classify_masks, config_mask, mask_config, mask_degree
 
 __all__ = [
@@ -48,6 +43,8 @@ __all__ = [
     "Case2Context",
     "FamilyResult",
     "normalize",
+    "TraceCondition",
+    "check_trace",
     "plan_family",
     "build_family",
 ]
@@ -314,6 +311,102 @@ def normalize(
 
 
 # ---------------------------------------------------------------------------
+# trace conditions
+#
+# A condition constrains each configuration A strictly inside a path.  A row
+# is (z_drops, w_vals, forbid_trivial): the allowed values of Z - A and of
+# A & W-region, as alternatives over slot names (None: unconstrained), and
+# whether the undisturbed state (nothing dropped, W empty) is forbidden.
+
+_EXCHANGE = (((), ("z",)), ((), ("w",)), True)
+
+_TRACE_CONDITIONS: dict[str, tuple] = {
+    "C1": (((),), ((),), False),
+    "C2": ((("z",),), None, False),
+    "C2.1": (None, (("w",),), False),
+    "C2.2": (None, ((),), False),
+    "C3": _EXCHANGE,
+    "C4": _EXCHANGE,
+    "C5": ((("z1",), ("z2",), ("z1", "z2")), ((),), False),
+    "D1": (((),), ((),), False),
+    "D2": ((("z",),), (("w",),), False),
+    "D3": _EXCHANGE,
+    "D4": _EXCHANGE,
+    "D3*": _EXCHANGE,
+    "D4*": _EXCHANGE,
+    "E1": (((),), (("w1",), ("w2",), ("w1", "w2")), False),
+    "E2": _EXCHANGE,
+    "E3": (((), ("z",)), ((),), False),
+    "E4": (((),), ((), ("w",)), False),
+}
+_SLOTS = {
+    cid: tuple(sorted({slot for alts in (z_drops, w_vals) for alt in alts or () for slot in alt}))
+    for cid, (z_drops, w_vals, _) in _TRACE_CONDITIONS.items()
+}
+
+
+@dataclass(frozen=True)
+class TraceCondition:
+    """One named trace predicate with its slots bound to vertices, in slot-name order.
+
+    Construction raises ValueError unless id names a known condition and
+    bound pairs each of its slots, in name order, with a vertex int.
+    """
+
+    id: str
+    bound: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        if not isinstance(self.id, str) or self.id not in _SLOTS:
+            raise ValueError(f"unknown trace condition {self.id!r}")
+        try:
+            slots = tuple(slot for slot, _ in self.bound)
+        except (TypeError, ValueError):
+            slots = None
+        if slots != _SLOTS[self.id]:
+            raise ValueError(f"condition {self.id} needs slots {_SLOTS[self.id]}, got {slots}")
+        for slot, vert in self.bound:
+            if not (isinstance(vert, int) and vert >= 0):
+                raise ValueError(
+                    f"condition {self.id} slot {slot!r} is {vert!r}, not a vertex int"
+                )
+
+    @cached_property
+    def _allowed(self) -> tuple[frozenset[int] | None, frozenset[int] | None, bool]:
+        """The condition's allowed Z-drop and W-region values as bound masks."""
+        z_drops, w_vals, forbid_trivial = _TRACE_CONDITIONS[self.id]
+        vertex = dict(self.bound)
+
+        def masks(alternatives):
+            if alternatives is None:
+                return None
+            return frozenset(config_mask(vertex[slot] for slot in alt) for alt in alternatives)
+
+        return masks(z_drops), masks(w_vals), forbid_trivial
+
+
+def check_trace(inner: Iterable[int], cond: TraceCondition, ctx) -> bool:
+    """Evaluate cond on every configuration strictly inside a path.
+
+    inner holds the occupancy masks of those configurations, in any order:
+    each predicate looks at one configuration at a time.  ctx gives the
+    masks of Z and of the W region as `z_mask` and `region_mask`.
+    """
+    drops_allowed, w_allowed, forbid_trivial = cond._allowed
+    z, region = ctx.z_mask, ctx.region_mask
+    for occupied in inner:
+        dropped = z & ~occupied
+        present = occupied & region
+        if drops_allowed is not None and dropped not in drops_allowed:
+            return False
+        if w_allowed is not None and present not in w_allowed:
+            return False
+        if forbid_trivial and not dropped and not present:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # families
 
 
@@ -376,17 +469,16 @@ def _compile(label: str, moves: str, conds: str) -> tuple:
     index = {name: i for i, name in enumerate(context + tuple(sorted(names - set(context))))}
     steps = tuple((index[a], index[b]) for a, b in (m.split(">") for m in moves.split()))
     # each condition's slots in name order, the order `TraceCondition.bound` keeps
-    checks = tuple((cid, tuple((slot, index[slot]) for slot in sorted(_SHAPES[cid].slots)))
+    checks = tuple((cid, tuple((slot, index[slot]) for slot in _SLOTS[cid]))
                    for cid in conds.split())
     return label, steps, checks
 
 
 _COMPILED = {key: _compile(*row) for key, row in _TEMPLATES.items()}
 
-
 # equal conditions share one object and so compute their masks once: the plans
 # of `paths --n-max 8` bind 2,874 conditions, 211 of them distinct
-_CONDITIONS: dict[tuple[str, tuple[tuple[str, int], ...]], TraceCondition] = {}
+_condition = cache(TraceCondition)
 
 
 # a plan is pure in its template and slot values, and the families of one
@@ -395,14 +487,9 @@ _CONDITIONS: dict[tuple[str, tuple[tuple[str, int], ...]], TraceCondition] = {}
 def _bind(key: str, values: tuple[int, ...]) -> PathPlan:
     label, steps, checks = _COMPILED[key]
     moves = tuple([(values[i], values[j]) for i, j in steps])
-    conds = []
-    for cid, slots in checks:
-        bound = tuple([(slot, values[i]) for slot, i in slots])
-        cond = _CONDITIONS.get((cid, bound))
-        if cond is None:
-            cond = _CONDITIONS[cid, bound] = TraceCondition(cid, bound)
-        conds.append(cond)
-    return label, moves, tuple(conds)
+    conds = tuple([_condition(cid, tuple([(slot, values[i]) for slot, i in slots]))
+                   for cid, slots in checks])
+    return label, moves, conds
 
 
 def plan_family(ctx: Case1Context | Case2Context, delta: int) -> list[PathPlan]:

@@ -23,10 +23,6 @@ __all__ = [
     "girth",
     "enumerate_trees",
     "tree_canonical_form",
-    "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "star_graph",
     "bridged_cliques",
 ]
 
@@ -474,24 +470,6 @@ def _tree_level(size: int) -> dict[str, Graph]:
 
 # ---------------------------------------------------------------------------
 # small generators
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple(combinations(range(n), 2)))
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
-
 
 def bridged_cliques(m: int) -> Graph:
     """Two disjoint m-cliques joined by a single edge between vertices 0 and m."""

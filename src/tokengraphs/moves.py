@@ -9,8 +9,7 @@ and by TokenPath.  A TokenPath checks each value where it enters
 (`checked_mask` the start, one pass each move's two ends) and then replays,
 so any TokenPath is a simple path in the token graph; its sorted-tuple
 configurations are built only when read.  The disjointness check takes the
-mask walks of paths, and `check_trace` the inner masks of one walk, read
-against the Z and W-region masks a family context carries.
+mask walks of paths.
 """
 
 from __future__ import annotations
@@ -20,17 +19,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graphs import Graph
-from .tokens import Config, checked_mask, config_mask, mask_config
+from .tokens import Config, checked_mask, mask_config
 
-__all__ = [
-    "TokenPath",
-    "replay",
-    "pairwise_internally_disjoint",
-    "TraceCondition",
-    "CONDITION_IDS",
-    "trace_condition",
-    "check_trace",
-]
+__all__ = ["TokenPath", "replay", "pairwise_internally_disjoint"]
 
 
 @dataclass(frozen=True)
@@ -138,123 +129,3 @@ def pairwise_internally_disjoint(
                 return False, (i, j)
     return True, None
 
-
-# ---------------------------------------------------------------------------
-# trace conditions
-#
-# Each condition constrains, for every configuration strictly inside a path,
-# which shared tokens may be displaced (Z side) and which free vertices may be
-# occupied (W side).  Conditions are data: a table keyed by id, with slot
-# names resolved against per-path vertex bindings.
-
-
-@dataclass(frozen=True)
-class _ConditionShape:
-    slots: tuple[str, ...]
-    # allowed values of Z - A, as tuples of slot names; None = unconstrained
-    z_drops: tuple[tuple[str, ...], ...] | None
-    # allowed values of A & W-region, as tuples of slot names; None = unconstrained
-    w_vals: tuple[tuple[str, ...], ...] | None
-    # additionally forbid the fully undisturbed state (nothing dropped, W empty)
-    forbid_trivial: bool = False
-
-
-_EXCHANGE = _ConditionShape(
-    slots=("z", "w"),
-    z_drops=((), ("z",)),
-    w_vals=((), ("w",)),
-    forbid_trivial=True,
-)
-
-_SHAPES: dict[str, _ConditionShape] = {
-    "C1": _ConditionShape(slots=(), z_drops=((),), w_vals=((),)),
-    "C2": _ConditionShape(slots=("z",), z_drops=(("z",),), w_vals=None),
-    "C2.1": _ConditionShape(slots=("w",), z_drops=None, w_vals=(("w",),)),
-    "C2.2": _ConditionShape(slots=(), z_drops=None, w_vals=((),)),
-    "C3": _EXCHANGE,
-    "C4": _EXCHANGE,
-    "C5": _ConditionShape(
-        slots=("z1", "z2"),
-        z_drops=(("z1",), ("z2",), ("z1", "z2")),
-        w_vals=((),),
-    ),
-    "D1": _ConditionShape(slots=(), z_drops=((),), w_vals=((),)),
-    "D2": _ConditionShape(slots=("z", "w"), z_drops=(("z",),), w_vals=(("w",),)),
-    "D3": _EXCHANGE,
-    "D4": _EXCHANGE,
-    "D3*": _EXCHANGE,
-    "D4*": _EXCHANGE,
-    "E1": _ConditionShape(
-        slots=("w1", "w2"),
-        z_drops=((),),
-        w_vals=(("w1",), ("w2",), ("w1", "w2")),
-    ),
-    "E2": _EXCHANGE,
-    "E3": _ConditionShape(slots=("z",), z_drops=((), ("z",)), w_vals=((),)),
-    "E4": _ConditionShape(slots=("w",), z_drops=((),), w_vals=((), ("w",))),
-}
-
-CONDITION_IDS: tuple[str, ...] = tuple(_SHAPES)
-
-
-@dataclass(frozen=True)
-class TraceCondition:
-    """One named trace predicate with its slot-to-vertex bindings, in slot-name order."""
-
-    id: str
-    bound: tuple[tuple[str, int], ...]
-
-    def vertex(self, slot: str) -> int:
-        for name, vert in self.bound:
-            if name == slot:
-                return vert
-        raise KeyError(f"condition {self.id} binds no slot {slot!r}")
-
-    @cached_property
-    def _allowed(self) -> tuple[frozenset[int] | None, frozenset[int] | None, bool]:
-        """The shape's allowed Z-drop and W-region values as bound masks."""
-        shape = _SHAPES[self.id]
-
-        def masks(alternatives):
-            if alternatives is None:
-                return None
-            return frozenset(config_mask(map(self.vertex, alt)) for alt in alternatives)
-
-        return masks(shape.z_drops), masks(shape.w_vals), shape.forbid_trivial
-
-
-def trace_condition(cond_id: str, **bindings: int) -> TraceCondition:
-    """The condition cond_id with its slots bound to vertices; ValueError
-    unless the id is known and every slot it names gets a vertex int."""
-    if cond_id not in _SHAPES:
-        raise ValueError(f"unknown trace condition {cond_id!r}")
-    shape = _SHAPES[cond_id]
-    if set(bindings) != set(shape.slots):
-        raise ValueError(
-            f"condition {cond_id} needs slots {shape.slots}, got {tuple(sorted(bindings))}"
-        )
-    for slot, vert in bindings.items():
-        if not (isinstance(vert, int) and vert >= 0):
-            raise ValueError(f"condition {cond_id} slot {slot!r} is {vert!r}, not a vertex int")
-    return TraceCondition(cond_id, tuple(sorted(bindings.items())))
-
-
-def check_trace(inner: Iterable[int], cond: TraceCondition, ctx) -> bool:
-    """Evaluate cond on every configuration strictly inside a path.
-
-    inner holds the occupancy masks of those configurations, in any order:
-    each predicate looks at one configuration at a time.  ctx gives the
-    masks of Z and of the W region as `z_mask` and `region_mask`.
-    """
-    drops_allowed, w_allowed, forbid_trivial = cond._allowed
-    z, region = ctx.z_mask, ctx.region_mask
-    for occupied in inner:
-        dropped = z & ~occupied
-        present = occupied & region
-        if drops_allowed is not None and dropped not in drops_allowed:
-            return False
-        if w_allowed is not None and present not in w_allowed:
-            return False
-        if forbid_trivial and not dropped and not present:
-            return False
-    return True

@@ -6,8 +6,11 @@ configurations without the engine's own checks, and replay a verified family
 in the normalised frame, where its trace certificates speak.  `double_star`
 builds the symmetric base trees that the seeded checks past the exhaustive
 sweeps share, and `generated_group` lists every automorphism that a set of
-generators reaches.
+generators reaches.  `path_graph`, `cycle_graph`, `complete_graph` and
+`star_graph` build the small base graphs the tests share.
 """
+
+from itertools import combinations
 
 import networkx as nx
 
@@ -15,6 +18,24 @@ from tokengraphs.families import plan_family
 from tokengraphs.graphs import Graph
 from tokengraphs.moves import TokenPath
 from tokengraphs.tokens import config_mask
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, tuple(combinations(range(n), 2)))
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
 def double_star(a: int, b: int) -> Graph:

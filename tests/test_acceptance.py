@@ -25,9 +25,8 @@ from tokengraphs.connectivity import (
     edge_connectivity,
     vertex_connectivity,
 )
-from tokengraphs.families import Case1Context, build_family
+from tokengraphs.families import Case1Context, build_family, check_trace
 from tokengraphs.graphs import Graph, emit_graph6, enumerate_trees, girth
-from tokengraphs.moves import check_trace
 from tokengraphs.tokens import build_token_graph, min_token_degree
 
 STEP1_LABELS = {"T1", "T2", "T3", "T4", "L1", "L2", "L3", "L4", "L3*", "L4*"}

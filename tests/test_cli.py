@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 
 from _catalog import girth5_catalog
-from _fk import generated_group
+from _fk import generated_group, star_graph
 from tokengraphs import cli, connectivity, families, tokens
 from tokengraphs.cli import main
 from tokengraphs.graphs import (
-    bridged_cliques, emit_graph6, enumerate_trees, parse_graph6, star_graph,
-    tree_automorphism_generators,
+    bridged_cliques, emit_graph6, enumerate_trees, parse_graph6, tree_automorphism_generators,
 )
 from tokengraphs.tokens import TokenGraph, build_token_graph
 
@@ -848,10 +847,34 @@ code = tr.full("cli.main", cli.main)(["theorem", "--n-max", "6", "--json"])
 print(json.dumps({"code": code, "metrics": tracer.layer_metrics(tr)}))
 """
 
+TRACED_PATHS_AND_THEOREM = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracer
+from tokengraphs import cli
+tr = tracer.Tracer()
+tracer.install(tr)
+main = tr.full("cli.main", cli.main)
+codes = [main(["paths", "--n-max", "6", "--json"]), main(["theorem", "--n-max", "8", "--json"])]
+print(json.dumps({"codes": codes, "metrics": tracer.layer_metrics(tr)}))
+"""
+
+# the spans a paths and a theorem sweep reach; the tracer also wraps
+# min_token_degree, parse_graph6, girth and TokenGraph.as_graph, which
+# neither sweep calls
+REACHED_SPANS = (
+    "cli.main", "cli.unit", "cli.wait", "cli.write",
+    "connectivity.vertex_connectivity", "connectivity.edge_connectivity",
+    "graphs.enumerate_trees", "graphs.emit_graph6",
+    "tokens.build_token_graph", "tokens.distance2_pairs",
+    "families.build_family", "families.normalize",
+    "moves.token_path", "moves.check_trace", "moves.disjoint",
+)
+
 
 class TestTracerSeams:
-    """The benchmark's tracer wraps module names in cli; a traced sweep must still
-    pass through them."""
+    """The benchmark's tracer wraps module names in cli and families; a traced
+    sweep must still pass through them."""
 
     def test_traced_theorem_sweep(self, capsys):
         root = Path(__file__).resolve().parents[1]
@@ -872,6 +895,26 @@ class TestTracerSeams:
         assert metrics["tokens.build_token_graph_calls"] == 30
         assert metrics["tokens.fk_vertices"] > 0
 
+    def test_traced_paths_and_theorem_sweeps(self):
+        # build_family reaches the path engine through the module globals the
+        # tracer wraps; a family built past one of them leaves its span empty
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", TRACED_PATHS_AND_THEOREM,
+             str(root / "perfbench"), str(root / "src")],
+            capture_output=True, text=True, timeout=120, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0]
+        metrics = result["metrics"]
+        assert [name for name in REACHED_SPANS if not metrics.get(f"{name}_calls")] == []
+        # one normalisation and one disjointness check per family, and one
+        # TokenPath per path out (the tracer reads result.family once)
+        calls = [metrics[f"{name}_calls"]
+                 for name in ("families.build_family", "families.normalize", "moves.disjoint")]
+        assert calls == [182] * 3
+        assert metrics["moves.token_path_calls"] == metrics["families.paths_out"] == 365
 
 def src_env() -> dict:
     """The environment with this checkout's src first on PYTHONPATH."""

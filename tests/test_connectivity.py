@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fk import double_star
+from _fk import complete_graph, cycle_graph, double_star, path_graph, star_graph
 from tokengraphs.connectivity import (
     _unit_flow,
     brute_force_connectivity,
@@ -19,10 +19,6 @@ from tokengraphs.connectivity import (
 from tokengraphs.graphs import (
     Graph,
     bridged_cliques,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
 )
 from tokengraphs.tokens import build_token_graph, min_token_degree
 

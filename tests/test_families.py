@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fk import double_star, family_faults, fk_neighbors, normalized_paths, planned_moves
+from _fk import (
+    cycle_graph, double_star, family_faults, fk_neighbors, normalized_paths, path_graph,
+    planned_moves, star_graph,
+)
 from tokengraphs import families
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import (
@@ -25,10 +28,10 @@ from tokengraphs.families import (
     FamilyConstructionError,
     _case_index,
     build_family,
+    check_trace,
     normalize,
 )
-from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph, star_graph
-from tokengraphs.moves import check_trace
+from tokengraphs.graphs import Graph, enumerate_trees
 from tokengraphs.tokens import build_token_graph, min_token_degree
 
 P4 = path_graph(4)

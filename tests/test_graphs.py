@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fk import generated_group
+from _fk import complete_graph, cycle_graph, generated_group, path_graph, star_graph
 from tokengraphs import graphs as graphs_module
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.graphs import (
     Graph,
     Graph6Error,
     bridged_cliques,
-    complete_graph,
-    cycle_graph,
     emit_graph6,
     enumerate_trees,
     girth,
@@ -25,8 +23,6 @@ from tokengraphs.graphs import (
     mask_cut_flags,
     orbit_firsts,
     parse_graph6,
-    path_graph,
-    star_graph,
     tree_automorphism_generators,
     tree_canonical_form,
 )

@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokengraphs.graphs import Graph, cycle_graph, enumerate_trees, path_graph
-from tokengraphs.moves import (
-    CONDITION_IDS,
-    TokenPath,
-    check_trace,
-    pairwise_internally_disjoint,
-    trace_condition,
-)
+from _fk import cycle_graph, path_graph
+from tokengraphs.families import _SLOTS, TraceCondition, check_trace
+from tokengraphs.graphs import Graph, enumerate_trees
+from tokengraphs.moves import TokenPath, pairwise_internally_disjoint
 
 P4 = path_graph(4)
 P5 = path_graph(5)
@@ -204,60 +200,113 @@ class TestPairwiseDisjoint:
 EXCHANGE_TREE = Graph(5, ((0, 1), (1, 2), (2, 3), (1, 4)))
 
 
+# Each condition's slots, in the name order its bindings keep.
+CONDITION_SLOTS = {
+    "C1": (), "C2": ("z",), "C2.1": ("w",), "C2.2": (), "C3": ("w", "z"), "C4": ("w", "z"),
+    "C5": ("z1", "z2"), "D1": (), "D2": ("w", "z"), "D3": ("w", "z"), "D4": ("w", "z"),
+    "D3*": ("w", "z"), "D4*": ("w", "z"), "E1": ("w1", "w2"), "E2": ("w", "z"),
+    "E3": ("z",), "E4": ("w",),
+}
+
+# One fixed context for the table below: Z = {0, 1, 2} and the W region
+# {4, 5, 6}; z and z1 are bound to 0, z2 to 1, w and w1 to 4, w2 to 5, so 2
+# and 6 are never bound.  An inner configuration is written as the shared
+# tokens it has dropped and the region vertices it occupies.
+TABLE_CONTEXT = mask_stub(z={0, 1, 2}, region={4, 5, 6})
+TABLE_VERTICES = {"z": 0, "z1": 0, "z2": 1, "w": 4, "w1": 4, "w2": 5}
+EXCHANGE_ROW = ([((0,), ()), ((), (4,)), ((0,), (4,))], ((1,), (4,)), ((0,), (5,)), True)
+
+# id -> (conforming configurations, a disallowed Z-drop, a disallowed W
+# occupancy, whether the undisturbed state is forbidden); None where that
+# side is unconstrained
+CONDITION_CASES = {
+    "C1": ([((), ())], ((0,), ()), ((), (4,)), False),
+    "C2": ([((0,), ()), ((0,), (4, 5, 6))], ((0, 1), ()), None, False),
+    "C2.1": ([((), (4,)), ((0, 1, 2), (4,))], None, ((), (5,)), False),
+    "C2.2": ([((), ()), ((0, 1, 2), ())], None, ((), (6,)), False),
+    "C3": EXCHANGE_ROW,
+    "C4": EXCHANGE_ROW,
+    "C5": ([((0,), ()), ((1,), ()), ((0, 1), ())], ((2,), ()), ((0,), (4,)), False),
+    "D1": ([((), ())], ((1,), ()), ((), (5,)), False),
+    "D2": ([((0,), (4,))], ((), (4,)), ((0,), ()), False),
+    "D3": EXCHANGE_ROW,
+    "D4": EXCHANGE_ROW,
+    "D3*": EXCHANGE_ROW,
+    "D4*": EXCHANGE_ROW,
+    "E1": ([((), (4,)), ((), (5,)), ((), (4, 5))], ((0,), (4,)), ((), (6,)), False),
+    "E2": EXCHANGE_ROW,
+    "E3": ([((), ()), ((0,), ())], ((1,), ()), ((), (4,)), False),
+    "E4": ([((), ()), ((), (4,))], ((0,), ()), ((), (5,)), False),
+}
+
+
+def inner_mask(dropped, parked):
+    """The occupancy mask of TABLE_CONTEXT's Z less dropped, plus parked."""
+    return sum(1 << v for v in {0, 1, 2} - set(dropped) | set(parked))
+
+
 class TestTraceConditions:
     def test_condition_table_is_complete(self):
-        assert CONDITION_IDS == (
-            "C1", "C2", "C2.1", "C2.2", "C3", "C4", "C5",
-            "D1", "D2", "D3", "D4", "D3*", "D4*",
-            "E1", "E2", "E3", "E4",
-        )
-        assert len(CONDITION_IDS) == 17
+        assert list(_SLOTS.items()) == list(CONDITION_SLOTS.items())
+        assert list(CONDITION_CASES) == list(CONDITION_SLOTS)
+
+    @pytest.mark.parametrize("cid", list(CONDITION_CASES))
+    def test_each_condition_on_its_own_configurations(self, cid):
+        oks, bad_drop, bad_w, forbid_trivial = CONDITION_CASES[cid]
+        cond = TraceCondition(cid, tuple((s, TABLE_VERTICES[s]) for s in CONDITION_SLOTS[cid]))
+        inner = [inner_mask(*cfg) for cfg in oks]
+        assert check_trace(inner, cond, TABLE_CONTEXT)
+        # one violating configuration fails the path, wherever it sits
+        bads = [bad_drop, bad_w, ((), ()) if forbid_trivial else None]
+        for bad in filter(None, bads):
+            assert not check_trace(inner + [inner_mask(*bad)], cond, TABLE_CONTEXT)
+            assert not check_trace([inner_mask(*bad)] + inner, cond, TABLE_CONTEXT)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown trace condition"):
-            trace_condition("C9")
+            TraceCondition("C9", ())
+        with pytest.raises(ValueError, match="unknown trace condition"):
+            TraceCondition(["C1"], ())
 
     def test_slot_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="needs slots"):
-            trace_condition("C2", w=3)
-        with pytest.raises(ValueError, match="needs slots"):
-            trace_condition("C3", z=0)
-        with pytest.raises(ValueError, match="needs slots"):
-            trace_condition("C1", z=0)
+        for cid, bound in [
+            ("C2", (("w", 3),)),
+            ("C3", (("z", 0),)),
+            ("C1", (("z", 0),)),
+            ("D2", (("z", 5), ("w", 7))),  # both slots, out of name order
+            ("C5", (("z2", 1), ("z1", 0))),
+            ("C2", ("z",)),
+            ("C2", 5),
+        ]:
+            with pytest.raises(ValueError, match="needs slots"):
+                TraceCondition(cid, bound)
 
     @pytest.mark.parametrize("z", [1.5, "1", -1, None, 1.0, [1]])
     def test_non_vertex_binding_rejected(self, z):
-        # z=1 is bound first, and 1.0 compares equal to it: the memo must not
-        # hand its condition to a binding that was never checked, nor hash an
-        # unhashable one before the check names its slot
-        assert trace_condition("C2", z=1).vertex("z") == 1
+        # z=1 is bound first, and 1.0 compares equal to it: no check may lean
+        # on an earlier condition, nor hash an unhashable binding before it
+        # names its slot
+        assert TraceCondition("C2", (("z", 1),)).bound == (("z", 1),)
         with pytest.raises(ValueError, match="slot 'z'"):
-            trace_condition("C2", z=z)
-
-    def test_vertex_lookup(self):
-        cond = trace_condition("D2", z=5, w=7)
-        assert cond.vertex("z") == 5
-        assert cond.vertex("w") == 7
-        with pytest.raises(KeyError):
-            cond.vertex("q")
+            TraceCondition("C2", (("z", z),))
 
     def test_undisturbed_passage(self):
         # both tokens of Z stay put and the free region is never touched
         ctx = mask_stub(z={0}, region=set())
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3)))
-        assert check_trace(p.masks[1:-1], trace_condition("C1"), ctx)
+        assert check_trace(p.masks[1:-1], TraceCondition("C1", ()), ctx)
 
     def test_undisturbed_fails_when_shared_token_moves(self):
         ctx = mask_stub(z={0}, region=set())
         p = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
-        assert not check_trace(p.masks[1:-1], trace_condition("C1"), ctx)
+        assert not check_trace(p.masks[1:-1], TraceCondition("C1", ()), ctx)
 
     def test_single_displacement_condition(self):
         # every interior configuration must be missing exactly the bound token
         ctx = mask_stub(z={0}, region={3})
         p = TokenPath(C4, (0, 1), ((0, 3), (1, 2)))
-        assert check_trace(p.masks[1:-1], trace_condition("C2", z=0), ctx)
-        assert not check_trace(p.masks[1:-1], trace_condition("C2", z=1), ctx)
+        assert check_trace(p.masks[1:-1], TraceCondition("C2", (("z", 0),)), ctx)
+        assert not check_trace(p.masks[1:-1], TraceCondition("C2", (("z", 1),)), ctx)
 
     def test_exchange_condition_holds_on_exchange_path(self):
         # hub token visits 4 while the shared token at 0 takes its place
@@ -265,33 +314,33 @@ class TestTraceConditions:
         p = TokenPath(EXCHANGE_TREE, (0, 1), moves)
         assert p.configs[-1] == (0, 3)
         ctx = mask_stub(z={0}, region={4})
-        assert check_trace(p.masks[1:-1], trace_condition("C3", z=0, w=4), ctx)
+        assert check_trace(p.masks[1:-1], TraceCondition("C3", (("w", 4), ("z", 0))), ctx)
 
     def test_exchange_condition_forbids_undisturbed_interior(self):
         # a plain slide never disturbs anything, which the exchange shape bans
         ctx = mask_stub(z={0}, region={4})
         p = TokenPath(EXCHANGE_TREE, (0, 1), ((1, 2), (2, 3)))
-        assert not check_trace(p.masks[1:-1], trace_condition("C3", z=0, w=4), ctx)
+        assert not check_trace(p.masks[1:-1], TraceCondition("C3", (("w", 4), ("z", 0))), ctx)
 
     def test_double_displacement_condition(self):
         ctx = mask_stub(z={0, 1}, region=set())
         p = TokenPath(P4, (0, 1), ((1, 2), (0, 1), (2, 3)))
         assert p.configs[1:-1] == ((0, 2), (1, 2))
-        assert check_trace(p.masks[1:-1], trace_condition("C5", z1=0, z2=1), ctx)
+        assert check_trace(p.masks[1:-1], TraceCondition("C5", (("z1", 0), ("z2", 1))), ctx)
 
     def test_region_violation_detected(self):
         # an interior configuration parks a token on the watched free vertex
         ctx = mask_stub(z={0, 1}, region={3})
         p = TokenPath(P4, (0, 1), ((1, 2), (2, 3), (0, 1)))
         assert p.configs[1:-1] == ((0, 2), (0, 3))
-        assert not check_trace(p.masks[1:-1], trace_condition("C5", z1=0, z2=1), ctx)
+        assert not check_trace(p.masks[1:-1], TraceCondition("C5", (("z1", 0), ("z2", 1))), ctx)
 
     def test_parked_interior_condition(self):
         # every interior configuration occupies exactly the bound free vertex
         ctx = mask_stub(z={0}, region={1})
         p = TokenPath(P5, (0, 3), ((0, 1), (3, 4), (1, 0)))
-        assert check_trace(p.masks[1:-1], trace_condition("C2.1", w=1), ctx)
-        assert not check_trace(p.masks[1:-1], trace_condition("C1"), ctx)
+        assert check_trace(p.masks[1:-1], TraceCondition("C2.1", (("w", 1),)), ctx)
+        assert not check_trace(p.masks[1:-1], TraceCondition("C1", ()), ctx)
 
 
 @st.composite

@@ -9,18 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _catalog import girth5_catalog
-from _fk import fk_distances, fk_neighbors
+from _fk import complete_graph, cycle_graph, fk_distances, fk_neighbors, path_graph, star_graph
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import build_family
 from tokengraphs.graphs import (
     Graph,
-    complete_graph,
-    cycle_graph,
     enumerate_trees,
     mask_connected,
     mask_cut_flags,
-    path_graph,
-    star_graph,
 )
 from tokengraphs.moves import TokenPath
 from tokengraphs.tokens import (
