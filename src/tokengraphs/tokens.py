@@ -8,10 +8,19 @@ read by vertex index alone, reached from occupancy bitmasks through one index.
 A configuration is checked where it enters, by `checked_mask`: one pass over
 its entries both checks them and builds the occupancy bitmask.  A `TokenGraph`
 is a `graphs.MaskGraph`, so the connectivity oracles read it as a `Graph`.
+
+F_k lists its configurations in colex order (Knuth, TAOCP 4A, 7.2.1.3), by
+largest vertex first; a colex rank does not depend on n, so one index per k
+serves every graph.  Peel identity: F_j(G[0..m-1]) is F_j(G[0..m-2]), then
+F_{j-1}(G[0..m-2]) shifted up by C(m-1, j), plus the slides of the token on
+v = m-1 to its free lower neighbours.  Proof: colex order lists the j-sets
+without v, then the (j-1)-sets plus v, each in colex order, and a slide keeps
+v empty, keeps v occupied, or moves the token on v to a neighbour u < v.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -111,12 +120,12 @@ def min_token_degree(g: Graph, k: int) -> int:
 class TokenGraph(MaskGraph):
     """A materialised k-token graph: one neighbour-index bitmask per configuration.
 
-    `vertices` lists the configurations in lexicographic order, built on
-    first read, `occupancy` their occupancy bitmasks, `index` maps those back
-    to vertex indices, and bit j of `neighbor_masks[i]` is set when
-    configurations i and j are adjacent, so the neighbours of the
-    configuration with occupancy mask occ are the bits of
-    `neighbor_masks[index[occ]]`.  As a `MaskGraph` over the indices, with
+    `occupancy` lists the configurations' occupancy bitmasks in colex order,
+    `vertices` their sorted tuples, built on first read, and `index` maps the
+    masks back to vertex indices (one map per k, shared).  Bit j of
+    `neighbor_masks[i]` is set when configurations i and j are adjacent, so
+    the neighbours of the configuration with occupancy mask occ are the bits
+    of `neighbor_masks[index[occ]]`.  As a `MaskGraph` over the indices, with
     the automorphisms its base tree gives (`symmetries`), it is what the
     connectivity oracles read.
     """
@@ -135,7 +144,7 @@ class TokenGraph(MaskGraph):
 
     @cached_property
     def vertices(self) -> tuple[Config, ...]:
-        return tuple(combinations(range(self.base.n), self.k))
+        return tuple(map(mask_config, self.occupancy))
 
     def symmetries(self, fixing: int | None = None) -> list[list[int]]:
         """Generators of automorphisms of F_k that fix the vertex index `fixing`
@@ -160,8 +169,8 @@ class TokenGraph(MaskGraph):
             if sorted(perm) != list(range(g.n)) or image != set(g.edges):
                 raise ValueError(
                     f"{list(perm)} is not an automorphism of the tree {emit_graph6(g)}")
-            # the images of the configurations, in the order of `vertices`
-            images = map(sum, combinations([1 << w for w in perm], self.k))
+            # the images of the configurations, in colex order like `occupancy`
+            images = _colex_sums([1 << w for w in perm], self.k)
             gens.append(list(map(index.__getitem__, images)))
             if fixing is not None and gens[-1][fixing] != fixing:
                 raise ValueError(f"{list(perm)} moves {self.vertices[fixing]}")
@@ -171,7 +180,7 @@ class TokenGraph(MaskGraph):
         return gens
 
     def distance2_pairs(self) -> Iterator[tuple[int, int]]:
-        """Vertex-index pairs i < j at distance exactly 2, in lexicographic order."""
+        """Vertex-index pairs i < j at distance exactly 2, in index order (by i, then j)."""
         masks = self.neighbor_masks
         for i, direct in enumerate(masks):
             m, second = direct, 0
@@ -198,13 +207,51 @@ class TokenGraph(MaskGraph):
         return Graph(self.n, tuple(edges))
 
 
+# `_OCCUPANCY[j]` lists j-sets as occupancy masks in colex order, holding every
+# j-subset of 0..m-1 first for each m it reaches, and `_INDEX[j]` ranks them;
+# `_memo[nbrs][m, j]` holds F_j(G[0..m-1]) for the last graph built only.
+_OCCUPANCY: defaultdict[int, list[int]] = defaultdict(list)
+_INDEX: defaultdict[int, dict[int, int]] = defaultdict(dict)
+_memo: dict[tuple[int, ...], dict[tuple[int, int], list[int]]] = {}
+
+
+def _colex_sums(bits: list[int], k: int) -> list[int]:
+    """The sums of the k-subsets of `bits` in colex order of their positions:
+    `combinations` over the reversed list yields that order reversed."""
+    return list(map(sum, combinations(bits[::-1], k)))[::-1]
+
+
+def _prefix_masks(memo: dict, nbrs: tuple[int, ...], m: int, j: int) -> list[int]:
+    """The neighbour masks of F_j(G[0..m-1]) in colex order, kept in `memo`."""
+    if (m, j) not in memo:
+        if j == 1 or j == m:  # F_1 of a prefix is the prefix; F_m has one vertex
+            masks = [w & ((1 << m) - 1) for w in nbrs[:m]] if j == 1 else [0]
+        else:
+            v, shift = m - 1, comb(m - 1, j)
+            masks = _prefix_masks(memo, nbrs, v, j) + [
+                w << shift for w in _prefix_masks(memo, nbrs, v, j - 1)]
+            lower, index = nbrs[v] & ((1 << v) - 1), _INDEX[j]
+            # S + v, at index s, slides its token on v to each free lower neighbour u
+            for s, occ in enumerate(_OCCUPANCY[j - 1][:comb(v, j - 1)], shift):
+                free = lower & ~occ
+                while free:
+                    u = free & -free
+                    free ^= u
+                    r = index[occ | u]
+                    masks[s] |= 1 << r
+                    masks[r] |= 1 << s
+        memo[m, j] = masks
+    return memo[m, j]
+
+
 def build_token_graph(g: Graph, k: int) -> TokenGraph:
     """Materialise the k-token graph of g (guarded by MATERIALIZE_LIMIT).
 
-    Each configuration is keyed by its occupancy mask, so sliding a token
-    from u to a free neighbour w gives the mask occ ^ (1 << u | 1 << w).  An
-    edge {S + u, S + w} with u < w is found once, from S + u, whose token
-    slides up: only upward slides are followed, and each sets both ends' bits.
+    It recurses by the peel identity (module docstring) down to F_1 of a
+    prefix, which is the prefix, and F_m of m vertices, which has one vertex.
+    Each (m, j) is built once per graph, until a build for another graph.  On
+    a tree under preorder labels v = m-1 is a leaf of G[0..m-1], so the
+    slides from v form a matching.
     """
     _check_k(g, k)
     size = comb(g.n, k)
@@ -212,26 +259,19 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
         raise ValueError(
             f"token graph would have {size} configurations, over the limit {MATERIALIZE_LIMIT}"
         )
-    occs = list(map(sum, combinations([1 << v for v in range(g.n)], k)))
-    index = {occ: i for i, occ in enumerate(occs)}
-    # upper[u]: the neighbours of u above it; bits[i]: vertex index i as a bit
-    upper = [m & -(2 << u) for u, m in enumerate(g.neighbor_masks)]
-    bits = [1 << i for i in range(size)]
-    masks = [0] * size
-    for i, (occ, cfg) in enumerate(zip(occs, combinations(range(g.n), k))):
-        bit, adj, free = bits[i], 0, ~occ
-        for u in cfg:
-            up = upper[u] & free
-            if up:
-                rest = occ ^ (1 << u)
-                while up:
-                    w = up & -up
-                    up ^= w
-                    j = index[rest | w]
-                    adj |= bits[j]
-                    masks[j] |= bit
-        masks[i] |= adj
-    return TokenGraph(g, k, occs, index, masks)
+    nbrs = tuple(g.neighbor_masks)
+    if nbrs not in _memo:
+        _memo.clear()
+        _memo[nbrs] = {}
+    # a peel drops one vertex and at most one token: F_j is read on at most n - k + j vertices
+    for j in range(1, k + 1):
+        have = len(_OCCUPANCY[j])
+        if have < comb(g.n - k + j, j):  # a colex list on fewer vertices is a prefix
+            occs = _colex_sums([1 << v for v in range(g.n - k + j)], j)
+            _INDEX[j].update(zip(occs[have:], range(have, len(occs))))
+            _OCCUPANCY[j] = occs  # only once every entry is indexed
+    masks = _prefix_masks(_memo[nbrs], nbrs, g.n, k)
+    return TokenGraph(g, k, _OCCUPANCY[k][:size], _INDEX[k], list(masks))
 
 
 def classify_masks(g: Graph, a_mask: int, b_mask: int) -> tuple[int, ...]:

@@ -58,7 +58,8 @@ def generated_group(gens, n):
 
 
 def fk_neighbors(tg, cfg):
-    """The configurations adjacent to cfg in F_k, in lexicographic order."""
+    """The configurations adjacent to cfg in F_k, in the vertex order of F_k:
+    colex order, by largest vertex first."""
     m = tg.neighbor_masks[tg.index[config_mask(cfg)]]
     return tuple(tg.vertices[j] for j in range(m.bit_length()) if m >> j & 1)
 

@@ -577,7 +577,7 @@ class TestOrbitFolding:
                     maps += [[tg.index[full ^ tg.occupancy[i]] for i in m] for m in maps]
                 d2 = list(tg.distance2_pairs())
                 least = {min(tuple(sorted((m[i], m[j]))) for m in maps) for i, j in d2}
-                # distance2_pairs is in lexicographic order, so each orbit's least pair comes first
+                # distance2_pairs is in index order, so each orbit's least pair comes first
                 assert cli._first_pairs(d2, tg.symmetries()) == sorted(least), (tg.base, k)
                 units += 1
         assert units == 63
@@ -740,12 +740,14 @@ class TestFlowFolding:
 
     def test_theorem_digest_n11(self, capsys, monkeypatch):
         # sha256 of the records computed before flows folded, and the number
-        # of flows the folded sweep runs, so a change to the fold shows here
+        # of flows the folded sweep runs, so a change to the fold shows here;
+        # the count follows F_k's colex vertex order, which picks each scan's
+        # source (the first minimum-degree vertex) and orders its sinks
         flows = self.count_flows(monkeypatch)
         assert main(["theorem", "--n-max", "11", "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "a5d1040462540c33f4d5eee0a484e5eb600d9cdc11188fa62d4b5cb4c94c5260"
-        assert len(flows) == 1612
+        assert len(flows) == 1698
 
 
 class TestPlantedGenerator:

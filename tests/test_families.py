@@ -55,8 +55,10 @@ STEP1_LABELS = {"T1", "T2", "T3", "T4", "L1", "L2", "L3", "L4", "L3*", "L4*"}
 
 
 def config_pairs(tg):
-    """The distance-2 pairs of a token graph, as configuration pairs."""
-    return [(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()]
+    """The distance-2 pairs of a token graph, as configuration pairs x < y in
+    lexicographic order, whatever the vertex order of F_k."""
+    vs = tg.vertices
+    return sorted(min((vs[i], vs[j]), (vs[j], vs[i])) for i, j in tg.distance2_pairs())
 
 
 def family_labels(result):

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from _catalog import girth5_catalog
 from _fk import complete_graph, cycle_graph, fk_distances, fk_neighbors, path_graph, star_graph
+from tokengraphs import tokens
+from tokengraphs.cli import main
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
 from tokengraphs.families import build_family
 from tokengraphs.graphs import (
     Graph,
+    bridged_cliques,
     enumerate_trees,
     mask_connected,
     mask_cut_flags,
@@ -23,6 +26,7 @@ from tokengraphs.tokens import (
     build_token_graph,
     checked_mask,
     classify_masks,
+    config_mask,
     min_token_degree,
     token_degree,
 )
@@ -151,7 +155,8 @@ class TestTokenGraphShape:
 
 class TestAgainstDefinition:
     """F_k rebuilt from sets: configurations are adjacent when their
-    symmetric difference is a base edge."""
+    symmetric difference is a base edge, and listed in colex order, which
+    compares two configurations by their largest differing vertex."""
 
     GRAPHS = [t for n in range(2, 9) for t in enumerate_trees(n)]
     GRAPHS += [cycle_graph(5), cycle_graph(6), complete_graph(5)]
@@ -161,7 +166,7 @@ class TestAgainstDefinition:
             base_edges = {frozenset(e) for e in g.edges}
             for k in range(1, g.n):
                 tg = build_token_graph(g, k)
-                configs = list(combinations(range(g.n), k))
+                configs = sorted(combinations(range(g.n), k), key=lambda c: c[::-1])
                 order = range(len(configs))
                 near = [
                     {j for j in order if frozenset(configs[i]) ^ frozenset(configs[j]) in base_edges}
@@ -188,6 +193,45 @@ class TestAgainstDefinition:
                 assert tg.min_degree() == fk.min_degree(), (g, k)
                 assert vertex_connectivity(tg) == vertex_connectivity(fk), (g, k)
                 assert edge_connectivity(tg) == edge_connectivity(fk), (g, k)
+
+
+def definition_masks(g, k):
+    """The occupancy masks of the k-configurations of g in colex order, and
+    per configuration the indices whose symmetric difference with it is a
+    base edge, as a bitmask."""
+    occs = [config_mask(c) for c in sorted(combinations(range(g.n), k), key=lambda c: c[::-1])]
+    edges = {1 << u | 1 << v for u, v in g.edges}
+    return occs, [sum(1 << j for j, b in enumerate(occs) if a ^ b in edges) for a in occs]
+
+
+class TestPrefixMemo:
+    """`build_token_graph` keeps the masks of one graph's prefixes between
+    builds; a build for any other graph starts from an empty memo."""
+
+    def test_interleaved_builds_match_a_cleared_memo(self):
+        trees = enumerate_trees(6)
+        bases = [trees[0], trees[-1], cycle_graph(6), bridged_cliques(4)]
+        assert trees[0] != trees[-1]
+        for _ in range(2):
+            for k in (2, 3, 1, 4):
+                for g in bases + bases[::-1]:
+                    tg = build_token_graph(g, k)
+                    tokens._memo.clear()
+                    cold = build_token_graph(g, k)
+                    assert (tg.occupancy, tg.neighbor_masks) == (cold.occupancy, cold.neighbor_masks)
+                    assert (tg.occupancy, tg.neighbor_masks) == definition_masks(g, k), (g, k)
+
+    def test_a_theorem_sweep_leaves_one_graph(self, capsys):
+        assert main(["theorem", "--n-max", "9", "--json"]) == 0
+        capsys.readouterr()
+        last = enumerate_trees(9)[-1]
+        assert list(tokens._memo) == [last.neighbor_masks]
+        memo = tokens._memo[last.neighbor_masks]
+        assert memo and all(j <= m <= 9 for m, j in memo)
+        # every entry is F_j of a prefix of that tree, so nothing of another graph
+        for (m, j), masks in memo.items():
+            prefix = Graph(m, tuple((u, v) for u, v in last.edges if v < m))
+            assert masks == definition_masks(prefix, j)[1], (m, j)
 
 
 class TestBfsConnectivity:
@@ -226,13 +270,16 @@ class TestDistance2Pairs:
             }
             assert {(tg.vertices[i], tg.vertices[j]) for i, j in tg.distance2_pairs()} == expected
 
-    def test_pairs_are_lexicographic(self):
+    def test_pairs_are_in_colex_order(self):
         tg = build_token_graph(path_graph(5), 2)
         pairs = list(tg.distance2_pairs())
         assert pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
-        configs = [(tg.vertices[i], tg.vertices[j]) for i, j in pairs]
-        assert configs == sorted(configs)
+        # colex order compares configurations by their largest differing vertex
+        colex = [(tg.vertices[i][::-1], tg.vertices[j][::-1]) for i, j in pairs]
+        assert colex == sorted(colex)
+        assert [(tg.vertices[i], tg.vertices[j]) for i, j in pairs[:3]] == [
+            ((0, 1), (1, 2)), ((0, 1), (0, 3)), ((0, 2), (1, 3))]
 
 
 class TestClassify:
