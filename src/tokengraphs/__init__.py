@@ -35,7 +35,6 @@ from .tokens import (
     TokenGraph,
     build_token_graph,
     min_token_degree,
-    token_degree,
 )
 
 __version__ = "0.1.0"

@@ -4,11 +4,12 @@ For a tree T and configurations X, Y at distance 2 in the k-token graph, this
 module builds at least min-token-degree many pairwise internally disjoint
 X-Y token paths.  `normalize` brings each instance into one of two fixed
 shapes (complementing tokens with free vertices, swapping endpoint roles,
-relabelling the two moved-token indices) on int occupancy masks: the case-2
-dispatch permutes eight neighbour counts instead of rebuilding anything, and
-each pair gets one context.  A context holds Z, W and the neighbour sets as
-occupancy masks and the counts as ints; sorted tuples appear only at the
-entry points and in what callers read out (`x_cfg`, `y_cfg`, the paths).
+relabelling the two moved-token indices) on int occupancy masks.  A context
+is a function of (tree, labels, Z, W): it derives the neighbour sets as
+occupancy masks, the counts as ints and the Z-W edges from them, and each
+reduction rebuilds it from the relabelled labels and swapped Z and W.
+Sorted tuples appear only at the entry points and in what callers read out
+(`x_cfg`, `y_cfg`, the paths).
 Every path the paper names (T1-T4, P and P' for one moved token; L1-L4*,
 P1-P4 for two) is one row of `_TEMPLATES`: a label, moves over slot names
 and trace-condition ids; each id is one row of `_TRACE_CONDITIONS`, whose
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from operator import itemgetter
 from typing import Iterable
 
 from .graphs import Graph
@@ -70,11 +70,12 @@ def _zw_edges(nbrs: tuple[int, ...], z: int, w: int) -> tuple[tuple[int, int], .
 class Case1Context:
     """Normalised instance where X and Y differ in a single token x vs y.
 
-    The shared tokens are Z, the free vertices W; v is the common neighbour
-    of x and y and is free.  side_masks holds the neighbours of x in W - v,
-    of y in Z, of x in Z and of y in W - v (region_mask); their sizes are the
-    counts a, b, c, d, with deg(X) = a + b + eta + 1 and deg(Y) = c + d + eta + 1
-    for eta = len(zw_edges).
+    A function of (tree, x, y, v, Z, W): every other field is derived from
+    these.  The shared tokens are Z, the free vertices W; v is the common
+    neighbour of x and y and is free.  side_masks holds the neighbours of x
+    in W - v, of y in Z, of x in Z and of y in W - v (region_mask); their
+    sizes are the counts a, b, c, d, with deg(X) = a + b + eta + 1 and
+    deg(Y) = c + d + eta + 1 for eta = len(zw_edges).
     """
 
     tree: Graph
@@ -83,18 +84,22 @@ class Case1Context:
     v: int
     z_mask: int
     w_mask: int
-    side_masks: tuple[int, int, int, int]
-    a: int
-    b: int
-    c: int
-    d: int
-    zw_edges: tuple[tuple[int, int], ...]
+    side_masks: tuple[int, int, int, int] = field(init=False)
+    a: int = field(init=False)
+    b: int = field(init=False)
+    c: int = field(init=False)
+    d: int = field(init=False)
+    zw_edges: tuple[tuple[int, int], ...] = field(init=False)
     m: int = field(init=False)
     region_mask: int = field(init=False)
 
     def __post_init__(self):
+        nbrs, x, y, z = self.tree.neighbor_masks, self.x, self.y, self.z_mask
+        self.region_mask = region = self.w_mask & ~(1 << self.v)
+        self.side_masks = (nbrs[x] & region, nbrs[y] & z, nbrs[x] & z, nbrs[y] & region)
+        self.a, self.b, self.c, self.d = map(int.bit_count, self.side_masks)
+        self.zw_edges = _zw_edges(nbrs, z, self.w_mask)
         self.m = min(self.a, self.c) + min(self.b, self.d) + len(self.zw_edges) + 1
-        self.region_mask = self.w_mask & ~(1 << self.v)
 
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y))
@@ -104,13 +109,14 @@ class Case1Context:
 class Case2Context:
     """Normalised instance where X and Y differ in two tokens x_i -> y_i.
 
-    The slide edges x1-y1 and x2-y2 are independent; cross is the unique
-    further edge between {x1, y1} and {x2, y2} if one exists, oriented as
-    (endpoint among x1/y1, endpoint among x2/y2).  side_masks holds the
-    neighbour sets wx1 wx2 zy1 zy2 zx1 zx2 wy1 wy2 (neighbours of x_i or y_i
-    in W or Z); their sizes are the counts a1 a2 b1 b2 c1 c2 d1 d2, with
-    deg(X) = a1 + a2 + b1 + b2 + eta + 2 (+1 with an x-to-y cross edge) for
-    eta = len(zw_edges).  region_mask is all of W.
+    A function of (tree, x1, y1, x2, y2, Z, W): every other field is derived
+    from these.  The slide edges x1-y1 and x2-y2 are independent; cross is
+    the unique further edge between {x1, y1} and {x2, y2} if one exists,
+    oriented as (endpoint among x1/y1, endpoint among x2/y2).  side_masks
+    holds the neighbour sets wx1 wx2 zy1 zy2 zx1 zx2 wy1 wy2 (neighbours of
+    x_i or y_i in W or Z); their sizes are the counts a1 a2 b1 b2 c1 c2 d1 d2,
+    with deg(X) = a1 + a2 + b1 + b2 + eta + 2 (+1 with an x-to-y cross edge)
+    for eta = len(zw_edges).  region_mask is all of W.
     """
 
     tree: Graph
@@ -120,27 +126,34 @@ class Case2Context:
     y2: int
     z_mask: int
     w_mask: int
-    side_masks: tuple[int, ...]
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-    c1: int
-    c2: int
-    d1: int
-    d2: int
-    zw_edges: tuple[tuple[int, int], ...]
-    cross: tuple[int, int] | None
+    side_masks: tuple[int, ...] = field(init=False)
+    a1: int = field(init=False)
+    a2: int = field(init=False)
+    b1: int = field(init=False)
+    b2: int = field(init=False)
+    c1: int = field(init=False)
+    c2: int = field(init=False)
+    d1: int = field(init=False)
+    d2: int = field(init=False)
+    zw_edges: tuple[tuple[int, int], ...] = field(init=False)
+    cross: tuple[int, int] | None = field(init=False)
     m: int = field(init=False)
     case_number: int = field(init=False)
     region_mask: int = field(init=False)
 
     def __post_init__(self):
-        a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
-        c1, c2, d1, d2 = self.c1, self.c2, self.d1, self.d2
+        nbrs, z, w = self.tree.neighbor_masks, self.z_mask, self.w_mask
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        self.region_mask = w
+        self.side_masks = (nbrs[x1] & w, nbrs[x2] & w, nbrs[y1] & z, nbrs[y2] & z,
+                           nbrs[x1] & z, nbrs[x2] & z, nbrs[y1] & w, nbrs[y2] & w)
+        a1, a2, b1, b2, c1, c2, d1, d2 = counts = tuple(map(int.bit_count, self.side_masks))
+        self.a1, self.a2, self.b1, self.b2, self.c1, self.c2, self.d1, self.d2 = counts
+        self.zw_edges = _zw_edges(nbrs, z, w)
+        # a tree has at most one: two cross edges close a cycle with x1-y1 and x2-y2
+        self.cross = next(((p, q) for p in (x1, y1) for q in (x2, y2) if nbrs[p] >> q & 1), None)
         self.m = min(a1, c1) + min(a2, c2) + min(b1, d1) + min(b2, d2) + len(self.zw_edges) + 2
         self.case_number = _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2)
-        self.region_mask = self.w_mask
 
     x_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.x1 | 1 << self.x2))
     y_cfg = property(lambda self: mask_config(self.z_mask | 1 << self.y1 | 1 << self.y2))
@@ -167,97 +180,15 @@ _CASE_REDUCTIONS: dict[int, str] = {
 }
 _TERMINAL_CASES = frozenset({2, 4, 6, 7, 8, 16})
 
-# each case-2 relabelling as a permutation of side_masks and of the counts,
-# both in the order a1 a2 b1 b2 c1 c2 d1 d2: swapping the indices exchanges
-# the 1 and 2 entries; complementing trades Z and W, so x_i's neighbours in
-# W become y_i's in Z (a_i <-> b_i) and x_i's in Z become y_i's in W (c_i <-> d_i)
-_RELABELLINGS: dict[str, itemgetter] = {
-    "swap_indices_12": itemgetter(1, 0, 3, 2, 5, 4, 7, 6),
-    "complement_with_relabel": itemgetter(2, 3, 0, 1, 6, 7, 4, 5),
-}
 
-
-def _case1_context(
-    tree: Graph, x_mask: int, y_mask: int, x: int, y: int, v: int, deg_x: int, deg_y: int
-) -> Case1Context:
-    nbrs = tree.neighbor_masks
-    z = x_mask & y_mask
-    w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
-    region = w & ~(1 << v)
-    sides = (nbrs[x] & region, nbrs[y] & z, nbrs[x] & z, nbrs[y] & region)
-    a, b, c, d = map(int.bit_count, sides)
-    zw_edges = _zw_edges(nbrs, z, w)
-    if a + b + len(zw_edges) + 1 != deg_x:
-        raise FamilyConstructionError("case-1 degree bookkeeping failed for X")
-    if c + d + len(zw_edges) + 1 != deg_y:
-        raise FamilyConstructionError("case-1 degree bookkeeping failed for Y")
-    return Case1Context(tree, x, y, v, z, w, sides, a, b, c, d, zw_edges)
-
-
-def _case2_context(
-    tree: Graph,
-    x_mask: int,
-    y_mask: int,
-    labels: tuple[int, int, int, int],
-    deg_x: int,
-    deg_y: int,
-    delta: int,
-    reductions: list[str],
-) -> Case2Context:
-    """Run the count dispatch to a terminal case and build its one context.
-
-    The relabellings applied are appended to reductions.  When the family
-    needs the supplemental x1-y2 paths (delta = m + 1 in case 16), the cross
-    edge is also relabelled onto that diagonal; relabelling is free because
-    it does not touch X, Y, or any path.
-    """
-    nbrs = tree.neighbor_masks
-    x1, y1, x2, y2 = labels
-    # a tree has at most one: two cross edges close a cycle with x1-y1 and x2-y2
-    cross = next(((p, q) for p in (x1, y1) for q in (x2, y2) if nbrs[p] >> q & 1), None)
-    z = x_mask & y_mask
-    w = (1 << tree.n) - 1 & ~(x_mask | y_mask)
-    sides = (nbrs[x1] & w, nbrs[x2] & w, nbrs[y1] & z, nbrs[y2] & z,
-             nbrs[x1] & z, nbrs[x2] & z, nbrs[y1] & w, nbrs[y2] & w)
-    counts = tuple(map(int.bit_count, sides))
-
-    def relabel(kind: str) -> None:
-        nonlocal labels, z, w, sides, counts, cross
-        x1, y1, x2, y2 = labels
-        perm = _RELABELLINGS[kind]
-        sides, counts = perm(sides), perm(counts)
-        if kind == "swap_indices_12":
-            labels, cross = (x2, y2, x1, y1), cross[::-1] if cross else None
-        else:
-            labels, z, w = (y1, x1, y2, x2), w, z
-        reductions.append(kind)
-
-    for _ in range(2):
-        a1, a2, b1, b2, c1, c2, d1, d2 = counts
-        case = _case_index(a1 > c1, a2 > c2, b1 > d1, b2 > d2)
-        if case == 1:
-            raise FamilyConstructionError("case 1 of the dispatch contradicts deg(X) <= deg(Y)")
-        kind = _CASE_REDUCTIONS.get(case)
-        if kind is None:
-            break
-        relabel(kind)
-    zw_edges = _zw_edges(nbrs, z, w)
-    ctx = Case2Context(tree, *labels, z, w, sides, *counts, zw_edges, cross)
-    if ctx.case_number not in _TERMINAL_CASES:
-        raise FamilyConstructionError(
-            f"dispatch failed to reach a terminal case (stuck at {ctx.case_number})"
-        )
-    cross_kind = ctx.cross_kind
-    if delta == ctx.m + 1 and ctx.case_number == 16 and cross_kind == "y1x2":
-        relabel("swap_indices_12")
-        ctx = Case2Context(tree, *labels, z, w, sides, *counts, zw_edges, cross)
-    # the relabellings permute the counts and keep the cross-edge bonus
-    bonus = 1 if cross_kind in ("x1y2", "y1x2") else 0
-    if sum(counts[:4]) + len(zw_edges) + 2 + bonus != deg_x:
-        raise FamilyConstructionError("case-2 degree bookkeeping failed for X")
-    if sum(counts[4:]) + len(zw_edges) + 2 + bonus != deg_y:
-        raise FamilyConstructionError("case-2 degree bookkeeping failed for Y")
-    return ctx
+def _relabelled(ctx: Case2Context, kind: str) -> Case2Context:
+    """The context after a case-2 relabelling: swapping the indices exchanges
+    the 1 and 2 labels; complementing trades Z and W and each x_i with y_i,
+    so x_i's neighbours in W become y_i's in Z (a_i <-> b_i) and x_i's in Z
+    become y_i's in W (c_i <-> d_i)."""
+    if kind == "swap_indices_12":
+        return Case2Context(ctx.tree, ctx.x2, ctx.y2, ctx.x1, ctx.y1, ctx.z_mask, ctx.w_mask)
+    return Case2Context(ctx.tree, ctx.y1, ctx.x1, ctx.y2, ctx.x2, ctx.w_mask, ctx.z_mask)
 
 
 def normalize(
@@ -274,8 +205,10 @@ def normalize(
     endpoint-swapped the same way, then run through the count-comparison
     dispatch until a terminal case is reached (at most two reductions); a
     case-16 instance whose family of delta paths needs the supplemental x1-y2
-    paths is also relabelled so the cross edge lies on that diagonal.
-    Complementing keeps token degrees, so both are computed once.
+    paths is also relabelled so the cross edge lies on that diagonal, which
+    touches neither X, Y nor any path.  Each reduction rebuilds the context
+    from the relabelled labels and the swapped Z and W.  Complementing keeps
+    token degrees, so both are computed once.
     """
     if not isinstance(delta, int):
         raise ValueError(f"family size delta must be an int, got {delta!r}")
@@ -284,29 +217,51 @@ def normalize(
     x_mask, y_mask = checked_mask(tree, x_cfg), checked_mask(tree, y_cfg)
     pair = classify_masks(tree, x_mask, y_mask)
     deg_x, deg_y = mask_degree(tree, x_mask), mask_degree(tree, y_mask)
+    z, w = x_mask & y_mask, (1 << tree.n) - 1 & ~(x_mask | y_mask)
     reductions: list[str] = []
 
     if len(pair) == 3:
         x, y, v = pair
-        if (x_mask | y_mask) >> v & 1:
-            full = (1 << tree.n) - 1
-            x_mask, y_mask = x_mask ^ full, y_mask ^ full
-            x, y = y, x
+        if z >> v & 1:
+            x, y, z, w = y, x, w, z
             reductions.append("complement")
         if deg_x > deg_y:
-            x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
-            x, y = y, x
+            x, y, deg_x, deg_y = y, x, deg_y, deg_x
             reductions.append("swap_xy")
-        ctx = _case1_context(tree, x_mask, y_mask, x, y, v, deg_x, deg_y)
+        ctx = Case1Context(tree, x, y, v, z, w)
+        if ctx.a + ctx.b + len(ctx.zw_edges) + 1 != deg_x:
+            raise FamilyConstructionError("case-1 degree bookkeeping failed for X")
+        if ctx.c + ctx.d + len(ctx.zw_edges) + 1 != deg_y:
+            raise FamilyConstructionError("case-1 degree bookkeeping failed for Y")
         return ctx, tuple(reductions)
 
-    labels = pair
+    x1, y1, x2, y2 = pair
     if deg_x > deg_y:
-        x1, y1, x2, y2 = pair
-        x_mask, y_mask, deg_x, deg_y = y_mask, x_mask, deg_y, deg_x
-        labels = (y1, x1, y2, x2)
+        x1, y1, x2, y2, deg_x, deg_y = y1, x1, y2, x2, deg_y, deg_x
         reductions.append("swap_xy")
-    ctx = _case2_context(tree, x_mask, y_mask, labels, deg_x, deg_y, delta, reductions)
+    ctx = Case2Context(tree, x1, y1, x2, y2, z, w)
+    for _ in range(2):
+        if ctx.case_number == 1:
+            raise FamilyConstructionError("case 1 of the dispatch contradicts deg(X) <= deg(Y)")
+        kind = _CASE_REDUCTIONS.get(ctx.case_number)
+        if kind is None:
+            break
+        ctx = _relabelled(ctx, kind)
+        reductions.append(kind)
+    if ctx.case_number not in _TERMINAL_CASES:
+        raise FamilyConstructionError(
+            f"dispatch failed to reach a terminal case (stuck at {ctx.case_number})"
+        )
+    if delta == ctx.m + 1 and ctx.case_number == 16 and ctx.cross_kind == "y1x2":
+        ctx = _relabelled(ctx, "swap_indices_12")
+        reductions.append("swap_indices_12")
+    # a relabelling keeps the cross-edge bonus
+    bonus = 1 if ctx.cross_kind in ("x1y2", "y1x2") else 0
+    eta = len(ctx.zw_edges)
+    if ctx.a1 + ctx.a2 + ctx.b1 + ctx.b2 + eta + 2 + bonus != deg_x:
+        raise FamilyConstructionError("case-2 degree bookkeeping failed for X")
+    if ctx.c1 + ctx.c2 + ctx.d1 + ctx.d2 + eta + 2 + bonus != deg_y:
+        raise FamilyConstructionError("case-2 degree bookkeeping failed for Y")
     return ctx, tuple(reductions)
 
 

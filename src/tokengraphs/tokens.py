@@ -31,7 +31,6 @@ from .graphs import Graph, MaskGraph, emit_graph6, tree_automorphism_generators
 __all__ = [
     "Config",
     "MATERIALIZE_LIMIT",
-    "token_degree",
     "min_token_degree",
     "TokenGraph",
     "build_token_graph",
@@ -45,9 +44,9 @@ MATERIALIZE_LIMIT = 500_000
 
 def _check_config(n: int, cfg: Config) -> ValueError:
     """The error for a configuration `checked_mask` rejected, worded by its first broken rule."""
-    if not all(isinstance(v, int) for v in cfg):
+    if isinstance(cfg, tuple) and not all(isinstance(v, int) for v in cfg):
         return ValueError(f"configuration {cfg!r} holds entries that are not vertex ints")
-    if tuple(sorted(set(cfg))) != cfg:
+    if not isinstance(cfg, tuple) or tuple(sorted(set(cfg))) != cfg:
         return ValueError(f"configuration {cfg} is not a sorted duplicate-free tuple")
     if not 1 <= len(cfg) <= n - 1:
         return ValueError(f"need 1 <= k <= n-1 tokens, got k={len(cfg)} with n={n}")
@@ -98,11 +97,6 @@ def mask_degree(g: Graph, mask: int) -> int:
     for v in mask_config(mask):
         degree += (nbrs[v] & free).bit_count()
     return degree
-
-
-def token_degree(g: Graph, cfg: Config) -> int:
-    """Number of base edges with exactly one endpoint occupied by cfg."""
-    return mask_degree(g, checked_mask(g, cfg))
 
 
 def _check_k(g: Graph, k: int) -> None:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from copy import copy
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -135,7 +136,7 @@ class TestNormalize:
             with pytest.raises(ValueError, match="delta must be an int, got"):
                 call(P4, (0, 1), (0, 3), delta)
 
-    @pytest.mark.parametrize("x_cfg", [(1, 0), [0, 1], (0, 0)])
+    @pytest.mark.parametrize("x_cfg", [(1, 0), [0, 1], (0, 0), 5, None])
     def test_configurations_are_taken_as_sorted_tuples(self, x_cfg):
         # no entry point sorts or deduplicates a configuration for its caller
         for call in (normalize, build_family):
@@ -380,12 +381,21 @@ class TestBrokenBuilders:
         real = families.plan_family
         monkeypatch.setattr(families, "plan_family", lambda ctx, delta: real(change(ctx), delta))
 
+    @staticmethod
+    def with_zw_edges(ctx, edges):
+        """A copy of ctx with its Z-W edges set to edges and m kept in step:
+        both are derived fields, which `replace` would recompute."""
+        ctx = copy(ctx)
+        ctx.m += len(edges) - len(ctx.zw_edges)
+        ctx.zw_edges = edges
+        return ctx
+
     def test_inadmissible_move(self, instance, monkeypatch):
         _, tree, x, y, delta, ctx = instance
         z = ctx.zw_edges[0][0]
         far = min(w for w in range(tree.n) if ctx.region_mask >> w & 1 and w not in tree.adjacency[z])
         self.tamper_plan(
-            monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges + ((z, far),))
+            monkeypatch, lambda c: self.with_zw_edges(c, c.zw_edges + ((z, far),))
         )
         with pytest.raises(FamilyConstructionError, match="path T2 does not replay"):
             build_family(tree, x, y, delta)
@@ -420,7 +430,7 @@ class TestBrokenBuilders:
     def test_identical_paths(self, instance, monkeypatch):
         _, tree, x, y, delta, ctx = instance
         self.tamper_plan(
-            monkeypatch, lambda c: replace(c, zw_edges=c.zw_edges[:1] + c.zw_edges)
+            monkeypatch, lambda c: self.with_zw_edges(c, c.zw_edges[:1] + c.zw_edges)
         )
         with pytest.raises(FamilyConstructionError, match="paths T2 and T2 share"):
             build_family(tree, x, y, delta)

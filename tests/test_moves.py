@@ -118,8 +118,9 @@ class TestConstructionContract:
                 TokenPath(P4, (1, 0), ())
 
     def test_unhashable_start_and_moves(self):
-        with pytest.raises(ValueError, match=r"configuration \[0, 1\] is not a sorted"):
-            TokenPath(P4, [0, 1], ())
+        for start, shown in (([0, 1], r"\[0, 1\]"), (5, "5"), (None, "None")):
+            with pytest.raises(ValueError, match=f"configuration {shown} is not a sorted"):
+                TokenPath(P4, start, ())
         p = TokenPath(P4, (0, 1), [[1, 2], [2, 3]])
         assert p.moves == ((1, 2), (2, 3))
         for moves in (7, None):

@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     # moves
     "TokenPath", "pairwise_internally_disjoint",
     # tokens
-    "TokenGraph", "build_token_graph", "min_token_degree", "token_degree",
+    "TokenGraph", "build_token_graph", "min_token_degree",
 }
 
 
@@ -30,7 +30,7 @@ def test_top_level_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
-    assert len(names) == 25
+    assert len(names) == 24
 
 
 def test_readme_library_example(capsys):

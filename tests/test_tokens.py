@@ -13,7 +13,7 @@ from _fk import complete_graph, cycle_graph, fk_distances, fk_neighbors, path_gr
 from tokengraphs import tokens
 from tokengraphs.cli import main
 from tokengraphs.connectivity import edge_connectivity, vertex_connectivity
-from tokengraphs.families import build_family
+from tokengraphs.families import build_family, normalize
 from tokengraphs.graphs import (
     Graph,
     bridged_cliques,
@@ -28,8 +28,12 @@ from tokengraphs.tokens import (
     classify_masks,
     config_mask,
     min_token_degree,
-    token_degree,
 )
+
+
+def boundary_count(g, cfg):
+    """The token degree of cfg by definition: the base edges with exactly one end in cfg."""
+    return sum((u in cfg) != (v in cfg) for u, v in g.edges)
 
 
 def complement(cfg, n):
@@ -53,10 +57,11 @@ def tree_and_k(draw, max_n=8):
 class TestConfigs:
     def test_token_degree_star_center(self):
         g = star_graph(4)
+        tg = build_token_graph(g, 2)
         # tokens on center and one leaf: edges to the three free leaves
-        assert token_degree(g, (0, 1)) == 3
+        assert boundary_count(g, (0, 1)) == len(fk_neighbors(tg, (0, 1))) == 3
         # tokens on two leaves: each can only step to the center
-        assert token_degree(g, (1, 2)) == 2
+        assert boundary_count(g, (1, 2)) == len(fk_neighbors(tg, (1, 2))) == 2
 
 
 class TestTokenGraphShape:
@@ -90,7 +95,7 @@ class TestTokenGraphShape:
         tree, k = tk
         tg = build_token_graph(tree, k)
         for cfg, m in zip(tg.vertices, tg.neighbor_masks):
-            assert m.bit_count() == len(fk_neighbors(tg, cfg)) == token_degree(tree, cfg)
+            assert m.bit_count() == len(fk_neighbors(tg, cfg)) == boundary_count(tree, cfg)
 
     @given(tree_and_k(max_n=7))
     @settings(max_examples=40)
@@ -133,21 +138,23 @@ class TestTokenGraphShape:
 
     def test_token_degree_rejects_bad_configurations(self):
         # unsorted, not a tuple, out of range, and k = n: each a ValueError
+        # from both entry points, which share `checked_mask`
         tree = path_graph(4)
-        for cfg in ((1, 0), [0, 1], (0, 4), (-1, 0), (0, 1, 2, 3)):
-            with pytest.raises(ValueError):
-                token_degree(tree, cfg)
-        with pytest.raises(ValueError, match="not a sorted"):
-            token_degree(tree, (1, 0))
+        for call in (lambda c: TokenPath(tree, c, ()), lambda c: normalize(tree, c, (0, 3), 1)):
+            for cfg in ((1, 0), [0, 1], (0, 4), (-1, 0), (0, 1, 2, 3)):
+                with pytest.raises(ValueError):
+                    call(cfg)
+            with pytest.raises(ValueError, match="not a sorted"):
+                call((1, 0))
 
     @pytest.mark.parametrize("cfg", [([0], [1]), (0.0, 1.0), ("a", "b")])
     def test_non_int_entries_raise_value_error(self, cfg):
         # (0, 1) is checked first, and (0.0, 1.0) compares equal to it: no
         # earlier check may stand in for the check of a value that equals it
         tree = path_graph(4)
-        assert token_degree(tree, (0, 1)) == 1
+        assert normalize(tree, (0, 1), (0, 3), 1)[0].x_cfg == (0, 1)
         assert TokenPath(tree, (0, 1), ()).masks == (0b11,)
-        for call in (lambda c: token_degree(tree, c), lambda c: TokenPath(tree, c, ()),
+        for call in (lambda c: normalize(tree, c, (0, 3), 1), lambda c: TokenPath(tree, c, ()),
                      lambda c: build_family(tree, c, (2, 3), 1)):
             with pytest.raises(ValueError, match="vertex ints"):
                 call(cfg)
