@@ -9,10 +9,11 @@ Before any flow, each oracle runs the one search that settles it.  When the
 minimum degree delta <= 1, a bitset BFS (`graphs.mask_connected`, cached
 as `connected`) gives kappa = lambda = 0 if disconnected, and else 1
 exactly, since 1 <= kappa <= lambda <= delta.  When delta >= 2, no BFS
-runs: one low-point DFS (`graphs.mask_cut_flags`, with its proof, cached
-as `cut_flags`) says whether the graph is connected and has a cut vertex or
-a bridge; both oracles share that run.  It settles kappa and lambda at 0,
-at 1, and at 2 when delta = 2.  Only graphs with delta >= 3 run flows.
+runs: one DFS on subtree masks (`graphs.mask_cut_flags`, with its proof,
+cached as `cut_flags`) says whether the graph is connected and has a cut
+vertex or a bridge; both oracles share that run.  It settles kappa and
+lambda at 0, at 1, and at 2 when delta = 2.  Only graphs with delta >= 3
+run flows.
 
 All flows run on one unit-capacity augmenting-path kernel over the
 neighbour bitmasks.  Vertex connectivity uses the standard vertex-splitting

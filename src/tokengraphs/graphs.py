@@ -12,7 +12,7 @@ import string
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -144,66 +144,70 @@ def mask_connected(masks: Sequence[int]) -> bool:
 
 
 def mask_cut_flags(masks: Sequence[int]) -> tuple[bool, bool, bool]:
-    """(connected, has a cut vertex, has a bridge), from one low-point DFS.
+    """(connected, has a cut vertex, has a bridge), from one DFS on masks.
 
     `masks[v]` is the neighbour bitmask of vertex v.  `MaskGraph.cut_flags`
     caches the answer per graph.
 
-    One iterative DFS from vertex 0 computes discovery times and low points
-    (the earliest discovery time reachable from a subtree by one back edge;
-    Hopcroft and Tarjan, "Efficient algorithms for graph manipulation",
-    CACM 16, 1973).  The graph is connected exactly when the DFS reaches
-    every vertex.  In an undirected DFS every non-tree edge joins a vertex
-    to an ancestor, so the subtrees of a vertex's children are joined to
-    the rest of the graph only through their back edges:
+    One iterative DFS from vertex 0 (Hopcroft and Tarjan, "Efficient
+    algorithms for graph manipulation", CACM 16, 1973) takes each step with
+    one mask operation: the top vertex v moves to its least neighbour in
+    `masks[v] & unseen`, or finishes when there is none.  The graph is
+    connected exactly when the DFS reaches every vertex.  Each vertex c on
+    the stack keeps two masks: `before`, the vertices seen before c was
+    discovered, and `reach`, the OR of the neighbour masks of c and of the
+    vertices of its subtree finished so far.  When c finishes, its subtree
+    is exactly `seen & ~before`, every neighbour of the subtree is seen, and
+    so `reach & before` is the set of vertices outside the subtree that are
+    joined to it.  In an undirected DFS every non-tree edge joins a vertex
+    to one of its ancestors, so that set is c's parent p and those ancestors
+    of p that a back edge from the subtree reaches.  So:
 
     - the root is a cut vertex exactly when it has two or more children;
-    - another vertex p is one exactly when some child c has low[c] >= disc[p];
-    - a tree edge (p, c) is a bridge exactly when low[c] > disc[p], and a
-      non-tree edge lies on a cycle, so it never is.
+    - another vertex p is one exactly when some child's set is {p}, since
+      then removing p cuts that child's subtree off from the root;
+    - a tree edge (p, c) is a bridge exactly when c's set is {p} and c is
+      p's only neighbour in the subtree, so that it is the one edge leaving
+      the subtree; a non-tree edge lies on a cycle, so it never is.
 
-    The cut-vertex and bridge flags describe the graph only when it is
-    connected (otherwise they describe the component of vertex 0).
+    Only the vertices on the stack hold these masks.  `unseen` is kept
+    beside `seen` so that a step ANDs a neighbour mask with it instead of
+    complementing `seen`, and each `before` is a past `seen`, no wider than
+    the highest vertex seen by then.  The cut-vertex and bridge flags
+    describe the graph only when it is connected (otherwise they describe
+    the component of vertex 0).
     """
     n = len(masks)
     if n == 0:
         return True, False, False
-    disc = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    todo = list(masks)
-    disc[0] = low[0] = clock = 1
+    seen, unseen = 1, (1 << n) - 2
+    stack, befores, reaches = [0], [0], [masks[0]]
     root_children = 0
     cut_vertex = bridge = False
-    stack = [0]
-    while stack:
+    while True:
         v = stack[-1]
-        rest = todo[v]
+        rest = masks[v] & unseen
         if rest:
             bit = rest & -rest
-            todo[v] = rest ^ bit
+            befores.append(seen)
+            seen |= bit
+            unseen ^= bit
             w = bit.bit_length() - 1
-            if not disc[w]:
-                clock += 1
-                disc[w] = low[w] = clock
-                parent[w] = v
-                stack.append(w)
-            elif w != parent[v] and disc[w] < low[v]:
-                low[v] = disc[w]
+            stack.append(w)
+            reaches.append(masks[w])
             continue
         stack.pop()
-        p = parent[v]
-        if p < 0:
-            continue
-        if low[v] < low[p]:
-            low[p] = low[v]
-        if low[v] > disc[p]:
-            bridge = True
-        if p == 0:
+        if not stack:
+            break
+        before, reach = befores.pop(), reaches.pop()
+        p = stack[-1]
+        reaches[-1] |= reach
+        if not p:
             root_children += 1
-        elif low[v] >= disc[p]:
-            cut_vertex = True
-    return clock == n, cut_vertex or root_children > 1, bridge
+        if reach & before == 1 << p:
+            cut_vertex = cut_vertex or p > 0
+            bridge = bridge or masks[p] & seen & ~before == 1 << v
+    return not unseen, cut_vertex or root_children > 1, bridge
 
 
 def girth(g: Graph) -> int | float:
@@ -435,10 +439,9 @@ def orbit_firsts(points: Iterable[int], maps: Sequence[Sequence[int]]) -> list[i
 def enumerate_trees(n: int) -> list[Graph]:
     """All free trees on n vertices, one canonical representative per class.
 
-    Grown by leaf extension (every tree on s+1 vertices is a tree on s
-    vertices plus a pendant vertex), deduplicated by the AHU canonical form,
-    returned in canonical-form order with canonical labels.  Each level is
-    grown once per process, so a sweep over n = 2..N grows N levels.
+    Listed straight from their canonical forms (`_tree_level`), in form
+    order, with the canonical labels of `_canonical`.  Each level is built
+    once per process.
     """
     if not 1 <= n <= _TREE_COUNT_MAX:
         raise ValueError(f"enumerate_trees supports 1 <= n <= {_TREE_COUNT_MAX}, got {n}")
@@ -448,24 +451,66 @@ def enumerate_trees(n: int) -> list[Graph]:
 @cache
 def _tree_level(size: int) -> dict[str, Graph]:
     """One canonically labelled tree per class on `size` vertices, keyed by
-    canonical form, in key order; read-only.
+    canonical form (`_canonical`), in key order; read-only.
 
-    A pendant vertex added to a tree gives a tree, so each candidate is the
-    adjacency lists of a tree of the level below plus one leaf.
+    Every free tree is one of two kinds (Wright, Richmond, Odlyzko and
+    McKay, "Constant time generation of free trees", SIAM J. Comput. 15,
+    1986).  With one centroid, every branch at it has at most (size-1)//2
+    vertices, so its form is "(" + the sorted codes of a multiset of rooted
+    trees of at most that size and size-1 vertices in all + ")", and every
+    such multiset is one tree.  With two, size is even and the central edge
+    joins two rooted halves of size/2 vertices; an unordered pair of halves
+    is one tree, and its form is the smaller of the two codes that hang one
+    half below the other's root.  So each form is listed once and nothing is
+    canonicalised or deduplicated, and `_tree_of_code` reads the tree off
+    its form with the labels `_canonical` gives.
     """
-    if size == 1:
-        return {"()": Graph(1, ())}
-    leaf, grown = size - 1, {}
-    for tree in _tree_level(size - 1).values():
-        adj = [list(a) for a in tree.adjacency]
-        for v in range(leaf):
-            cand = adj + [[v]]
-            cand[v] = adj[v] + [leaf]
-            key, label = _canonical(cand)
-            if key not in grown:
-                grown[key] = Graph(size, tuple((label[u], label[w]) for u in range(size)
-                                               for w in cand[u] if u < w))
-    return dict(sorted(grown.items()))
+    forms = ["(" + "".join(branches) + ")" for branches in _forests(size - 1, (size - 1) // 2)]
+    if size % 2 == 0:
+        for (a, a_kids), (b, b_kids) in combinations_with_replacement(_rooted(size // 2), 2):
+            forms.append(min("(" + "".join(sorted(a_kids + (b,))) + ")",
+                             "(" + "".join(sorted(b_kids + (a,))) + ")"))
+    return {form: _tree_of_code(form) for form in sorted(forms)}
+
+
+@cache
+def _rooted(size: int) -> list[tuple[str, tuple[str, ...]]]:
+    """Every rooted tree on `size` vertices, as its AHU code and its root's
+    children's codes in sorted order."""
+    return [("(" + "".join(kids) + ")", kids) for kids in _forests(size - 1, size - 1)]
+
+
+@cache
+def _forests(total: int, cap: int) -> list[tuple[str, ...]]:
+    """Every multiset of rooted trees with at most `cap` vertices each and
+    `total` in all, as their sorted AHU codes: those with no tree of `cap`
+    vertices, then those with j >= 1 of them."""
+    if total == 0:
+        return [()]
+    if cap == 0:
+        return []
+    out = list(_forests(total, cap - 1))
+    codes = [code for code, _ in _rooted(cap)]
+    for j in range(1, total // cap + 1):
+        for rest in _forests(total - j * cap, cap - 1):
+            out += [tuple(sorted(rest + top)) for top in combinations_with_replacement(codes, j)]
+    return out
+
+
+def _tree_of_code(code: str) -> Graph:
+    """The tree of an AHU code: its vertices are the code's opening brackets,
+    numbered in order, each joined to the vertex whose brackets enclose it,
+    which numbers the vertices in preorder with children in code order."""
+    edges, enclosing, count = [], [], 0
+    for ch in code:
+        if ch == "(":
+            if enclosing:
+                edges.append((enclosing[-1], count))
+            enclosing.append(count)
+            count += 1
+        else:
+            enclosing.pop()
+    return Graph(count, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

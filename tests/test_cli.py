@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from _fk import generated_group, star_graph
 from tokengraphs import cli, connectivity, families, tokens
 from tokengraphs.cli import main
 from tokengraphs.graphs import (
-    bridged_cliques, emit_graph6, enumerate_trees, parse_graph6, tree_automorphism_generators,
+    MaskGraph, bridged_cliques, emit_graph6, enumerate_trees, parse_graph6,
+    tree_automorphism_generators,
 )
 from tokengraphs.tokens import TokenGraph, build_token_graph
 
@@ -737,6 +739,25 @@ class TestFlowFolding:
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout)
         assert (record["delta"], record["kappa"], record["status"]) == (3, 3, "confirmed")
+
+    def test_theorem_routes_n9(self, capsys, monkeypatch):
+        # of the 343 token graphs `theorem --n-max 9` builds, the BFS
+        # (`connected`) settles 262 and the DFS (`cut_flags`) 81, and 129
+        # flows run, so a new search kernel cannot move a unit to another route
+        flows, searches = self.count_flows(monkeypatch), Counter()
+        for name in ("connected", "cut_flags"):
+            def counted(tg, compute=getattr(MaskGraph, name).func, name=name):
+                searches[name] += 1
+                return compute(tg)
+
+            prop = cached_property(counted)
+            prop.__set_name__(TokenGraph, name)
+            monkeypatch.setattr(TokenGraph, name, prop, raising=False)
+        assert main(["theorem", "--n-max", "9", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "835734700d5f64e0d485f059dc6a7b0c60a7e92dbf23313c52605e397c80ecd4"
+        assert searches == {"connected": 262, "cut_flags": 81}
+        assert len(flows) == 129
 
     def test_theorem_digest_n11(self, capsys, monkeypatch):
         # sha256 of the records computed before flows folded, and the number

@@ -1,6 +1,7 @@
 """Base graph layer: parsing, canonical trees, girth, generators."""
 
 import math
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -28,8 +29,8 @@ from tokengraphs.graphs import (
 )
 from tokengraphs.tokens import build_token_graph
 
-# free trees per vertex count, n = 1..12
-TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# free trees per vertex count, n = 1..13 (OEIS A000055)
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
 
 PETERSEN_EDGES = (
     (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7),
@@ -72,6 +73,60 @@ def nx_of(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def reference_cut_flags(g: Graph) -> tuple[bool, bool, bool]:
+    """(connected, has a cut vertex, has a bridge) of vertex 0's component,
+    by deleting each of its vertices and each of its edges in turn and
+    searching again."""
+    adj = g.adjacency
+
+    def reached(start, dead_vertex=-1, dead_edge=()):
+        seen, todo = {start}, [start]
+        while todo:
+            u = todo.pop()
+            for w in adj[u]:
+                if w != dead_vertex and w not in seen and (min(u, w), max(u, w)) != dead_edge:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    part = reached(0)
+    cut_vertex = any(len(reached(min(part - {u}), dead_vertex=u)) < len(part) - 1
+                     for u in part if len(part) > 1)
+    bridge = any(len(reached(0, dead_edge=e)) < len(part) for e in g.edges if e[0] in part)
+    return len(part) == g.n, cut_vertex, bridge
+
+
+def glued_blocks(rng: random.Random) -> Graph:
+    """A chain of cycles and cliques, each glued to the last at one vertex or
+    hung from it by a bridge, numbered along the chain so that the DFS from
+    vertex 0 meets the cut vertices and bridges deep in its tree; sometimes
+    closed into a ring by an edge back to 0 (no cut vertex, no bridge, one
+    back edge to the root), sometimes with a path apart from vertex 0's
+    component, and sometimes relabelled at random."""
+    edges, n, last = [], 1, 0
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.4:
+            edges.append((last, n))
+            last, n = n, n + 1
+        block = [last, *range(n, n + rng.randint(2, 5))]
+        n = block[-1] + 1
+        if rng.random() < 0.5:
+            edges += zip(block, block[1:] + block[:1])
+        else:
+            edges += combinations(block, 2)
+        last = rng.choice(block[1:])
+    if rng.random() < 0.3:
+        edges.append((0, last))
+    if rng.random() < 0.3:
+        edges += [(n, n + 1), (n + 1, n + 2)]
+        n += 3
+    if rng.random() < 0.5:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return Graph(n, tuple(edges))
 
 
 # strategy: a random simple graph as (n, edge set)
@@ -151,6 +206,40 @@ class TestOneDfs:
                 assert cut_vertex == any(True for _ in nx.articulation_points(h)), h.edges
                 assert bridge == nx.has_bridges(h), h.edges
         assert connected_count == 996 + 1  # the atlas for n = 1..7, then Graph(1, ())
+
+    def test_flags_match_deleting_each_vertex_and_edge(self):
+        # seeded random graphs of up to 40 vertices, disconnected ones
+        # included, and glued blocks with deep cut vertices and bridges
+        rng = random.Random(29)
+        cases = [Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < p))
+                 for n, p in ((rng.randint(1, 40), rng.choice((0.03, 0.06, 0.1, 0.2, 0.4)))
+                              for _ in range(150))]
+        cases += [glued_blocks(rng) for _ in range(150)]
+        seen = Counter()
+        for g in cases:
+            flags = mask_cut_flags(g.neighbor_masks)
+            assert flags == reference_cut_flags(g), g.edges
+            seen[flags] += 1
+        # connected or not, with and without cut vertices and bridges, and
+        # cut vertices with no bridge
+        kinds = {(c, cut, cut) for c in (True, False) for cut in (True, False)}
+        assert kinds | {(True, True, False)} <= set(seen)
+
+    def test_flags_match_networkx_on_token_graphs(self):
+        # every F_k with delta >= 2 of the trees up to n = 9 (up to 126 vertices)
+        sizes = []
+        for n in range(2, 10):
+            for tree in enumerate_trees(n):
+                for k in range(2, n - 1):
+                    tg = build_token_graph(tree, k)
+                    if tg.min_degree() < 2:
+                        continue
+                    h = nx_of(tg.as_graph())
+                    assert mask_cut_flags(tg.neighbor_masks) == (
+                        nx.is_connected(h), any(True for _ in nx.articulation_points(h)),
+                        nx.has_bridges(h)), (emit_graph6(tree), k)
+                    sizes.append(tg.n)
+        assert (len(sizes), max(sizes)) == (145, 126)
 
     def test_null_graph_is_connected(self):
         assert mask_connected(()) is True
@@ -337,9 +426,20 @@ class TestDistanceGirth:
 
 
 class TestTrees:
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 14))
     def test_counts(self, n):
         assert len(enumerate_trees(n)) == TREE_COUNTS[n - 1]
+
+    def test_levels_are_listed_in_canonical_form(self):
+        # each listed tree's canonical form is its key, and its labels are
+        # the canonical ones: relabelling by them gives the same Graph
+        for n in range(1, 14):
+            level = graphs_module._tree_level(n)
+            assert list(level) == sorted(level)
+            for key, tree in level.items():
+                form, label = graphs_module._canonical(tree.adjacency)
+                assert tree_canonical_form(tree) == form == key
+                assert Graph(n, tuple((label[u], label[v]) for u, v in tree.edges)) == tree
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_counts_match_networkx(self, n):
