@@ -27,11 +27,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 SWEEPS = [
-    ["theorem", "--n-max", "9"],
-    ["theorem", "--n-max", "10"],
-    ["theorem", "--n-max", "12"],
-    ["paths", "--n-max", "8"],
-    ["hfamily", "--m-min", "4", "--m-max", "6"],
+    "theorem --n-max 9",
+    "theorem --n-max 10",
+    "theorem --n-max 12",
+    "paths --n-max 8",
+    "hfamily --m-min 4 --m-max 6",
 ]
 
 
@@ -40,18 +40,18 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def measure(argv: list[str]) -> dict:
+def measure(argv: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     walls, digests = [], set()
     for _ in range(RUNS):
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "tokengraphs", *argv, "--json"],
+        proc = subprocess.run([sys.executable, "-m", "tokengraphs", *argv.split(), "--json"],
                               env=env, capture_output=True, check=True)
         walls.append(time.perf_counter() - start)
         digests.add(hashlib.sha256(proc.stdout).hexdigest())
     if len(digests) != 1:
-        raise SystemExit(f"{' '.join(argv)}: runs gave different output")
-    return {"argv": " ".join(argv), "wall_s_min": round(min(walls), 4),
+        raise SystemExit(f"{argv}: runs gave different output")
+    return {"argv": argv, "wall_s_min": round(min(walls), 4),
             "wall_s": [round(w, 4) for w in walls], "sha256": digests.pop(),
             "records": proc.stdout.count(b"\n")}
 
